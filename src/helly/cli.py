@@ -30,7 +30,7 @@ def _cmd_check(args):
     report = recognition.is_helly(g)
     out = report.to_dict()
     out["is_median"] = recognition.is_median(g) if g.n <= 256 else None
-    out["weakly_modular"] = weak_modularity(g).holds
+    out["weakly_modular"] = report.weakly_modular
     _emit(out)
     return 0
 
@@ -69,6 +69,8 @@ def _cmd_bicombing(args):
     if args.pair is None:
         raise ValidationError("--pair U V or --fellow-traveler required")
     u, v = args.pair
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValidationError(f"--pair vertices must lie in [0, {g.n}), got {u} {v}")
     path = bicombing.normal_clique_path(g, u, v)
     _emit({
         "clique_path": path.to_lists(),

@@ -11,16 +11,15 @@ while avoiding the 3^n sweep.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InvariantViolation, ResourceCapExceeded, ValidationError
+from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env
 from .graphs import Graph
 
 
 def _form_cap():
-    return int(os.environ.get("HELLY_MAX_FORMS", 50000))
+    return cap_from_env("HELLY_MAX_FORMS", 50000)
 
 
 @dataclass(frozen=True)

@@ -127,24 +127,59 @@ def helly_property(h):
     return ok
 
 
+def triple_criterion(n, pair_cap, near):
+    """Lexicographically least failing triple of a pairwise-cap test, or None.
+
+    Unchecked mask kernel behind every Berge-Duchet-style test.  A triple
+    x < y < z fails when pair_cap(x, y) & pair_cap(x, z) & pair_cap(y, z)
+    is empty, where pair_cap(x, y) is the intersection of all members of a
+    family that contain both x and y.  Only triangles of `near` are walked
+    (y in near[x], z in near[x] and near[y]); `near[x]` must hold every y
+    that shares a member with x.  This is sound: a pair in no member has the
+    whole ground set as its cap, and the two other caps both contain the
+    vertex their pairs share, so such a triple cannot fail.  Pruned triples
+    never fail, so the first failure met in lexicographic order is the
+    least one.  Caps are computed once, on first use.
+    """
+    caps = {}
+
+    def cap(x, y):
+        key = x * n + y
+        c = caps.get(key)
+        if c is None:
+            c = caps[key] = pair_cap(x, y)
+        return c
+
+    for x in range(n):
+        above_x = near[x] >> (x + 1) << (x + 1)
+        for y in bits(above_x):
+            cxy = cap(x, y)
+            for z in bits(above_x & near[y] >> (y + 1) << (y + 1)):
+                if cxy & cap(x, z) & cap(y, z) == 0:
+                    return (x, y, z)
+    return None
+
+
 def helly_property_certified(h):
-    """Berge-Duchet test returning (flag, failing vertex triple or None)."""
+    """Berge-Duchet test returning (flag, failing vertex triple or None).
+
+    The edge family has the Helly property iff no vertex triple has
+    pairwise caps (intersections of the edges containing a pair) with an
+    empty common part.  Only triangles of the 2-section can fail.
+    """
     masks = h.edge_masks()
-    verts = h.covered_vertices()
     full = (1 << h.n) - 1
-    # pair_cap[(x,y)] = intersection of all edges containing both x and y
-    pair_cap = {}
-    for x, y in combinations(verts, 2):
+
+    def pair_cap(x, y):
         need = (1 << x) | (1 << y)
         cap = full
         for m in masks:
             if m & need == need:
                 cap &= m
-        pair_cap[(x, y)] = cap
-    for x, y, z in combinations(verts, 3):
-        if pair_cap[(x, y)] & pair_cap[(x, z)] & pair_cap[(y, z)] == 0:
-            return False, (x, y, z)
-    return True, None
+        return cap
+
+    witness = triple_criterion(h.n, pair_cap, two_section_masks(h))
+    return witness is None, witness
 
 
 def is_helly(h):
@@ -196,13 +231,27 @@ def is_conformal(h):
 
 
 def is_conformal_certified(h):
-    """Gilmore test: (flag, failing edge-index triple or None)."""
+    """Gilmore test: (flag, failing edge-index triple or None).
+
+    Edges i, j, k fail when no edge contains the union of their pairwise
+    intersections.  This is Berge-Duchet on the dual: the cap of an edge
+    pair is the set of edges containing its intersection, so the test runs
+    on the triple kernel over the triangles of the line graph.  A triple
+    with a disjoint pair is witnessed by its third edge, which contains the
+    other two intersections.
+    """
     masks = h.edge_masks()
-    for i, j, k in combinations(range(len(masks)), 3):
-        need = (masks[i] & masks[j]) | (masks[i] & masks[k]) | (masks[j] & masks[k])
-        if not any(m & need == need for m in masks):
-            return False, (i, j, k)
-    return True, None
+
+    def pair_cap(i, j):
+        need = masks[i] & masks[j]
+        cap = 0
+        for k, m in enumerate(masks):
+            if m & need == need:
+                cap |= 1 << k
+        return cap
+
+    witness = triple_criterion(len(masks), pair_cap, _line_masks(masks))
+    return witness is None, witness
 
 
 def is_conformal_via_cliques(h):

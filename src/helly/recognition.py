@@ -8,17 +8,16 @@ theorem for finite graphs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import InvariantViolation, ResourceCapExceeded, ValidationError
+from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env
 from .graphs import bits, weak_modularity
 from . import hypergraphs
 
 
 def _clique_cap():
-    return int(os.environ.get("HELLY_MAX_CLIQUES", 10 ** 6))
+    return cap_from_env("HELLY_MAX_CLIQUES", 10 ** 6)
 
 
 def maximal_cliques(g, cap=None):
@@ -79,24 +78,27 @@ def is_clique_helly_certified(g):
     return True, None
 
 
-def _pairwise_unit_ball_cap(g, x, y):
-    cap = (1 << g.n) - 1
-    for v in bits(g.ball1_mask[x] & g.ball1_mask[y]):
-        cap &= g.ball1_mask[v]
-    return cap
-
-
 def is_one_helly(g):
-    """Berge-Duchet on the family of unit balls."""
-    n = g.n
-    pair_cap = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            pair_cap[(x, y)] = _pairwise_unit_ball_cap(g, x, y)
-    for x, y, z in combinations(range(n), 3):
-        if pair_cap[(x, y)] & pair_cap[(x, z)] & pair_cap[(y, z)] == 0:
-            return False
-    return True
+    """Berge-Duchet on the family of unit balls.
+
+    Two vertices share a unit ball iff they are within distance 2, so the
+    triple kernel walks only triples that are pairwise within distance 2;
+    B_2(x) is the union of the unit balls around the neighbours of x.
+    """
+    ball1 = g.ball1_mask
+    full = (1 << g.n) - 1
+    near = [0] * g.n
+    for x in range(g.n):
+        for v in bits(ball1[x]):
+            near[x] |= ball1[v]
+
+    def pair_cap(x, y):
+        cap = full
+        for v in bits(ball1[x] & ball1[y]):
+            cap &= ball1[v]
+        return cap
+
+    return hypergraphs.triple_criterion(g.n, pair_cap, near) is None
 
 
 def helly_by_ball_hypergraph(g):
@@ -104,25 +106,20 @@ def helly_by_ball_hypergraph(g):
 
     For a vertex pair x,y the intersection of all balls containing both is
     cap over v of B_{max(d(v,x),d(v,y))}(v); triples then reduce to three
-    mask ANDs.
+    mask ANDs.  Every pair lies in some ball, so no triple is pruned.
     """
     n = g.n
     rows = [g.dist_row(v) for v in range(n)]
-    pair_cap = {}
-    for x in range(n):
-        rx = rows[x]
-        for y in range(x + 1, n):
-            ry = rows[y]
-            cap = (1 << n) - 1
-            for v in range(n):
-                cap &= g.ball_mask(v, max(rows[v][x], rows[v][y]))
-                if cap == 0:
-                    break
-            pair_cap[(x, y)] = cap
-    for x, y, z in combinations(range(n), 3):
-        if pair_cap[(x, y)] & pair_cap[(x, z)] & pair_cap[(y, z)] == 0:
-            return False
-    return True
+
+    def pair_cap(x, y):
+        cap = (1 << n) - 1
+        for v in range(n):
+            cap &= g.ball_mask(v, max(rows[v][x], rows[v][y]))
+            if cap == 0:
+                break
+        return cap
+
+    return hypergraphs.triple_criterion(n, pair_cap, [(1 << n) - 1] * n) is None
 
 
 def helly_by_ball_oracle(g):
@@ -251,6 +248,7 @@ class HellyReport:
     is_clique_helly: bool
     is_one_helly: bool
     is_dismantlable: bool
+    weakly_modular: bool    # route B's verdict; not part of to_dict
     certificate: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -289,7 +287,7 @@ def is_helly(g):
         cert["clique_helly_failing_triangle"] = list(cl_witness)
     if not wm.holds:
         cert["weak_modularity_witness"] = list(wm.tc_witness or wm.qc_witness)
-    return HellyReport(route_a, cl_ok, one_ok, dis_ok, cert)
+    return HellyReport(route_a, cl_ok, one_ok, dis_ok, wm.holds, cert)
 
 
 def stable_interval_constant(g):
@@ -316,8 +314,16 @@ def stable_interval_constant(g):
 
 
 def is_median(g):
-    """Every vertex triple has exactly one median."""
+    """Every vertex triple has exactly one median.
+
+    Median graphs are bipartite, so an edge whose ends are equidistant from
+    vertex 0 (an odd cycle) rejects the graph before the interval table is
+    built.
+    """
     n = g.n
+    row0 = g.dist_row(0)
+    if any(row0[u] == row0[v] for u, v in g.edges()):
+        return False
     ivals = [[None] * n for _ in range(n)]
     for u in range(n):
         for v in range(u, n):

@@ -186,3 +186,24 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "helly.cli", "repro", "--list"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and "zcube-defect" in proc.stdout
+
+
+@pytest.mark.parametrize("pair", [("0", "99"), ("-1", "0"), ("0", "9")])
+def test_bicombing_pair_out_of_range(graph_file, pair):
+    path = graph_file(geometry.king_graph(3, 3))
+    code, out, err = run_cli(["bicombing", path, "--pair", *pair])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "[0, 9)" in err
+
+
+@pytest.mark.parametrize("var, argv", [
+    ("HELLY_MAX_CLIQUES", ["build", "nerve"]),
+    ("HELLY_MAX_FORMS", ["hull"]),
+])
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_bad_env_cap_is_validation_error(graph_file, monkeypatch, var, argv, value):
+    path = graph_file(geometry.complete_graph(3))
+    monkeypatch.setenv(var, value)
+    code, out, err = run_cli(argv + [path])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and var in err
