@@ -5,7 +5,7 @@ cell complexes), recognition (classification with cross-checked routes),
 hull (discrete injective hulls), bicombing (normal clique-paths),
 constructions (Helly-preserving operations), geometry (hyperbolicity,
 generators, grid families), symmetry (fixed cliques under group actions),
-cli (command-line surface).
+claims (the paper's named claims on fixed inputs), cli (command-line surface).
 """
 
 __version__ = "0.1.0"

@@ -18,6 +18,8 @@ def _check_clique(g, vertices, name):
     vs = tuple(sorted(set(vertices)))
     if not vs:
         raise ValidationError(f"{name} must be a nonempty clique")
+    if vs[0] < 0 or vs[-1] >= g.n:
+        raise ValidationError(f"{name} {vs!r} has a vertex outside [0, {g.n})")
     if not g.is_clique(vs):
         raise ValidationError(f"{name} {vs!r} is not a clique")
     return vs
@@ -156,6 +158,8 @@ def _normal_level_sets(g, t, s):
 
 def normal_paths(g, t, s, cap=100000):
     """All normal (t,s)-paths, lexicographically sorted."""
+    if not (0 <= t < g.n and 0 <= s < g.n):
+        raise ValidationError(f"vertices {t}, {s} must lie in [0, {g.n})")
     k = g.dist(t, s)
     if k == 0:
         return [(t,)]

@@ -8,17 +8,23 @@ violation (a verified guarantee failed on the input).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
-from .errors import InvariantViolation, ResourceCapExceeded, ValidationError
-from .graphs import Graph, weak_modularity
-from . import bicombing, constructions, geometry, hull, hypergraphs, recognition, symmetry
+from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, json_object
+from .graphs import Graph
+from . import (bicombing, claims, constructions, geometry, hull, hypergraphs, recognition,
+               symmetry)
+
+
+def _read(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return Graph.from_json(fh.read())
+    return Graph.from_json(_read(path))
 
 
 def _emit(obj):
@@ -36,10 +42,8 @@ def _cmd_check(args):
 
 
 def _cmd_hull(args):
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    data = json.loads(text)
-    if "edges" in data:
+    text = _read(args.input)
+    if "edges" in json_object(text):
         metric = hull.FiniteMetric.of_graph(Graph.from_json(text))
     else:
         metric = hull.FiniteMetric.from_json(text)
@@ -69,8 +73,6 @@ def _cmd_bicombing(args):
     if args.pair is None:
         raise ValidationError("--pair U V or --fellow-traveler required")
     u, v = args.pair
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValidationError(f"--pair vertices must lie in [0, {g.n}), got {u} {v}")
     path = bicombing.normal_clique_path(g, u, v)
     _emit({
         "clique_path": path.to_lists(),
@@ -97,18 +99,17 @@ def _cmd_build(args):
         g, _ = constructions.glue_at_vertices(parts, gluings)
     elif args.kind == "sgp":
         # one JSON file: {"factors": [<graph JSON>...], "pieces": [[null|vertex,...],...]}
-        with open(args.inputs[0], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        factors = tuple(Graph(int(f["n"]), [tuple(e) for e in f["edges"]])
-                        for f in data["factors"])
-        pieces = tuple(tuple(entry if entry is None else int(entry) for entry in piece)
-                       for piece in data["pieces"])
-        desc = constructions.SgpDescription(factors, pieces)
+        data = json_object(_read(args.inputs[0]), "factors", "pieces")
+        factors, pieces = data["factors"], data["pieces"]
+        if not (isinstance(factors, list) and isinstance(pieces, list) and all(
+                isinstance(p, list) and all(e is None or type(e) is int for e in p)
+                for p in pieces)):
+            raise ValidationError("sgp JSON needs a factor list and pieces of null or int")
+        desc = constructions.SgpDescription(tuple(Graph.from_json(json.dumps(f)) for f in factors),
+                                            tuple(tuple(p) for p in pieces))
         g, _, _ = constructions.sgp_build(desc)
         three_piece, _ = constructions.sgp_three_piece(desc)
-        print(json.dumps({"graph": json.loads(g.to_json()),
-                          "three_piece": three_piece},
-                         separators=(",", ":"), sort_keys=True))
+        _emit({"graph": json.loads(g.to_json()), "three_piece": three_piece})
         return 0
     else:
         raise ValidationError(f"unknown build kind {args.kind!r}")
@@ -117,27 +118,28 @@ def _cmd_build(args):
 
 
 _GENERATORS = {
-    "path": lambda p: geometry.path_graph(p[0]),
-    "cycle": lambda p: geometry.cycle_graph(p[0]),
-    "complete": lambda p: geometry.complete_graph(p[0]),
-    "star": lambda p: geometry.star_graph(p[0]),
-    "wheel": lambda p: geometry.wheel_graph(p[0]),
-    "hypercube": lambda p: geometry.hypercube_graph(p[0]),
-    "grid": lambda p: geometry.grid_graph(p[0], p[1]),
-    "king": lambda p: geometry.king_graph(p[0], p[1]),
-    "sun3": lambda p: geometry.sun3(),
-    "house": lambda p: geometry.house_graph(),
-    "bowtie": lambda p: geometry.bowtie_graph(),
-    "k4-minus": lambda p: geometry.k4_minus(),
-    "k33-minus": lambda p: geometry.k33_minus(),
-    "l1-grid": lambda p: geometry.l1_grid(p[0])[0],
-    "linf-diamond": lambda p: geometry.linf_diamond(p[0])[0],
-    "t3-deltoid": lambda p: geometry.t3_deltoid(p[0])[0],
-    "t3-patch": lambda p: geometry.t3_patch(p[0])[0],
-    "z3-box": lambda p: geometry.z3_box(p[0])[0],
-    "ncp-figure": lambda p: geometry.ncp_figure()[0],
-    "random": lambda p: geometry.random_connected_graph(p[0], p[1] / 100.0, p[2]),
-    "tree": lambda p: geometry.random_tree(p[0], p[1]),
+    "path": geometry.path_graph,
+    "cycle": geometry.cycle_graph,
+    "complete": geometry.complete_graph,
+    "star": geometry.star_graph,
+    "wheel": geometry.wheel_graph,
+    "hypercube": geometry.hypercube_graph,
+    "grid": geometry.grid_graph,
+    "king": geometry.king_graph,
+    "sun3": geometry.sun3,
+    "house": geometry.house_graph,
+    "bowtie": geometry.bowtie_graph,
+    "k4-minus": geometry.k4_minus,
+    "k33-minus": geometry.k33_minus,
+    "l1-grid": lambda k: geometry.l1_grid(k)[0],
+    "linf-diamond": lambda k: geometry.linf_diamond(k)[0],
+    "t3-deltoid": lambda side: geometry.t3_deltoid(side)[0],
+    "t3-patch": lambda radius: geometry.t3_patch(radius)[0],
+    "z3-box": lambda half_side: geometry.z3_box(half_side)[0],
+    "ncp-figure": lambda: geometry.ncp_figure()[0],
+    "random": lambda n, percent, seed: geometry.random_connected_graph(
+        n, percent / 100.0, seed),
+    "tree": geometry.random_tree,
 }
 
 
@@ -146,7 +148,10 @@ def _cmd_gen(args):
     if maker is None:
         raise ValidationError(
             f"unknown generator {args.name!r}; known: {', '.join(sorted(_GENERATORS))}")
-    g = maker(args.params)
+    names = list(inspect.signature(maker).parameters)
+    if len(args.params) != len(names):
+        raise ValidationError(f"{args.name!r} takes parameters {names}, got {args.params}")
+    g = maker(*args.params)
     print(g.to_dot() if args.dot else g.to_json())
     return 0
 
@@ -172,16 +177,14 @@ def _cmd_coarse(args):
 
 def _cmd_fix(args):
     g = _load_graph(args.graph)
-    with open(args.action, "r", encoding="utf-8") as fh:
-        action = symmetry.GroupAction.from_json(g, fh.read())
+    action = symmetry.GroupAction.from_json(g, _read(args.action))
     clique = symmetry.fixed_clique(action)
     _emit({"fixed_clique": list(clique), "group_order": len(symmetry.close_group(action))})
     return 0
 
 
 def _cmd_hyper_check(args):
-    with open(args.hypergraph, "r", encoding="utf-8") as fh:
-        h = hypergraphs.Hypergraph.from_json(fh.read())
+    h = hypergraphs.Hypergraph.from_json(_read(args.hypergraph))
     helly_ok, helly_witness = hypergraphs.helly_property_certified(h)
     conf_ok, conf_witness = hypergraphs.is_conformal_certified(h)
     _emit({
@@ -195,149 +198,21 @@ def _cmd_hyper_check(args):
     return 0
 
 
-# -- named reproductions --------------------------------------------------------
-
-
-def _repro_classification():
-    rows = [
-        ("c4", "clique-Helly, not 1-Helly",
-         lambda: (lambda g: recognition.is_clique_helly(g) and not recognition.is_one_helly(g))(
-             geometry.cycle_graph(4))),
-        ("c7", "1-Helly, not Helly",
-         lambda: (lambda g: recognition.is_one_helly(g) and not recognition.is_helly(g).is_helly)(
-             geometry.cycle_graph(7))),
-        ("sun3", "weakly modular, not Helly",
-         lambda: (lambda g: weak_modularity(g).holds
-                  and not recognition.is_helly(g).is_helly)(geometry.sun3())),
-        ("k6", "Helly", lambda: recognition.is_helly(geometry.complete_graph(6)).is_helly),
-        ("tree20", "Helly", lambda: recognition.is_helly(geometry.random_tree(20, 7)).is_helly),
-        ("king5x5", "Helly", lambda: recognition.is_helly(geometry.king_graph(5, 5)).is_helly),
-    ]
-    ok = True
-    for name, claim, check in rows:
-        good = check()
-        ok = ok and good
-        print(f"  {name}: {claim}: {'ok' if good else 'FALSIFIED'}")
-    return ok
-
-
-def _repro_zcube():
-    ok = True
-    for n, expected in ((1, 4), (2, 8)):
-        defect = geometry.z3_counterexample(n)["defect"]
-        good = defect == expected
-        ok = ok and good
-        print(f"  box scale n={n}: defect {defect} (expected {expected})")
-    return ok
-
-
-def _repro_t3():
-    ok = True
-    for n in (1, 2):
-        defect = geometry.t3_counterexample(n)["defect"]
-        good = defect >= n
-        ok = ok and good
-        print(f"  deltoid scale n={n}: defect {defect} (>= {n} required)")
-    return ok
-
-
-def _repro_fellow_traveler_king5():
-    rep = bicombing.fellow_traveler_check(geometry.king_graph(5, 5))
-    print(f"  constants: clique {rep.clique_constant} (<=1), path {rep.path_constant} (<=3)")
-    return rep.clique_constant <= 1 and rep.path_constant <= 3
-
-
-def _repro_ncp_figure():
-    g, names = geometry.ncp_figure()
-    t, s, y = names["t"], names["s"], names["y"]
-    path = bicombing.normal_clique_path(g, t, s)
-    want = [{names["t"]}, {names["x"], names["y"]},
-            {names["u"], names["u'"], names["w"]}, {names["s"]}]
-    shape_ok = [set(c) for c in path.cliques] == want
-    paths = bicombing.normal_paths(g, t, s)
-    y_ok = all(y not in p for p in paths)
-    print(f"  clique path shape ok: {shape_ok}; y excluded from {len(paths)} normal paths: {y_ok}")
-    return shape_ok and y_ok
-
-
-def _repro_grid():
-    ok = geometry.l1_linf_grid_correspondence(1)
-    print(f"  l1 <-> linf correspondence at k=1: {ok}")
-    return ok
-
-
-def _repro_thicken():
-    a = constructions.thicken_median(geometry.hypercube_graph(3)) == geometry.complete_graph(8)
-    b = constructions.thicken_median(geometry.grid_graph(3, 3)) == geometry.king_graph(3, 3)
-    print(f"  thicken Q3 = K8: {a}; thicken 3x3 grid = 3x3 king: {b}")
-    return a and b
-
-
-def _repro_duality():
-    import random
-    rng = random.Random(2024)
-    for _ in range(200):
-        n = rng.randint(2, 10)
-        edges = [tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
-                 for _ in range(rng.randint(1, 10))]
-        h = hypergraphs.Hypergraph.of(n, edges)
-        if hypergraphs.is_conformal(h) != hypergraphs.is_helly(hypergraphs.dual(h)):
-            print("  duality broken on", h)
-            return False
-    print("  conformality <-> dual Helly property on 200 random hypergraphs: ok")
-    return True
-
-
-def _repro_hull_identity():
-    ok = True
-    for name, g in [("tree", geometry.random_tree(12, 3)),
-                    ("king4x4", geometry.king_graph(4, 4)),
-                    ("star", geometry.star_graph(6))]:
-        hg = hull.hellyfication(g)
-        same = len(hg.forms) == g.n
-        profile = hull.hull_distance_profile(hg)
-        ok = ok and same and profile <= 1
-        print(f"  {name}: hull adds {len(hg.forms) - g.n} forms, profile {profile}")
-    return ok
-
-
-def _repro_stable_intervals():
-    ok = True
-    for name, g in [("king5x5", geometry.king_graph(5, 5)),
-                    ("grid4x4", geometry.grid_graph(4, 4)),
-                    ("tree", geometry.random_tree(15, 9))]:
-        beta = recognition.stable_interval_constant(g)
-        print(f"  {name}: interval stability constant {beta} (<=1 required)")
-        ok = ok and beta <= 1
-    return ok
-
-
-_REPROS = {
-    "classification-table": _repro_classification,
-    "zcube-defect": _repro_zcube,
-    "t3-defect": _repro_t3,
-    "fellow-traveler-king5": _repro_fellow_traveler_king5,
-    "ncp-figure": _repro_ncp_figure,
-    "grid-correspondence": _repro_grid,
-    "thicken": _repro_thicken,
-    "helly-duality": _repro_duality,
-    "hull-identity": _repro_hull_identity,
-    "stable-intervals": _repro_stable_intervals,
-}
-
-
 def _cmd_repro(args):
     if args.list:
-        for name in sorted(_REPROS):
+        for name in claims.CLAIMS:
             print(name)
         return 0
     if args.example is None:
         raise ValidationError("name a reproduction or pass --list")
-    runner = _REPROS.get(args.example)
-    if runner is None:
+    claim = claims.CLAIMS.get(args.example)
+    if claim is None:
         raise ValidationError(
-            f"unknown reproduction {args.example!r}; known: {', '.join(sorted(_REPROS))}")
-    ok = runner()
+            f"unknown reproduction {args.example!r}; known: {', '.join(claims.CLAIMS)}")
+    ok = True
+    for line, good in claim():
+        print(f"  {line}")
+        ok = ok and good
     print(f"{args.example}: {'PASS' if ok else 'FAIL'}")
     if not ok:
         raise InvariantViolation(f"reproduction {args.example} falsified")

@@ -2,11 +2,13 @@
 
 Three failure kinds are kept apart because the CLI maps them to distinct
 exit codes: bad input (3), blown enumeration budget (3), and a falsified
-theorem-level guarantee (4, should never fire on valid data).  Caps set
-through the environment are parsed here, once, for every module.
+theorem-level guarantee (4, should never fire on valid data).  Environment
+caps and JSON input are parsed here, once, for every module.
 """
 
+import json
 import os
+from itertools import chain
 
 
 class ValidationError(ValueError):
@@ -40,3 +42,30 @@ def cap_from_env(name, default):
     if cap < 0:
         raise ValidationError(f"{name} must be nonnegative, got {cap}")
     return cap
+
+
+def json_object(text, *keys):
+    """Decode a JSON object holding `keys`; anything else is bad input."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"malformed JSON: {exc}") from None
+    if not isinstance(data, dict) or not all(k in data for k in keys):
+        raise ValidationError(f"expected a JSON object with keys {list(keys)}" if keys
+                              else "expected a JSON object")
+    return data
+
+
+def vertex_count(value):
+    """A JSON "n" field: an integer >= 0; 2.5 and true are refused, not coerced."""
+    if type(value) is not int or value < 0:
+        raise ValidationError(f'"n" must be a nonnegative integer, got {value!r}')
+    return value
+
+
+def int_lists(value, name):
+    """`value` if it is a list of lists of JSON integers; anything else is bad input."""
+    if not (type(value) is list and set(map(type, value)) <= {list}
+            and set(map(type, chain.from_iterable(value))) <= {int}):
+        raise ValidationError(f"{name} must be a list of integer lists")
+    return value

@@ -15,7 +15,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, int_lists, json_object, vertex_count
 
 
 def bits(mask):
@@ -31,6 +31,29 @@ def mask_of(vertices):
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def maximal_clique_masks(nbr):
+    """Maximal cliques, as masks, of the graph with adjacency masks `nbr`.
+
+    Bron-Kerbosch with Tomita pivoting on an explicit stack, so clique size is
+    not bounded by the recursion limit.  The output order is unspecified.
+    """
+    out = []
+    stack = [(0, (1 << len(nbr)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        pivot = max(bits(p | x), key=lambda v: (nbr[v] & p).bit_count())
+        for v in bits(p & ~nbr[pivot]):
+            bit = 1 << v
+            stack.append((r | bit, p & nbr[v], x & nbr[v]))
+            p &= ~bit
+            x |= bit
+    return out
 
 
 class Graph:
@@ -72,19 +95,13 @@ class Graph:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_edges(cls, edges, n=None):
-        edges = [tuple(e) for e in edges]
-        if n is None:
-            n = 1 + max((max(e) for e in edges), default=0)
-        return cls(n, edges)
-
-    @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        try:
-            return cls(int(data["n"]), [tuple(e) for e in data["edges"]])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad graph JSON: {exc}") from exc
+        """Parse {"n": <int>, "edges": [[u, v], ...]}; bad input is a ValidationError."""
+        data = json_object(text, "n", "edges")
+        edges = int_lists(data["edges"], "edges")
+        if not set(map(len, edges)) <= {2}:
+            raise ValidationError("every edge must have exactly two ends")
+        return cls(vertex_count(data["n"]), edges)
 
     def edges(self):
         """Sorted list of edges (u, v) with u < v."""
@@ -187,36 +204,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={sum(len(a) for a in self.adj) // 2})"
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    n: int
-    rows: tuple
-
-    def validate(self, g=None):
-        """Check symmetry, zero diagonal, triangle inequality, d=1 <=> edge."""
-        n, d = self.n, self.rows
-        for u in range(n):
-            if d[u][u] != 0:
-                raise ValidationError(f"d({u},{u}) != 0")
-            for v in range(u + 1, n):
-                if d[u][v] != d[v][u] or d[u][v] <= 0:
-                    raise ValidationError(f"bad entry d({u},{v})")
-                if g is not None and (d[u][v] == 1) != ((g.nbr_mask[u] >> v) & 1 == 1):
-                    raise ValidationError(f"d({u},{v})=1 must match adjacency")
-        for u in range(n):
-            for v in range(n):
-                duv = d[u][v]
-                for w in range(n):
-                    if duv > d[u][w] + d[w][v]:
-                        raise ValidationError(f"triangle inequality fails at {u},{w},{v}")
-        return True
-
-
-def distances(g):
-    """All-pairs distance matrix of a connected graph."""
-    return DistanceMatrix(g.n, tuple(tuple(g.dist_row(u)) for u in range(g.n)))
 
 
 def interval(g, u, v):

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env
+from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
+                     int_lists, json_object)
 from .graphs import Graph
 
 
@@ -40,9 +41,8 @@ class FiniteMetric:
 
     @classmethod
     def from_json(cls, text):
-        import json
-        data = json.loads(text)
-        return cls.of(data["d"])
+        """Parse {"d": [[...], ...]}; bad input is a ValidationError."""
+        return cls.of(int_lists(json_object(text, "d")["d"], '"d"'))
 
     def validate(self):
         n, d = self.n, self.d
@@ -60,9 +60,6 @@ class FiniteMetric:
                     if d[x][y] > d[x][z] + d[z][y]:
                         raise ValidationError(f"triangle inequality fails at {x},{z},{y}")
         return True
-
-    def row(self, x):
-        return self.d[x]
 
     def radius_bound(self):
         """Pointwise bound max_y d(x,y); every extremal form sits below it."""
@@ -414,6 +411,8 @@ def coarse_helly_defect(g, centers, radii, require_pairwise=True):
         raise ValidationError("need equally many centers and radii, at least one")
     if any(r < 0 for r in radii):
         raise ValidationError("radii must be nonnegative")
+    if not all(0 <= c < g.n for c in centers):
+        raise ValidationError(f"centers must lie in [0, {g.n}), got {centers}")
     rows = [g.dist_row(c) for c in centers]
     if require_pairwise:
         for i, j in combinations(range(len(centers)), 2):

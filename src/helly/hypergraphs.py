@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ValidationError
-from .graphs import Graph, bits, mask_of
+from .errors import ValidationError, int_lists, json_object, vertex_count
+from .graphs import Graph, bits, mask_of, maximal_clique_masks
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,9 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, text):
-        import json
-        data = json.loads(text)
-        return cls.of(int(data["n"]), data["edges"])
-
-    def to_json(self):
-        import json
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]},
-                          separators=(",", ":"), sort_keys=True)
+        """Parse {"n": <int>, "edges": [[...], ...]}; bad input is a ValidationError."""
+        data = json_object(text, "n", "edges")
+        return cls.of(vertex_count(data["n"]), int_lists(data["edges"], "edges"))
 
     def edge_masks(self):
         return [mask_of(e) for e in self.edges]
@@ -116,11 +111,6 @@ def line_graph(h):
     return Graph(len(masks), edges)
 
 
-def nerve_graph(h):
-    """1-skeleton of the nerve complex: same as the line graph."""
-    return line_graph(h)
-
-
 def helly_property(h):
     """Berge-Duchet decision of the Helly property of the edge family."""
     ok, _ = helly_property_certified(h)
@@ -182,11 +172,6 @@ def helly_property_certified(h):
     return witness is None, witness
 
 
-def is_helly(h):
-    """Helly property of the edge family, decided by Berge-Duchet triples."""
-    return helly_property(h)
-
-
 def helly_property_oracle(h):
     """Exponential oracle: every pairwise-intersecting subfamily meets."""
     masks = h.edge_masks()
@@ -203,26 +188,6 @@ def helly_property_oracle(h):
             if cap == 0:
                 return False
     return True
-
-
-def _max_clique_masks(nbr, n):
-    """Maximal cliques of an adjacency-mask graph, as masks (Bron-Kerbosch)."""
-    out = []
-
-    def expand(r, p, x):
-        if not p and not x:
-            out.append(r)
-            return
-        pivot_pool = p | x
-        pivot = max(bits(pivot_pool), key=lambda v: (nbr[v] & p).bit_count())
-        for v in bits(p & ~nbr[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & nbr[v], x & nbr[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, (1 << n) - 1, 0)
-    return out
 
 
 def is_conformal(h):
@@ -260,7 +225,7 @@ def is_conformal_via_cliques(h):
     masks = h.edge_masks()
     isolated = [v for v in range(h.n) if nbr[v] == 0 and not any((m >> v) & 1 for m in masks)]
     skip = mask_of(isolated)
-    for clique in _max_clique_masks(nbr, h.n):
+    for clique in maximal_clique_masks(nbr):
         if clique & skip:
             continue  # vertices in no edge form spurious singleton cliques
         if not any(m & clique == clique for m in masks):
@@ -302,7 +267,7 @@ def strong_gilmore(h):
 def conformal_closure(h):
     """Add every maximal clique of the 2-section as an edge (same 2-section)."""
     nbr = two_section_masks(h)
-    cliques = {tuple(bits(m)) for m in _max_clique_masks(nbr, h.n) if m}
+    cliques = {tuple(bits(m)) for m in maximal_clique_masks(nbr) if m}
     covered = set(h.covered_vertices())
     cliques = {c for c in cliques if set(c) <= covered}
     merged = sorted(set(h.edges) | cliques)
@@ -318,7 +283,7 @@ def hellyfication_hypergraph(h):
     """
     masks = h.edge_masks()
     bad = []
-    for fam in _max_clique_masks([line_nbr for line_nbr in _line_masks(masks)], len(masks)):
+    for fam in maximal_clique_masks(_line_masks(masks)):
         idxs = tuple(bits(fam))
         if len(idxs) < 2:
             continue

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env
-from .graphs import bits, weak_modularity
+from .graphs import bits, maximal_clique_masks, weak_modularity
 from . import hypergraphs
 
 
@@ -23,29 +23,31 @@ def _clique_cap():
 def maximal_cliques(g, cap=None):
     """Inclusion-maximal cliques, each sorted, list sorted lexicographically."""
     cap = _clique_cap() if cap is None else cap
-    out = hypergraphs._max_clique_masks(g.nbr_mask, g.n)
+    out = maximal_clique_masks(g.nbr_mask)
     if len(out) > cap:
         raise ResourceCapExceeded(f"{len(out)} maximal cliques exceed cap {cap}")
     return sorted(tuple(bits(m)) for m in out)
 
 
 def all_cliques(g, cap=None):
-    """Every nonempty clique, in (size, lex) order."""
+    """Every nonempty clique, in (size, lex) order.
+
+    Extending each clique of one size, in lex order, by its common neighbours
+    above its last vertex, in increasing order, gives the next size in lex order.
+    """
     cap = _clique_cap() if cap is None else cap
     out = []
-    n = g.n
-
-    def extend(base, base_mask, candidates):
-        for v in bits(candidates):
-            clique = base + (v,)
-            out.append(clique)
-            if len(out) > cap:
-                raise ResourceCapExceeded(f"clique count exceeds cap {cap}")
-            extend(clique, base_mask | (1 << v),
-                   candidates & g.nbr_mask[v] & ~((1 << (v + 1)) - 1))
-
-    extend((), 0, (1 << n) - 1)
-    out.sort(key=lambda c: (len(c), c))
+    level = [((), (1 << g.n) - 1)]  # (clique, common neighbours above its last vertex)
+    while level:
+        nxt = []
+        for base, candidates in level:
+            for v in bits(candidates):
+                clique = base + (v,)
+                out.append(clique)
+                if len(out) > cap:
+                    raise ResourceCapExceeded(f"clique count exceeds cap {cap}")
+                nxt.append((clique, candidates & g.nbr_mask[v] & ~((1 << (v + 1)) - 1)))
+        level = nxt
     return out
 
 
@@ -152,7 +154,7 @@ def helly_by_ball_oracle(g):
         for j in range(k):
             if i != j and ball_list[i] & ball_list[j]:
                 meet[i] |= 1 << j
-    for fam in hypergraphs._max_clique_masks(meet, k):
+    for fam in maximal_clique_masks(meet):
         if fam.bit_count() < 2:
             continue
         cap = (1 << g.n) - 1

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, ResourceCapExceeded, ValidationError
+from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, int_lists,
+                     json_object)
 from .graphs import Graph
 from . import constructions, hull, recognition
 
@@ -34,9 +35,8 @@ class GroupAction:
 
     @classmethod
     def from_json(cls, graph, text):
-        import json
-        data = json.loads(text)
-        return cls.of(graph, [tuple(p) for p in data["perms"]])
+        """Parse {"perms": [[...], ...]}; bad input is a ValidationError."""
+        return cls.of(graph, int_lists(json_object(text, "perms")["perms"], '"perms"'))
 
 
 def close_group(action, cap=10000):

@@ -2,23 +2,32 @@
 
 Every test prints a single PASS/FAIL line (visible with pytest -s or in the
 captured log) and asserts the criterion at its exact tolerance; all
-comparisons are integer-exact.
+comparisons are integer-exact.  Criteria that restate a named claim of the
+paper run it from `helly.claims`, the registry `helly repro` prints.
 """
 
 import random
 import time
 from itertools import combinations
 
-from helly import constructions, geometry, hull, hypergraphs, recognition, symmetry
+from helly import claims, constructions, geometry, hull, recognition, symmetry
 from helly.bicombing import (fellow_traveler_check, normal_clique_path,
-                             normal_paths, uniform_distance,
-                             verify_normal_clique_path)
+                             uniform_distance, verify_normal_clique_path)
 from helly.graphs import weak_modularity
 
 
 def _report(num, name, ok):
     print(f"criterion {num:2d} ({name}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} ({name}) failed"
+
+
+def claim_holds(name, seconds=float("inf")):
+    """Every row of the registered claim holds, each computed within `seconds`."""
+    ok, start = True, time.monotonic()
+    for _, good in claims.CLAIMS[name]():  # rows are computed lazily, one per step
+        ok = ok and good and time.monotonic() - start < seconds
+        start = time.monotonic()
+    return ok
 
 
 def helly_members(corpus, max_n):
@@ -30,27 +39,8 @@ def helly_members(corpus, max_n):
 
 
 def test_criterion_1_classification_table():
-    checks = [
-        ("c4", geometry.cycle_graph(4),
-         lambda g: recognition.is_clique_helly(g) and not recognition.is_one_helly(g)),
-        ("c7", geometry.cycle_graph(7),
-         lambda g: recognition.is_one_helly(g) and not recognition.is_helly(g).is_helly),
-        ("sun3", geometry.sun3(),
-         lambda g: weak_modularity(g).holds and not recognition.is_helly(g).is_helly),
-        ("k5", geometry.complete_graph(5),
-         lambda g: recognition.is_helly(g).is_helly),
-        ("tree", geometry.random_tree(25, 1),
-         lambda g: recognition.is_helly(g).is_helly),
-        ("king6x6", geometry.king_graph(6, 6),
-         lambda g: recognition.is_helly(g).is_helly),
-    ]
-    ok = True
-    for name, g, predicate in checks:
-        start = time.monotonic()
-        good = predicate(g)
-        elapsed = time.monotonic() - start
-        ok = ok and good and elapsed < 1.0
-    _report(1, "classification table, <1s each", ok)
+    _report(1, "classification table, <1s each",
+            claim_holds("classification-table", seconds=1.0))
 
 
 def test_criterion_2_two_route_equivalence(corpus):
@@ -128,48 +118,23 @@ def test_criterion_5_bicombing(corpus):
                 ok = ok and enumerate_normal_clique_paths(g, a, b) == [path.cliques]
         rep = fellow_traveler_check(g)
         ok = ok and rep.clique_constant <= 1 and rep.path_constant <= 3
-    fig, names = geometry.ncp_figure()
-    gamma = normal_clique_path(fig, names["t"], names["s"])
-    want = [{names["t"]}, {names["x"], names["y"]},
-            {names["u"], names["u'"], names["w"]}, {names["s"]}]
-    ok = ok and [set(c) for c in gamma.cliques] == want
-    ok = ok and all(names["y"] not in p
-                    for p in normal_paths(fig, names["t"], names["s"]))
+    ok = ok and claim_holds("ncp-figure")
     _report(5, "normal clique-path bicombing (constants 1 and 3)", ok)
 
 
 def test_criterion_6_duality():
-    rng = random.Random(777)
-    ok = True
-    for _ in range(200):
-        n = rng.randint(2, 10)
-        edges = [tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
-                 for _ in range(rng.randint(1, 10))]
-        h = hypergraphs.Hypergraph.of(n, edges)
-        ok = ok and hypergraphs.is_conformal(h) == \
-            hypergraphs.is_helly(hypergraphs.dual(h))
-        ok = ok and hypergraphs.is_helly(h) == hypergraphs.helly_property_oracle(h)
-    _report(6, "conformal/Helly duality on 200 random hypergraphs", ok)
+    _report(6, "conformal/Helly duality on 2x200 random hypergraphs",
+            claim_holds("helly-duality"))
 
 
 def test_criterion_7_counterexample_defects():
-    ok = True
-    for n, expected in ((1, 4), (2, 8)):
-        start = time.monotonic()
-        ok = ok and geometry.z3_counterexample(n)["defect"] == expected
-        ok = ok and time.monotonic() - start < 120.0
-    for n in (1, 2):
-        start = time.monotonic()
-        ok = ok and geometry.t3_counterexample(n)["defect"] >= n
-        ok = ok and time.monotonic() - start < 120.0
+    ok = claim_holds("zcube-defect", seconds=120.0)
+    ok = claim_holds("t3-defect", seconds=120.0) and ok
     _report(7, "grid-family coarse-Helly defects (4, 8; >=n)", ok)
 
 
 def test_criterion_8_construction_preservation(corpus):
-    ok = constructions.thicken_median(geometry.hypercube_graph(3)) == \
-        geometry.complete_graph(8)
-    ok = ok and constructions.thicken_median(geometry.grid_graph(3, 3)) == \
-        geometry.king_graph(3, 3)
+    ok = claim_holds("thicken")
     helly_small = helly_members(corpus, 30)
     for name, g in helly_small.items():
         for delta in (2, 3):
@@ -194,9 +159,7 @@ def test_criterion_8_construction_preservation(corpus):
 
 
 def test_criterion_9_grid_correspondence():
-    ok = geometry.l1_linf_grid_correspondence(1) and \
-        geometry.l1_linf_grid_correspondence(2)
-    _report(9, "l1/linf grid correspondence at k=1,2", ok)
+    _report(9, "l1/linf grid correspondence at k=1,2", claim_holds("grid-correspondence"))
 
 
 def _rotation(n):

@@ -105,6 +105,13 @@ def test_normal_clique_path_rejects_non_uniform():
         normal_clique_path(king, (0, 1), (2,))
 
 
+@pytest.mark.parametrize("build", [normal_clique_path, normal_paths])
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 9)])
+def test_vertices_outside_the_graph_are_refused(build, pair):
+    with pytest.raises(ValidationError):
+        build(geometry.king_graph(3, 3), *pair)
+
+
 def test_length_equals_uniform_distance_and_selections_are_geodesic():
     for g in [geometry.king_graph(4, 4), geometry.random_tree(12, 3),
               geometry.ncp_figure()[0]]:

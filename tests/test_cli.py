@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from helly import cli, geometry
+from helly import claims, cli, geometry
 from helly.graphs import Graph
 
 
@@ -160,9 +161,7 @@ def test_gen_random_params():
 
 
 def test_repro_all_fast_pass():
-    for name in ["classification-table", "ncp-figure", "thicken",
-                 "grid-correspondence", "t3-defect", "hull-identity",
-                 "stable-intervals"]:
+    for name in claims.CLAIMS:
         code, out, _ = run_cli(["repro", name])
         assert code == 0 and out.strip().endswith("PASS"), name
 
@@ -183,9 +182,10 @@ def test_output_determinism(graph_file):
 
 
 def test_console_entry_point():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # the same helly package
     proc = subprocess.run([sys.executable, "-m", "helly.cli", "repro", "--list"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0 and "zcube-defect" in proc.stdout
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.split() == list(claims.CLAIMS)
 
 
 @pytest.mark.parametrize("pair", [("0", "99"), ("-1", "0"), ("0", "9")])
@@ -194,6 +194,33 @@ def test_bicombing_pair_out_of_range(graph_file, pair):
     code, out, err = run_cli(["bicombing", path, "--pair", *pair])
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "[0, 9)" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check", "{}"], '{"n": 3, "edges": [[0, 1], '),
+    (["check", "{}"], '{"n": 3, "edges": [[0, 1, 2]]}'),
+    (["check", "{}"], '{"n": 2.5, "edges": [[0, 1]]}'),
+    (["check", "{}"], '{"n": true, "edges": [[0, 1]]}'),
+    (["check", "{}"], '[3, [[0, 1]]]'),
+    (["hull", "{}"], '{"d": [[0, 1], [1, 0.5]]}'),
+    (["hyper-check", "{}"], '{"n": 3}'),
+    (["build", "sgp", "{}"], '{"factors": [{"n": 2.5, "edges": [[0, 1]]}], "pieces": [[0]]}'),
+    (["coarse", "{}", "--centers", "0", "5", "--radii", "1", "1"],
+     '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
+    (["coarse", "{}", "--centers", "-1", "0", "--radii", "1", "1"],
+     '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
+    (["hyper-check", "{}"], '{"n": -1, "edges": []}'),
+    (["gen", "king", "2"], None),
+    (["gen", "path"], None),
+    (["gen", "sun3", "1"], None),
+])
+def test_malformed_input_is_refused(tmp_path, argv, text):
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = [str(path) if a == "{}" else a for a in argv]
+    code, out, err = run_cli(argv)
+    assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("var, argv", [

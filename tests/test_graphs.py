@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from helly import geometry
+from helly import geometry, hull
 from helly.errors import ValidationError
-from helly.graphs import (Graph, ball, ball_star, distances, interval,
+from helly.graphs import (Graph, ball, ball_star, interval,
                           is_convex, is_gated, is_isometric_embedding,
                           is_metric_triangle, is_pseudo_modular, quasi_median,
                           weak_modularity)
@@ -25,7 +25,9 @@ def test_distances_examples():
 def test_distance_matrix_invariants(corpus):
     for name, g in corpus.items():
         if g.n <= 30:
-            distances(g).validate(g)
+            hull.FiniteMetric.of_graph(g).validate()
+            assert all((g.dist(u, v) == 1) == bool(g.nbr_mask[u] >> v & 1)
+                       for u in range(g.n) for v in range(g.n))
 
 
 def test_constructor_rejects_bad_input():

@@ -9,9 +9,9 @@ from helly.hypergraphs import (CellComplex, Hypergraph, cell_hypergraph,
                                check_cell_conditions, conformal_closure, dual,
                                helly_property, helly_property_oracle,
                                hellyfication_hypergraph, is_conformal,
-                               is_conformal_via_cliques, is_helly,
-                               is_triangle_free_hypergraph,
-                               nerve_graph, simplify, strong_gilmore,
+                               is_conformal_via_cliques,
+                               is_triangle_free_hypergraph, line_graph,
+                               simplify, strong_gilmore,
                                two_section, two_section_masks, uncovered_vertices)
 
 from conftest import random_hypergraphs
@@ -65,7 +65,7 @@ def test_dual_of_triangle_free_is_triangle_free():
 def test_two_section_line_nerve():
     c4_edges = H(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert two_section(c4_edges) == geometry.cycle_graph(4)
-    assert nerve_graph(c4_edges) == geometry.cycle_graph(4)
+    assert line_graph(c4_edges) == geometry.cycle_graph(4)
     assert two_section(H(3, [(0, 1, 2)])) == geometry.complete_graph(3)
 
 
@@ -79,7 +79,7 @@ def test_line_graph_equals_two_section_of_dual():
 def test_nerve_of_ball_hypergraph_against_pairwise_oracle():
     p3 = geometry.path_graph(3)
     h = ball_hypergraph(p3)
-    ng = nerve_graph(h)
+    ng = line_graph(h)
     masks = h.edge_masks()
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
@@ -90,18 +90,18 @@ def test_helly_property_examples():
     # the four edges of C4 satisfy the Helly property (no pairwise
     # intersecting subfamily is larger than a star)
     c4 = H(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert is_helly(c4)
+    assert helly_property(c4)
     assert helly_property_oracle(c4)
 
     tree = geometry.random_tree(7, seed=5)
-    assert is_helly(ball_hypergraph(tree))
+    assert helly_property(ball_hypergraph(tree))
 
-    assert not is_helly(clique_hypergraph(geometry.sun3()))
+    assert not helly_property(clique_hypergraph(geometry.sun3()))
 
 
 def test_helly_agrees_with_exponential_oracle():
     for h in random_hypergraphs(120, 8, 8, seed=21):
-        assert is_helly(h) == helly_property_oracle(h)
+        assert helly_property(h) == helly_property_oracle(h)
 
 
 def test_conformal_examples():
@@ -112,11 +112,11 @@ def test_conformal_examples():
 
 def test_conformal_helly_duality(corpus):
     for h in random_hypergraphs(200, 8, 8, seed=34):
-        assert is_conformal(h) == is_helly(dual(h))
+        assert is_conformal(h) == helly_property(dual(h))
     # duals of Helly hypergraphs are conformal
     for name in ["p5", "c4", "c7", "tree20"]:
         h = ball_hypergraph(corpus[name])
-        if is_helly(h):
+        if helly_property(h):
             assert is_conformal(dual(h))
 
 
@@ -152,7 +152,7 @@ def test_triangle_free_matches_strong_gilmore_and_implies_helly_conformal():
         if is_triangle_free_hypergraph(h):
             checked_tf += 1
             assert is_conformal(h)
-            assert is_helly(h)
+            assert helly_property(h)
     assert checked_tf >= 50
 
 
@@ -171,7 +171,7 @@ def test_laminar_families_are_triangle_free():
                 frontier += [a, b]
         h = H(n, edges)
         assert is_triangle_free_hypergraph(h)
-        assert is_helly(h) and is_conformal(h)
+        assert helly_property(h) and is_conformal(h)
 
 
 def test_conformal_closure():
@@ -220,7 +220,7 @@ def test_clique_helly_conformal_equivalence_on_simplifications():
             continue
         lhs = recognition.is_clique_helly(ts) and is_conformal(h)
         s = simplify(h)
-        rhs = is_helly(s) and is_conformal(s)
+        rhs = helly_property(s) and is_conformal(s)
         assert lhs == rhs
 
 

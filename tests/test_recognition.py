@@ -46,6 +46,11 @@ def test_clique_caps(monkeypatch):
     from helly.errors import ResourceCapExceeded
     with pytest.raises(ResourceCapExceeded):
         all_cliques(geometry.complete_graph(5), cap=10)
+    # caps, not the recursion limit, bound enumeration on deep cliques
+    k1100 = geometry.complete_graph(1100)
+    assert maximal_cliques(k1100) == [tuple(range(1100))]
+    with pytest.raises(ResourceCapExceeded):
+        all_cliques(k1100, cap=2000)
     monkeypatch.setenv("HELLY_MAX_CLIQUES", "2")
     with pytest.raises(ResourceCapExceeded):
         maximal_cliques(geometry.cycle_graph(5))
@@ -60,7 +65,7 @@ def test_clique_helly_examples():
 def test_clique_helly_agrees_with_berge_duchet_on_clique_hypergraph():
     for g in random_graphs(60, 9, seed=23):
         h = hgm.Hypergraph.of(g.n, maximal_cliques(g))
-        assert is_clique_helly(g) == hgm.is_helly(h)
+        assert is_clique_helly(g) == hgm.helly_property(h)
 
 
 def test_one_helly_examples():
