@@ -5,21 +5,32 @@ drives the canonical clique-path between cliques at uniform distance;
 vertex-level normal paths thread through it.  Verification routines check
 the local path conditions, the uniqueness statement, and the fellow
 traveler constants (1 for clique-paths, 3 for vertex paths).
+
+Public functions validate their input once; the builders below them run on
+the unchecked `imprint_mask`.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from .errors import HellyPreconditionError, ValidationError
-from .graphs import ball_star_mask, bits
+from functools import cache, partial
+from itertools import combinations
+
+from .errors import HellyPreconditionError, InvariantViolation, ValidationError
+from .graphs import ball_star_mask, bits, mask_of
+
+
+def _check_range(g, vertices, what):
+    if not all(0 <= v < g.n for v in vertices):
+        raise ValidationError(f"{what} has a vertex outside [0, {g.n})")
 
 
 def _check_clique(g, vertices, name):
     vs = tuple(sorted(set(vertices)))
     if not vs:
         raise ValidationError(f"{name} must be a nonempty clique")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise ValidationError(f"{name} {vs!r} has a vertex outside [0, {g.n})")
+    _check_range(g, vs, f"{name} {vs!r}")
     if not g.is_clique(vs):
         raise ValidationError(f"{name} {vs!r} is not a clique")
     return vs
@@ -35,13 +46,8 @@ def min_distance(g, a, b):
 
 def uniform_distance(g, a, b):
     """The single cross-distance k if all pairs agree, else None."""
-    it = iter((x, y) for x in a for y in b)
-    x0, y0 = next(it)
-    k = g.dist(x0, y0)
-    for x, y in it:
-        if g.dist(x, y) != k:
-            return None
-    return k
+    ks = {g.dist(x, y) for x in a for y in b}
+    return ks.pop() if len(ks) == 1 else None
 
 
 def imprint_mask(g, tau, sigma):
@@ -83,6 +89,23 @@ class CliquePath:
         return [list(c) for c in self.cliques]
 
 
+def _clique_path(g, tau, sigma, k):
+    """Cliques tau, ..., sigma of the normal clique-path; unchecked input.
+
+    tau and sigma are sorted cliques at uniform distance k; each imprint is
+    again at uniform distance from tau, and is checked to be a clique before
+    it is imprinted in turn.
+    """
+    cliques = [sigma]
+    for _ in range(k - 1):
+        if len(cliques) > 1 and not g.is_clique(cliques[-1]):
+            raise ValidationError(f"sigma {cliques[-1]!r} is not a clique")
+        cliques.append(tuple(bits(imprint_mask(g, tau, cliques[-1]))))
+    if k:
+        cliques.append(tau)
+    return tuple(reversed(cliques))
+
+
 def normal_clique_path(g, tau, sigma):
     """The canonical clique-path from tau to sigma at uniform distance k.
 
@@ -99,22 +122,15 @@ def normal_clique_path(g, tau, sigma):
     k = uniform_distance(g, tau, sigma)
     if k is None:
         raise ValidationError("cliques are not at uniform distance")
-    if k == 0:
-        return CliquePath((tau,))
-    cliques = [sigma]
-    current = sigma
-    for step in range(k - 1, 0, -1):
-        current = imprint(g, tau, current)
-        cliques.append(current)
-    cliques.append(tau)
-    return CliquePath(tuple(reversed(cliques)))
+    return CliquePath(_clique_path(g, tau, sigma, k))
 
 
 def verify_normal_clique_path(g, path):
     """Local conditions: consecutive cliques disjoint with clique union,
     next-but-one cliques at uniform distance 2, middle clique = imprint."""
-    cliques = [tuple(sorted(set(c))) for c in path.cliques] \
-        if isinstance(path, CliquePath) else [tuple(sorted(set(c))) for c in path]
+    cliques = [tuple(sorted(set(c))) for c in
+               (path.cliques if isinstance(path, CliquePath) else path)]
+    _check_range(g, [v for c in cliques for v in c], "clique-path")
     if not cliques:
         return False
     for c in cliques:
@@ -125,69 +141,65 @@ def verify_normal_clique_path(g, path):
             return False
         if not g.is_clique(tuple(set(a) | set(b))):
             return False
-    for i in range(1, len(cliques) - 1):
-        if uniform_distance(g, cliques[i - 1], cliques[i + 1]) != 2:
+    for a, b, c in zip(cliques, cliques[1:], cliques[2:]):
+        if uniform_distance(g, a, c) != 2:
             return False
-    for i in range(1, len(cliques) - 1):
         try:
-            if set(cliques[i]) != set(imprint(g, cliques[i - 1], cliques[i + 1])):
+            if mask_of(b) != imprint_mask(g, a, c):
                 return False
-        except (ValidationError, HellyPreconditionError):
+        except HellyPreconditionError:
             return False
     return True
 
 
-def _normal_level_sets(g, t, s):
-    """Level sets L_0..L_k of vertices usable at each normal-path position.
+def _steps(g, t, s):
+    """Level masks L_0..L_k of the normal (t, s)-paths, and the step mask of
+    every member of L_1..L_k: its imprint toward t, or {t} at distance 1.
 
-    L_k = {s}; each lower level collects the imprints toward t of the level
-    above (members of L_{i+1} sit at distance i+1 >= 2 from t down to i=1).
-    Every level member extends both ways, so levels are exact.
+    L_k = {s} and each lower level is the union of the steps of the level
+    above.  Every level member extends both ways, so the levels are exactly
+    the vertices at each position of some normal path.  Unchecked input.
     """
-    k = g.dist(t, s)
-    levels = [None] * (k + 1)
-    levels[k] = {s}
-    for i in range(k - 1, 0, -1):
-        nxt = set()
-        for v in levels[i + 1]:
-            nxt.update(imprint(g, (t,), (v,)))
-        levels[i] = nxt
-    levels[0] = {t}
-    return [tuple(sorted(lv)) for lv in levels]
+    step = {}
+    levels = [1 << s]
+    for i in range(g.dist(t, s), 0, -1):
+        below = 0
+        for v in bits(levels[-1]):
+            step[v] = imprint_mask(g, (t,), (v,)) if i > 1 else 1 << t
+            below |= step[v]
+        levels.append(below)
+    return levels[::-1], step
 
 
 def normal_paths(g, t, s, cap=100000):
     """All normal (t,s)-paths, lexicographically sorted."""
-    if not (0 <= t < g.n and 0 <= s < g.n):
-        raise ValidationError(f"vertices {t}, {s} must lie in [0, {g.n})")
-    k = g.dist(t, s)
-    if k == 0:
-        return [(t,)]
-    paths = [[s]]
-    for _ in range(k - 1):
-        nxt = []
-        for partial in paths:
-            for p in imprint(g, (t,), (partial[-1],)):
-                nxt.append(partial + [p])
-                if len(nxt) > cap:
-                    raise ValidationError(f"more than {cap} normal paths")
-        paths = nxt
-    return sorted(tuple([t] + list(reversed(p))) for p in paths)
+    _check_range(g, (t, s), f"pair {(t, s)!r}")
+    _, step = _steps(g, t, s)
+    paths = [(s,)]
+    for _ in range(g.dist(t, s)):
+        if sum(step[p[-1]].bit_count() for p in paths) > cap:
+            raise ValidationError(f"more than {cap} normal paths")
+        paths = [p + (w,) for p in paths for w in bits(step[p[-1]])]
+    return sorted(p[::-1] for p in paths)
 
 
 def is_normal_path(g, seq):
     """Local normality: consecutive steps adjacent, two-step distance 2,
     each inner vertex in the imprint of its successor toward its predecessor."""
     seq = tuple(seq)
+    _check_range(g, seq, f"path {seq!r}")
     if len(seq) < 2:
         return len(seq) == 1
     for a, b in zip(seq, seq[1:]):
         if g.dist(a, b) != 1:
             return False
-    for i in range(1, len(seq) - 1):
-        if g.dist(seq[i - 1], seq[i + 1]) != 2:
+    for a, b, c in zip(seq, seq[1:], seq[2:]):
+        if g.dist(a, c) != 2:
             return False
-        if seq[i] not in imprint(g, (seq[i - 1],), (seq[i + 1],)):
+        try:
+            if not imprint_mask(g, (a,), (c,)) >> b & 1:
+                return False
+        except HellyPreconditionError:
             return False
     return True
 
@@ -201,30 +213,12 @@ class FellowTravelerReport:
     tuples_checked: int
 
 
-def _synchronized_clique_gap(g, p, s, q, t):
-    """max over positions of min-distance between the two clique-paths."""
-    gp = normal_clique_path(g, (p,), (s,))
-    gq = normal_clique_path(g, (q,), (t,))
-    long, short = (gp, gq) if len(gp) >= len(gq) else (gq, gp)
-    worst = 0
-    k = len(short)
-    for i, c in enumerate(long.cliques):
-        other = short.cliques[i] if i <= k else short.cliques[k]
-        worst = max(worst, min_distance(g, c, other))
-    return worst
-
-
-def _synchronized_path_gap(g, p, s, q, t):
-    """max over positions and path choices of vertex distance."""
-    lp = _normal_level_sets(g, p, s)
-    lq = _normal_level_sets(g, q, t)
-    long, short = (lp, lq) if len(lp) >= len(lq) else (lq, lp)
-    worst = 0
-    k = len(short) - 1
-    for i, level in enumerate(long):
-        other = short[i] if i <= k else short[k]
-        worst = max(worst, max(g.dist(x, y) for x in level for y in other))
-    return worst
+def _gap(a, b, dist):
+    """max over positions of dist between the entries of two sequences,
+    the shorter one held at its last entry."""
+    if len(a) < len(b):
+        a, b = b, a
+    return max(dist(x, b[min(i, len(b) - 1)]) for i, x in enumerate(a))
 
 
 def fellow_traveler_check(g, max_tuples=None, seed=0):
@@ -232,32 +226,37 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     d(s,t) <= 1.
 
     Exhaustive by default; when `max_tuples` is given, a seeded sample of
-    that size is used instead.  Asserts clique constant <= 1 and path
-    constant <= 3 and reports witnesses attaining the maxima.
+    that size is used instead.  Clique-paths p->s and q->t are compared by
+    min-distance, their normal-path level sets by max-distance.  Asserts
+    clique constant <= 1 and path constant <= 3 and reports witnesses
+    attaining the maxima.
     """
-    close_pairs = [(u, u) for u in range(g.n)]
-    for u, v in g.edges():
-        close_pairs.append((u, v))
-        close_pairs.append((v, u))
-    close_pairs.sort()
-    tuples = [(p, q, s, t) for p, q in close_pairs for s, t in close_pairs]
-    if max_tuples is not None and len(tuples) > max_tuples:
-        import random
-        rng = random.Random(seed)
-        tuples = sorted(rng.sample(tuples, max_tuples))
+    if max_tuples is not None and max_tuples < 0:
+        raise ValidationError(f"max_tuples must be nonnegative, got {max_tuples}")
+    close = [(u, v) for u in range(g.n) for v in bits(g.ball1_mask[u])]
+    n = len(close)
+    # tuple i is close[i // n] + close[i % n]; sampling indices picks the
+    # same tuples as sampling the list of all n * n tuples would
+    indices = range(n * n)
+    if max_tuples is not None and n * n > max_tuples:
+        indices = sorted(random.Random(seed).sample(indices, max_tuples))
+    # endpoint pairs recur across tuples: build each clique-path and each
+    # ladder of level sets once per call
+    clique_path = cache(lambda a, b: _clique_path(g, (a,), (b,), g.dist(a, b)))
+    level_sets = cache(lambda a, b: tuple(tuple(bits(m)) for m in _steps(g, a, b)[0]))
     clique_constant = path_constant = 0
     clique_witness = path_witness = None
-    for p, q, s, t in tuples:
-        cg = _synchronized_clique_gap(g, p, s, q, t)
+    for i in indices:
+        (p, q), (s, t) = close[i // n], close[i % n]
+        cg = _gap(clique_path(p, s), clique_path(q, t), partial(min_distance, g))
         if cg > clique_constant:
             clique_constant, clique_witness = cg, (p, q, s, t)
-        pg = _synchronized_path_gap(g, p, s, q, t)
+        pg = _gap(level_sets(p, s), level_sets(q, t), partial(max_distance, g))
         if pg > path_constant:
             path_constant, path_witness = pg, (p, q, s, t)
     report = FellowTravelerReport(clique_constant, path_constant,
-                                  clique_witness, path_witness, len(tuples))
+                                  clique_witness, path_witness, len(indices))
     if clique_constant > 1 or path_constant > 3:
-        from .errors import InvariantViolation
         raise InvariantViolation(
             f"fellow traveler constants exceeded: {report}")
     return report
@@ -267,24 +266,9 @@ def local_recognition_radius_check(g):
     """Normality of every 2-path is decided identically inside B_2 of its
     midpoint and in the whole graph."""
     for b in range(g.n):
-        ball2 = g.ball_mask(b, 2)
-        sub, old_ids = g.induced(tuple(bits(ball2)))
+        sub, old_ids = g.induced(tuple(bits(g.ball_mask(b, 2))))
         pos = {v: i for i, v in enumerate(old_ids)}
-        for a in g.adj[b]:
-            for c in g.adj[b]:
-                if c <= a:
-                    continue
-                global_ok = _two_path_normal(g, a, b, c)
-                local_ok = _two_path_normal(sub, pos[a], pos[b], pos[c])
-                if global_ok != local_ok:
-                    return False
+        for a, c in combinations(g.adj[b], 2):
+            if is_normal_path(g, (a, b, c)) != is_normal_path(sub, (pos[a], pos[b], pos[c])):
+                return False
     return True
-
-
-def _two_path_normal(g, a, b, c):
-    if g.dist(a, c) != 2:
-        return False
-    try:
-        return b in imprint(g, (a,), (c,))
-    except (ValidationError, HellyPreconditionError):
-        return False

@@ -12,15 +12,19 @@ import inspect
 import json
 import sys
 
-from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, json_object
+from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, int_lists,
+                     json_object, json_value)
 from .graphs import Graph
 from . import (bicombing, claims, constructions, geometry, hull, hypergraphs, recognition,
                symmetry)
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _load_graph(path):
@@ -95,7 +99,9 @@ def _cmd_build(args):
         g, _ = constructions.nerve_graph_of_cliques(_load_graph(args.inputs[0]))
     elif args.kind == "glue":
         parts = [_load_graph(p) for p in args.inputs]
-        gluings = [tuple(t) for t in json.loads(args.gluings)]
+        gluings = int_lists(json_value(args.gluings), "--gluings")
+        if any(len(t) != 4 for t in gluings):
+            raise ValidationError("each --gluings entry must be [i, vi, j, vj]")
         g, _ = constructions.glue_at_vertices(parts, gluings)
     elif args.kind == "sgp":
         # one JSON file: {"factors": [<graph JSON>...], "pieces": [[null|vertex,...],...]}

@@ -44,12 +44,17 @@ def cap_from_env(name, default):
     return cap
 
 
-def json_object(text, *keys):
-    """Decode a JSON object holding `keys`; anything else is bad input."""
+def json_value(text):
+    """Decode JSON text; malformed text is bad input."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:
         raise ValidationError(f"malformed JSON: {exc}") from None
+
+
+def json_object(text, *keys):
+    """Decode a JSON object holding `keys`; anything else is bad input."""
+    data = json_value(text)
     if not isinstance(data, dict) or not all(k in data for k in keys):
         raise ValidationError(f"expected a JSON object with keys {list(keys)}" if keys
                               else "expected a JSON object")

@@ -105,7 +105,13 @@ def test_normal_clique_path_rejects_non_uniform():
         normal_clique_path(king, (0, 1), (2,))
 
 
-@pytest.mark.parametrize("build", [normal_clique_path, normal_paths])
+@pytest.mark.parametrize("build", [
+    normal_clique_path, normal_paths,
+    pytest.param(lambda g, u, v: verify_normal_clique_path(g, [(u,), (4,), (v,)]),
+                 id="verify_normal_clique_path"),
+    pytest.param(lambda g, u, v: is_normal_path(g, (u, 4, v)), id="is_normal_path"),
+    pytest.param(lambda g, u, v: is_normal_path(g, (v + 8, 4, u)), id="is_normal_path_end"),
+])
 @pytest.mark.parametrize("pair", [(-1, 0), (0, 9)])
 def test_vertices_outside_the_graph_are_refused(build, pair):
     with pytest.raises(ValidationError):

@@ -213,6 +213,16 @@ def test_bicombing_pair_out_of_range(graph_file, pair):
     (["gen", "king", "2"], None),
     (["gen", "path"], None),
     (["gen", "sun3", "1"], None),
+    (["bicombing", "{}", "--fellow-traveler", "--budget", "-5"],
+     '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
+    (["check", "no-such-file.json"], None),
+    (["build", "glue", "{}", "{}", "--gluings", "abc"], '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
+    (["build", "glue", "{}", "{}", "--gluings", "[[0,0,1]]"],
+     '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
+    (["build", "glue", "{}", "{}", "--gluings", "[[0,0.5,1,0]]"],
+     '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
+    (["build", "glue", "{}", "{}", "--gluings", "[[0,1.0,1,0]]"],
+     '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
 ])
 def test_malformed_input_is_refused(tmp_path, argv, text):
     if text is not None:

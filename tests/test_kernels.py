@@ -1,11 +1,14 @@
 """Property tests: the pruned kernels against plain sweeps and oracles."""
 
+import random
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from helly import geometry, recognition
-from helly.graphs import Graph, weak_modularity
+from helly import constructions, geometry, recognition
+from helly.bicombing import (_steps, fellow_traveler_check, imprint, is_normal_path,
+                             max_distance, min_distance, normal_clique_path, normal_paths)
+from helly.graphs import Graph, bits, weak_modularity
 from helly.hypergraphs import (Hypergraph, helly_property_certified,
                                helly_property_oracle, is_conformal_certified)
 
@@ -29,6 +32,21 @@ def hypergraphs(draw, max_n=10, max_edges=10):
     n = draw(st.integers(1, max_n))
     edge = st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
     return Hypergraph.of(n, draw(st.lists(edge, min_size=1, max_size=max_edges)))
+
+
+@st.composite
+def helly_graphs(draw):
+    """Small Helly graphs: random trees, kings up to 4x4, thickened median graphs."""
+    kind = draw(st.sampled_from(["tree", "king", "thick"]))
+    if kind == "tree":
+        return geometry.random_tree(draw(st.integers(1, 14)), draw(st.integers(0, 999)))
+    if kind == "king":
+        return geometry.king_graph(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    median = draw(st.sampled_from([
+        geometry.grid_graph(2, 3), geometry.grid_graph(3, 3), geometry.hypercube_graph(3),
+        constructions.glue_at_vertices([geometry.hypercube_graph(3), geometry.path_graph(4)],
+                                       [(0, 7, 1, 0)])[0]]))
+    return constructions.thicken_median(median)
 
 
 def plain_berge_duchet(h):
@@ -120,3 +138,72 @@ def test_hyperbolicity_matches_oracle_and_lex_least_witness(g):
 @given(graphs(max_n=12))
 def test_is_median_matches_plain_sweep(g):
     assert recognition.is_median(g) == plain_is_median(g)
+
+
+def plain_level_sets(g, t, s):
+    """Vertices at each position of a normal (t, s)-path, by iterated imprints."""
+    levels = [{s}]
+    for _ in range(g.dist(t, s) - 1):
+        levels.append({w for v in levels[-1] for w in imprint(g, (t,), (v,))})
+    if t != s:
+        levels.append({t})
+    return [tuple(sorted(lv)) for lv in reversed(levels)]
+
+
+def plain_synchronized_gap(a, b, dist):
+    long, short = (a, b) if len(a) >= len(b) else (b, a)
+    k = len(short) - 1
+    return max(dist(x, short[i] if i <= k else short[k]) for i, x in enumerate(long))
+
+
+def plain_fellow_traveler(g, max_tuples=None, seed=0):
+    """Every 4-tuple listed, then sampled; both gaps rebuilt per tuple."""
+    close = [(u, u) for u in range(g.n)]
+    close += [e for u, v in g.edges() for e in ((u, v), (v, u))]
+    close.sort()
+    tuples = [(p, q, s, t) for p, q in close for s, t in close]
+    if max_tuples is not None and len(tuples) > max_tuples:
+        tuples = sorted(random.Random(seed).sample(tuples, max_tuples))
+    clique = path = (0, None)
+    for p, q, s, t in tuples:
+        cg = plain_synchronized_gap(normal_clique_path(g, p, s).cliques,
+                                    normal_clique_path(g, q, t).cliques,
+                                    lambda a, b: min_distance(g, a, b))
+        if cg > clique[0]:
+            clique = (cg, (p, q, s, t))
+        pg = plain_synchronized_gap(plain_level_sets(g, p, s), plain_level_sets(g, q, t),
+                                    lambda a, b: max_distance(g, a, b))
+        if pg > path[0]:
+            path = (pg, (p, q, s, t))
+    return clique[0], path[0], clique[1], path[1], len(tuples)
+
+
+def geodesics(g, t, s):
+    k = g.dist(t, s)
+    paths = [(t,)]
+    for i in range(k - 1, -1, -1):
+        paths = [p + (w,) for p in paths for w in g.adj[p[-1]] if g.dist(w, s) == i]
+    return paths
+
+
+@settings(max_examples=30, deadline=None)
+@given(helly_graphs(), st.data())
+def test_fellow_traveler_matches_plain_per_tuple_loop(g, data):
+    squared = (g.n + 2 * len(list(g.edges()))) ** 2
+    # small budgets make witnesses with p != q likely
+    budget = data.draw(st.one_of(st.none(), st.integers(0, 30), st.integers(0, squared - 1)))
+    seed = data.draw(st.integers(0, 99))
+    rep = fellow_traveler_check(g, max_tuples=budget, seed=seed)
+    assert (rep.clique_constant, rep.path_constant, rep.clique_witness, rep.path_witness,
+            rep.tuples_checked) == plain_fellow_traveler(g, budget, seed)
+
+
+@SETTINGS
+@given(helly_graphs(), st.data())
+def test_normal_paths_are_the_normal_geodesics_and_fill_the_levels(g, data):
+    t, s = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
+    paths = normal_paths(g, t, s)
+    assert paths == sorted(p for p in geodesics(g, t, s) if is_normal_path(g, p))
+    levels = plain_level_sets(g, t, s)
+    assert [tuple(bits(m)) for m in _steps(g, t, s)[0]] == levels
+    assert [tuple(sorted({p[i] for p in paths})) for i in range(len(levels))] == levels
