@@ -21,16 +21,26 @@ from .errors import HellyPreconditionError, InvariantViolation, ValidationError
 from .graphs import ball_star_mask, bits, mask_of
 
 
-def _check_range(g, vertices, what):
-    if not all(0 <= v < g.n for v in vertices):
-        raise ValidationError(f"{what} has a vertex outside [0, {g.n})")
+def _sequence(value, what):
+    """`value` as a tuple; a value that is not iterable is bad input."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, got {value!r}") from None
+
+
+def _vertices(g, value, what):
+    """`value` as a tuple of vertices of g; anything else is bad input."""
+    vs = _sequence(value, what)
+    if not all(isinstance(v, int) and 0 <= v < g.n for v in vs):
+        raise ValidationError(f"{what} {vs!r} has a vertex outside [0, {g.n})")
+    return vs
 
 
 def _check_clique(g, vertices, name):
-    vs = tuple(sorted(set(vertices)))
+    vs = tuple(sorted(set(_vertices(g, vertices, name))))
     if not vs:
         raise ValidationError(f"{name} must be a nonempty clique")
-    _check_range(g, vs, f"{name} {vs!r}")
     if not g.is_clique(vs):
         raise ValidationError(f"{name} {vs!r} is not a clique")
     return vs
@@ -128,9 +138,10 @@ def normal_clique_path(g, tau, sigma):
 def verify_normal_clique_path(g, path):
     """Local conditions: consecutive cliques disjoint with clique union,
     next-but-one cliques at uniform distance 2, middle clique = imprint."""
-    cliques = [tuple(sorted(set(c))) for c in
-               (path.cliques if isinstance(path, CliquePath) else path)]
-    _check_range(g, [v for c in cliques for v in c], "clique-path")
+    if isinstance(path, CliquePath):
+        path = path.cliques
+    cliques = [tuple(sorted(set(_vertices(g, c, "clique"))))
+               for c in _sequence(path, "clique-path")]
     if not cliques:
         return False
     for c in cliques:
@@ -173,7 +184,7 @@ def _steps(g, t, s):
 
 def normal_paths(g, t, s, cap=100000):
     """All normal (t,s)-paths, lexicographically sorted."""
-    _check_range(g, (t, s), f"pair {(t, s)!r}")
+    _vertices(g, (t, s), "pair")
     _, step = _steps(g, t, s)
     paths = [(s,)]
     for _ in range(g.dist(t, s)):
@@ -186,8 +197,7 @@ def normal_paths(g, t, s, cap=100000):
 def is_normal_path(g, seq):
     """Local normality: consecutive steps adjacent, two-step distance 2,
     each inner vertex in the imprint of its successor toward its predecessor."""
-    seq = tuple(seq)
-    _check_range(g, seq, f"path {seq!r}")
+    seq = _vertices(g, seq, "path")
     if len(seq) < 2:
         return len(seq) == 1
     for a, b in zip(seq, seq[1:]):

@@ -25,6 +25,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load_graph(path):

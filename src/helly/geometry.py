@@ -328,18 +328,11 @@ def hyperbolicity_sampled(g, samples=100000, seed=0):
     returned one.
     """
     rng = random.Random(seed)
-    rows = {}
-
-    def row(u):
-        if u not in rows:
-            rows[u] = g.dist_row(u)
-        return rows[u]
-
     best = 0
     for _ in range(samples):
         i, j, k, l = (rng.randrange(g.n) for _ in range(4))
-        sums = sorted((row(i)[j] + row(k)[l], row(i)[k] + row(j)[l],
-                       row(i)[l] + row(j)[k]))
+        di, dj = g.dist_row(i), g.dist_row(j)
+        sums = sorted((di[j] + g.dist_row(k)[l], di[k] + dj[l], di[l] + dj[k]))
         best = max(best, sums[2] - sums[1])
     return best
 

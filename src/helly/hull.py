@@ -6,7 +6,13 @@ coordinate.  The hull graph joins forms at sup-distance 1.  Construction is
 a BFS from the distance-row forms d(x, .); the one-step neighborhood of a
 form is enumerated by a depth-first search over per-coordinate moves in
 {-1,0,+1} with online feasibility/tightness pruning, which stays exact
-while avoiding the 3^n sweep.
+while avoiding the 3^n sweep.  The set of moves still open at a coordinate
+is always an interval: it starts as [-1, 1] (or [0, 1] when f(x) = 0),
+propagation only raises its lower end and branching fixes one value.  So
+each domain is a pair of bounds and each tightness test one comparison.
+The search uses an explicit stack, so the number of points is not bounded
+by the recursion limit, and the neighbour lists it returns are the hull
+edges.
 """
 
 from __future__ import annotations
@@ -124,142 +130,109 @@ def kuratowski_form(m, x):
     return tuple(m.d[x])
 
 
-_VAL_BIT = {-1: 1, 0: 2, 1: 4}
-_BIT_VALS = {1: (-1,), 2: (0,), 4: (1,), 3: (-1, 0), 5: (-1, 1), 6: (0, 1), 7: (-1, 0, 1)}
-
-
 def _unit_neighbors(m, f):
     """All extremal forms at sup-distance exactly 1 from the extremal form f.
 
     Backtracking over per-coordinate moves in {-1,0,+1} with unit
-    propagation.  Two constraint families suffice: pairs with slack <= 1
-    bound the move sums from below (a metric-form condition; larger slacks
-    cannot be violated by unit moves), and every coordinate needs a partner
-    whose move sum realizes -slack for some slack <= 2 (tightness, hence
-    extremality of the result).  Domains shrink through a trail so the
-    possibility checks are exact under the current partial assignment.
+    propagation, over the pairs of slack s = f(x) + f(y) - d(x, y) <= 1;
+    y == x, with s = 2 f(x), is one of them when f(x) = 0.  They bound the
+    move sums from below (a metric-form condition; larger slacks cannot be
+    violated by unit moves), and each coordinate needs one of them whose
+    move sum realizes -s (tightness, hence extremality of the result).
+    Larger slacks are never needed for tightness: a coordinate that moves
+    by -1 has a partner z of slack 0 in f, which must move by +1 and so
+    stays tight, and any other move leaves a tight partner of slack
+    -move(x) - move(y) <= 1.
+
+    Each coordinate's domain is an interval [lo, hi]: it starts as [-1, 1],
+    or [0, 1] when f(x) = 0, propagation only raises lower bounds
+    (move(y) >= -s - hi[x]) and branching fixes one value.  The sums of two
+    integer intervals fill an interval, so a partner y can still be tight
+    exactly when lo[x] + lo[y] <= -s <= hi[x] + hi[y]; the diagonal partner
+    needs no special case.  Only branching lowers an upper bound, and while
+    hi[x] = 1 the rule bounds nothing (-s - 1 <= -1 <= lo[y]), so every new
+    lower bound comes from the coordinate just fixed and propagation is one
+    step: raise its partners' lower bounds, then recheck tightness at every
+    changed coordinate and its partners.  No domain empties: s >= 0, so a
+    free y keeps -s - move(x) <= 1 = hi[y], and a fixed y bounded x from
+    below when it was fixed.  The search runs on an explicit stack and
+    undoes domain changes through a trail.
     """
     n = m.n
     d = m.d
-    partners = [[] for _ in range(n)]   # (y, slack <= 2); y == x encodes the diagonal
-    low_pairs = [[] for _ in range(n)]  # (y, slack <= 1)
+    near = [[] for _ in range(n)]  # (y, slack <= 1); y == x encodes the diagonal
     for x in range(n):
         fx = f[x]
-        diag = 2 * fx
-        if diag <= 2:
-            partners[x].append((x, diag))
         dx = d[x]
         for y in range(n):
-            if y == x:
-                continue
             s = fx + f[y] - dx[y]
-            if s <= 2:
-                partners[x].append((y, s))
             if s <= 1:
-                low_pairs[x].append((y, s))
+                near[x].append((y, s))
 
     # branch in BFS order over the slack<=1 graph so constraints bind early
     order = []
     seen = [False] * n
+    head = 0
     for root in range(n):
-        if seen[root]:
-            continue
-        queue = [root]
-        seen[root] = True
-        while queue:
-            x = queue.pop(0)
-            order.append(x)
-            for y, _ in low_pairs[x]:
+        if not seen[root]:
+            seen[root] = True
+            order.append(root)
+        while head < len(order):
+            x = order[head]
+            head += 1
+            for y, _ in near[x]:
                 if not seen[y]:
                     seen[y] = True
-                    queue.append(y)
+                    order.append(y)
 
-    dom = [7 if f[x] > 0 else 6 for x in range(n)]  # f(x)=0 forbids the -1 move
-    trail = []
-    out = []
+    lo = [-1 if f[x] > 0 else 0 for x in range(n)]  # f(x)=0 forbids the -1 move
+    hi = [1] * n
+    trail = []  # (x, lo, hi) before each change
 
     def tight_possible(x):
-        dx_dom = dom[x]
-        for y, s in partners[x]:
-            if y == x:
-                # 2*move == -s on the diagonal
-                if s == 0 and dx_dom & 2:
-                    return True
-                if s == 2 and dx_dom & 1:
-                    return True
-                continue
-            dy = dom[y]
-            if s == 0:
-                if (dx_dom & 1 and dy & 4) or (dx_dom & 2 and dy & 2) or (dx_dom & 4 and dy & 1):
-                    return True
-            elif s == 1:
-                if (dx_dom & 1 and dy & 2) or (dx_dom & 2 and dy & 1):
-                    return True
-            elif s == 2:
-                if dx_dom & 1 and dy & 1:
-                    return True
+        lx, hx = lo[x], hi[x]
+        for y, s in near[x]:
+            if lx + lo[y] <= -s <= hx + hi[y]:
+                return True
         return False
 
-    def shrink(x, new_dom):
-        """Shrink dom[x]; return False on wipeout. Cascades via the queue."""
-        if new_dom == dom[x]:
-            return True
-        if new_dom == 0:
-            return False
-        trail.append((x, dom[x]))
-        dom[x] = new_dom
-        queue.append(x)
-        return True
-
-    queue = []
-
-    def propagate():
-        while queue:
-            x = queue.pop()
-            hi_x = 1 if dom[x] & 4 else (0 if dom[x] & 2 else -1)
-            for y, s in low_pairs[x]:
-                lb = -s - hi_x  # move(y) >= -s - max(dom[x])
-                new = dom[y]
-                if lb > -1:
-                    new &= ~1
-                if lb > 0:
-                    new &= ~2
-                if lb > 1:
-                    new &= ~4
-                if not shrink(y, new):
-                    return False
-            for y, _ in partners[x]:
-                if y != x and not tight_possible(y):
-                    return False
+    def consistent(changed):
+        """Each changed coordinate and each of its partners can still be tight."""
+        for x in changed:
             if not tight_possible(x):
                 return False
+            for y, _ in near[x]:
+                if not tight_possible(y):
+                    return False
         return True
 
-    def dfs(i):
-        if i == n:
-            if any(dom[x] != 2 for x in range(n)):
-                out.append(tuple(f[x] + _BIT_VALS[dom[x]][0] for x in range(n)))
-            return
+    out = []
+    stack = [(0, -1, 0)]  # (depth, next move, trail mark)
+    while stack:
+        i, move, mark = stack.pop()
+        while len(trail) > mark:
+            z, lo[z], hi[z] = trail.pop()
         x = order[i]
-        base = dom[x]
-        for move in (-1, 0, 1):
-            bit = _VAL_BIT[move]
-            if not base & bit:
-                continue
-            mark = len(trail)
-            trail.append((x, base))
-            dom[x] = bit
-            queue.append(x)
-            if propagate():
-                dfs(i + 1)
-            queue.clear()
-            while len(trail) > mark:
-                z, old = trail.pop()
-                dom[z] = old
-        dom[x] = base
-
-    dfs(0)
-    return sorted(set(out))
+        if move < lo[x]:
+            move = lo[x]
+        if move > hi[x]:
+            continue
+        stack.append((i, move + 1, mark))
+        trail.append((x, lo[x], hi[x]))
+        lo[x] = hi[x] = move
+        changed = [x]
+        for y, s in near[x]:
+            if -s - move > lo[y]:  # move(y) >= -s - hi[x]
+                trail.append((y, lo[y], hi[y]))
+                lo[y] = -s - move
+                changed.append(y)
+        if not consistent(changed):
+            continue
+        if i + 1 < n:
+            stack.append((i + 1, -1, len(trail)))
+        elif any(lo):
+            out.append(tuple(f[z] + lo[z] for z in range(n)))
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -281,7 +254,8 @@ def hellyfication(m, cap=None):
     """Discrete injective hull of a finite integer metric.
 
     BFS from the distance-row forms over unit steps; connectivity of the
-    extremal-form graph makes the sweep complete.  The result is validated:
+    extremal-form graph makes the sweep complete, and the unit neighbours
+    the BFS lists are the hull edges.  The result is validated:
     every stored form is extremal and 1-Lipschitz, the embedding is
     isometric, and f(x) = sup-distance(f, d(x, .)) for all stored f, x.
     """
@@ -291,10 +265,12 @@ def hellyfication(m, cap=None):
     seeds = [kuratowski_form(m, x) for x in range(m.n)]
     seen = set(seeds)
     frontier = list(dict.fromkeys(seeds))
+    nbrs = {}  # form -> its sorted unit neighbours
     while frontier:
         nxt = []
         for f in frontier:
-            for g in _unit_neighbors(m, f):
+            nbrs[f] = _unit_neighbors(m, f)
+            for g in nbrs[f]:
                 if g not in seen:
                     seen.add(g)
                     nxt.append(g)
@@ -304,8 +280,7 @@ def hellyfication(m, cap=None):
         frontier = nxt
     forms = tuple(sorted(seen))
     index = {f: i for i, f in enumerate(forms)}
-    edges = [(i, j) for (i, f), (j, g) in combinations(enumerate(forms), 2)
-             if sup_distance(f, g) == 1]
+    edges = [(i, index[g]) for i, f in enumerate(forms) for g in nbrs[f] if f < g]
     graph = Graph(len(forms), edges)
     embed = tuple(index[kuratowski_form(m, x)] for x in range(m.n))
     hg = HullGraph(m, forms, graph, embed)

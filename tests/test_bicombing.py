@@ -111,6 +111,10 @@ def test_normal_clique_path_rejects_non_uniform():
                  id="verify_normal_clique_path"),
     pytest.param(lambda g, u, v: is_normal_path(g, (u, 4, v)), id="is_normal_path"),
     pytest.param(lambda g, u, v: is_normal_path(g, (v + 8, 4, u)), id="is_normal_path_end"),
+    # malformed paths: vertices where cliques belong, a vertex where a path belongs
+    pytest.param(lambda g, u, v: verify_normal_clique_path(g, [0, 4, 8]),
+                 id="verify_normal_clique_path_of_vertices"),
+    pytest.param(lambda g, u, v: is_normal_path(g, 5), id="is_normal_path_of_a_vertex"),
 ])
 @pytest.mark.parametrize("pair", [(-1, 0), (0, 9)])
 def test_vertices_outside_the_graph_are_refused(build, pair):

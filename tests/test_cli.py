@@ -223,11 +223,15 @@ def test_bicombing_pair_out_of_range(graph_file, pair):
      '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
     (["build", "glue", "{}", "{}", "--gluings", "[[0,1.0,1,0]]"],
      '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
+    (["check", "{}"], b"\xff\xfe{}"),
 ])
 def test_malformed_input_is_refused(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         argv = [str(path) if a == "{}" else a for a in argv]
     code, out, err = run_cli(argv)
     assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("error: ")

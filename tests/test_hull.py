@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -149,6 +151,17 @@ def test_form_cap(monkeypatch):
     monkeypatch.setenv("HELLY_MAX_FORMS", "3")
     with pytest.raises(ResourceCapExceeded):
         hellyfication(geometry.cycle_graph(6))
+
+
+def test_hull_search_is_not_bounded_by_the_recursion_limit():
+    # a path is its own hull; a search recursing once per point needs 60 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        hg = hellyfication(geometry.path_graph(60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(hg.forms) == 60 and len(hg.graph.edges()) == 59
 
 
 def test_random_graph_hulls_match_oracle():

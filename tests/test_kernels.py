@@ -1,11 +1,11 @@
 """Property tests: the pruned kernels against plain sweeps and oracles."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
-from helly import constructions, geometry, recognition
+from helly import constructions, geometry, hull, recognition
 from helly.bicombing import (_steps, fellow_traveler_check, imprint, is_normal_path,
                              max_distance, min_distance, normal_clique_path, normal_paths)
 from helly.graphs import Graph, bits, weak_modularity
@@ -47,6 +47,18 @@ def helly_graphs(draw):
         constructions.glue_at_vertices([geometry.hypercube_graph(3), geometry.path_graph(4)],
                                        [(0, 7, 1, 0)])[0]]))
     return constructions.thicken_median(median)
+
+
+@st.composite
+def small_metrics(draw):
+    """Metrics on at most 6 points: graph metrics and l1 point sets."""
+    if draw(st.booleans()):
+        return hull.FiniteMetric.of_graph(draw(graphs(max_n=6)))
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 3)] * dim)
+    pts = sorted(draw(st.sets(point, min_size=1, max_size=6)))
+    return hull.FiniteMetric.of([[sum(abs(a - b) for a, b in zip(p, q)) for q in pts]
+                                 for p in pts])
 
 
 def plain_berge_duchet(h):
@@ -138,6 +150,23 @@ def test_hyperbolicity_matches_oracle_and_lex_least_witness(g):
 @given(graphs(max_n=12))
 def test_is_median_matches_plain_sweep(g):
     assert recognition.is_median(g) == plain_is_median(g)
+
+
+def plain_unit_neighbors(m, f):
+    """Every f + delta, delta in {-1,0,1}^n nonzero, that is an extremal form."""
+    out = []
+    for delta in product((-1, 0, 1), repeat=m.n):
+        g = tuple(a + b for a, b in zip(f, delta))
+        if any(delta) and hull.is_metric_form(m, g) and hull.is_extremal(m, g):
+            out.append(g)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_metrics())
+def test_unit_neighbors_match_brute_force_over_unit_moves(m):
+    for f in hull.hellyfication(m).forms:
+        assert hull._unit_neighbors(m, f) == plain_unit_neighbors(m, f)
 
 
 def plain_level_sets(g, t, s):
