@@ -41,7 +41,7 @@ def _cmd_check(args):
     g = _load_graph(args.graph)
     report = recognition.is_helly(g)
     out = report.to_dict()
-    out["is_median"] = recognition.is_median(g) if g.n <= 256 else None
+    out["is_median"] = recognition.is_median(g)
     out["weakly_modular"] = report.weakly_modular
     _emit(out)
     return 0

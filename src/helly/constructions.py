@@ -9,34 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
-from .errors import ResourceCapExceeded, ValidationError
+from .errors import InvariantViolation, ResourceCapExceeded, ValidationError
 from .graphs import Graph, bits, mask_of
 from . import recognition
 
 
 def strong_product(factors, cap=200000):
     """Direct (strong) product: adjacent when every coordinate is equal or
-    adjacent.  Vertex ids enumerate coordinate tuples lexicographically."""
-    factors = list(factors)
-    if not factors:
-        raise ValidationError("need at least one factor")
-    total = 1
-    for f in factors:
-        total *= f.n
-        if total > cap:
-            raise ResourceCapExceeded(f"product size exceeds cap {cap}")
-    coords = list(product(*[range(f.n) for f in factors]))
-    index = {c: i for i, c in enumerate(coords)}
-    edges = []
-    for i, c in enumerate(coords):
-        for j in range(i + 1, len(coords)):
-            d = coords[j]
-            if all(a == b or (factors[t].nbr_mask[a] >> b) & 1
-                   for t, (a, b) in enumerate(zip(c, d))):
-                edges.append((i, j))
-    g = Graph(len(coords), edges)
-    return g, coords, index
+    adjacent.  Vertex ids enumerate coordinate tuples lexicographically.
+    It is the one-piece union of subproducts."""
+    factors = tuple(factors)
+    return sgp_build(SgpDescription(factors, ((FULL,) * len(factors),)), cap)
 
 
 def _interval_is_cube(g, u, v):
@@ -46,13 +31,7 @@ def _interval_is_cube(g, u, v):
     size = imask.bit_count()
     if size != 1 << k:
         return False
-    edge_count = 0
-    for x in bits(imask):
-        deg = (g.nbr_mask[x] & imask).bit_count()
-        if deg != k:
-            return False
-        edge_count += deg
-    return edge_count == k * (1 << (k - 1)) * 2 if k else True
+    return all((g.nbr_mask[x] & imask).bit_count() == k for x in bits(imask))
 
 
 def thicken_median(g):
@@ -161,25 +140,27 @@ def pieces_intersect(desc, i, j):
 def sgp_build(desc, cap=200000):
     """The union-of-subproducts graph (vertices are coordinate tuples).
 
-    Piece intersection via the agreement criterion is asserted against the
-    direct vertex-set computation.  Returns (graph, coords, index).
+    A piece with more than `cap` vertices is refused before its vertex set
+    is built.  Piece intersection via the agreement criterion is asserted
+    against the direct vertex-set computation.  Returns (graph, coords, index).
     """
+    for piece in desc.pieces:
+        if prod(f.n for f, e in zip(desc.factors, piece) if e is FULL) > cap:
+            raise ResourceCapExceeded(f"SGP piece size exceeds cap {cap}")
     vertex_sets = [set(desc.piece_vertices(i)) for i in range(len(desc.pieces))]
     for i, j in combinations(range(len(desc.pieces)), 2):
         if bool(vertex_sets[i] & vertex_sets[j]) != pieces_intersect(desc, i, j):
-            from .errors import InvariantViolation
             raise InvariantViolation(
                 f"agreement criterion disagrees with vertex intersection on pieces {i},{j}")
     coords = sorted(set().union(*vertex_sets))
     if len(coords) > cap:
         raise ResourceCapExceeded(f"SGP size exceeds cap {cap}")
     index = {c: i for i, c in enumerate(coords)}
+    nbr = [f.nbr_mask for f in desc.factors]
     edges = set()
-    for i, vs in enumerate(vertex_sets):
-        vlist = sorted(vs)
-        for a, b in combinations(vlist, 2):
-            if all(x == y or (desc.factors[t].nbr_mask[x] >> y) & 1
-                   for t, (x, y) in enumerate(zip(a, b))):
+    for vs in vertex_sets:
+        for a, b in combinations(sorted(vs), 2):
+            if all(x == y or (m[x] >> y) & 1 for m, x, y in zip(nbr, a, b)):
                 edges.add((index[a], index[b]))
     return Graph(len(coords), sorted(edges)), coords, index
 

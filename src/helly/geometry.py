@@ -338,7 +338,8 @@ def hyperbolicity_sampled(g, samples=100000, seed=0):
 
 
 def isometric_embedding_exists(g, pattern):
-    """Backtracking search for an isometric copy of `pattern` inside g."""
+    """Backtracking search for an isometric copy of `pattern` inside g;
+    `assign` recurses once per pattern vertex, so its depth is pattern.n + 1."""
     pn, gn = pattern.n, g.n
     if pn > gn:
         return False

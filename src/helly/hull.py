@@ -36,7 +36,8 @@ class FiniteMetric:
 
     @classmethod
     def of(cls, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        """Validated metric from a list of integer rows; 1.7 or true is refused."""
+        rows = tuple(map(tuple, int_lists(rows, '"d"')))
         m = cls(len(rows), rows)
         m.validate()
         return m
@@ -48,7 +49,7 @@ class FiniteMetric:
     @classmethod
     def from_json(cls, text):
         """Parse {"d": [[...], ...]}; bad input is a ValidationError."""
-        return cls.of(int_lists(json_object(text, "d")["d"], '"d"'))
+        return cls.of(json_object(text, "d")["d"])
 
     def validate(self):
         n, d = self.n, self.d

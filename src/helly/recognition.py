@@ -219,6 +219,9 @@ def dismantling_order(g):
 
 
 def _backtracking_dismantlable(g, live, _memo=None):
+    """Whether some elimination order dismantles `live`.  Each level removes
+    one vertex, so on the at most 14 live vertices that `dismantling_order`
+    passes the recursion is at most 13 levels deep."""
     if _memo is None:
         _memo = {}
     if live.bit_count() == 1:
@@ -318,22 +321,25 @@ def stable_interval_constant(g):
 def is_median(g):
     """Every vertex triple has exactly one median.
 
-    Median graphs are bipartite, so an edge whose ends are equidistant from
-    vertex 0 (an odd cycle) rejects the graph before the interval table is
-    built.
+    Median graphs are the modular graphs with no induced K_{2,3}
+    (Bandelt-Chepoi, "Metric graph theory and geometry: a survey", 2008).
+    Three tests decide it, cheapest first.  Bipartite: a shortest odd cycle
+    gives a triple with no median.  K_{2,3}-free: in a bipartite graph, a
+    pair at distance 2 with three common neighbours induces a K_{2,3}, whose
+    three degree-2 vertices have two medians.  Weakly modular: in a bipartite
+    graph this is the quadrangle condition, which makes it modular.
     """
-    n = g.n
+    nbr = g.nbr_mask
     row0 = g.dist_row(0)
     if any(row0[u] == row0[v] for u, v in g.edges()):
         return False
-    ivals = [[None] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u, n):
-            ivals[u][v] = ivals[v][u] = g.interval_mask(u, v)
-    for u, v, w in combinations(range(n), 3):
-        if (ivals[u][v] & ivals[v][w] & ivals[u][w]).bit_count() != 1:
+    for u in range(g.n):
+        two = 0
+        for x in bits(nbr[u]):
+            two |= nbr[x]
+        if any((nbr[u] & nbr[v]).bit_count() >= 3 for v in bits(two & (-1 << (u + 1)))):
             return False
-    return True
+    return weak_modularity(g).holds
 
 
 def dominating_clique(g, subset):

@@ -39,6 +39,11 @@ def test_check_subcommand(graph_file):
     assert json.loads(out)["is_helly"] is True
 
 
+def test_check_reports_median_verdict_on_large_graphs(graph_file):
+    code, out, _ = run_cli(["check", graph_file(geometry.path_graph(300))])
+    assert code == 0 and '"is_median":true' in out
+
+
 def test_gen_check_round_trip(tmp_path):
     code, out, _ = run_cli(["gen", "king", "3", "3"])
     assert code == 0

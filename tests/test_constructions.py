@@ -6,7 +6,7 @@ from helly.constructions import (FULL, GspDescription, SgpDescription,
                                  maximal_cubes, nerve_graph_of_cliques,
                                  pieces_intersect, rips_power, sgp_build,
                                  sgp_three_piece, strong_product, thicken_median)
-from helly.errors import ValidationError
+from helly.errors import ResourceCapExceeded, ValidationError
 from helly.graphs import Graph
 
 
@@ -149,6 +149,18 @@ def test_sgp_agreement_matches_vertex_intersection():
     sgp_build(desc)  # raises InvariantViolation on any mismatch
     assert pieces_intersect(desc, 0, 1)
     assert not pieces_intersect(desc, 0, 3)  # pinned factor 2 disagrees
+
+
+def test_over_cap_piece_is_refused_before_its_vertices_are_built(monkeypatch):
+    def unreachable(self, i):
+        raise AssertionError("piece vertices built before the cap check")
+
+    monkeypatch.setattr(SgpDescription, "piece_vertices", unreachable)
+    p60 = geometry.path_graph(60)
+    with pytest.raises(ResourceCapExceeded):
+        strong_product([p60, p60, p60], cap=1000)
+    with pytest.raises(ResourceCapExceeded):
+        sgp_build(SgpDescription((p60, p60), ((FULL, FULL), (0, 0))), cap=1000)
 
 
 def test_sgp_three_piece_violation_reports_spanning_clique():

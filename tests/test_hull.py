@@ -142,6 +142,8 @@ def test_hull_of_nonmetric_rejected():
         FiniteMetric.of([[0, 5], [5, 1]])
     with pytest.raises(ValidationError):
         FiniteMetric.of([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    with pytest.raises(ValidationError):
+        FiniteMetric.of([[0, 1.7], [1.7, 0]])
 
 
 def test_form_cap(monkeypatch):

@@ -50,6 +50,51 @@ def helly_graphs(draw):
 
 
 @st.composite
+def mostly_bipartite_graphs(draw):
+    """Graphs where median ones are common: random bipartite graphs, trees,
+    grids, and blocks (cubes, even cycles, cliques, K_{a,b} with
+    2 <= a, b <= 3), alone or two glued at a vertex, plus some arbitrary
+    graphs.  Even cycles past C4 are not weakly modular, cliques past K2 are
+    weakly modular but not bipartite, and K_{2,3} and K_{3,3} are modular but
+    not median."""
+
+    def block():
+        kind = draw(st.sampled_from(["biclique", "cube", "cycle", "clique"]))
+        if kind == "biclique":
+            a, b = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+            return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        if kind == "cube":
+            return geometry.hypercube_graph(draw(st.integers(1, 3)))
+        if kind == "cycle":
+            return geometry.cycle_graph(2 * draw(st.integers(2, 5)))
+        return geometry.complete_graph(draw(st.integers(1, 4)))
+
+    kind = draw(st.sampled_from(["bipartite", "bipartite", "tree", "grid", "block", "glued",
+                                 "any"]))
+    if kind == "bipartite":
+        n = draw(st.integers(1, 12))
+        parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+        side = [0]
+        for p in parents:
+            side.append(1 - side[p])
+        vertex = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+        return Graph(n, list(zip(parents, range(1, n)))
+                     + [(u, v) for u, v in extra if side[u] != side[v]])
+    if kind == "tree":
+        return geometry.random_tree(draw(st.integers(1, 14)), draw(st.integers(0, 999)))
+    if kind == "grid":
+        return geometry.grid_graph(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    if kind == "block":
+        return block()
+    if kind == "glued":
+        a, b = block(), block()
+        return constructions.glue_at_vertices(
+            [a, b], [(0, draw(st.integers(0, a.n - 1)), 1, draw(st.integers(0, b.n - 1)))])[0]
+    return draw(graphs(max_n=12))
+
+
+@st.composite
 def small_metrics(draw):
     """Metrics on at most 6 points: graph metrics and l1 point sets."""
     if draw(st.booleans()):
@@ -147,7 +192,7 @@ def test_hyperbolicity_matches_oracle_and_lex_least_witness(g):
 
 
 @SETTINGS
-@given(graphs(max_n=12))
+@given(mostly_bipartite_graphs())
 def test_is_median_matches_plain_sweep(g):
     assert recognition.is_median(g) == plain_is_median(g)
 

@@ -178,6 +178,14 @@ def test_is_median_examples():
     assert not is_median(geometry.complete_graph(3))
     assert is_median(geometry.grid_graph(4, 4))
     assert not is_median(geometry.king_graph(3, 3))
+    # K_{2,3}: modular, but its three degree-2 vertices have two medians
+    k23 = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    assert weak_modularity(k23).holds and not is_median(k23)
+    # C6: bipartite and K_{2,3}-free, but not weakly modular
+    c6 = geometry.cycle_graph(6)
+    assert not weak_modularity(c6).holds and not is_median(c6)
+    assert is_median(geometry.cycle_graph(4))
+    assert is_median(geometry.random_tree(20, 5))
 
 
 def test_dominating_clique_examples():
