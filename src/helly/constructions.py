@@ -35,12 +35,16 @@ def _interval_is_cube(g, u, v):
 
 
 def thicken_median(g):
-    """Thickening of a median graph: join vertices sharing a cube."""
+    """Thickening of a median graph: join vertices sharing a cube.
+
+    Only v > u within distance deg(u) of u are tried: the diagonal (u, v) of
+    a k-cube has k neighbours of u inside the cube, so k <= deg(u).
+    """
     if not recognition.is_median(g):
         raise ValidationError("thickening requires a median graph")
     edges = []
     for u in range(g.n):
-        for v in range(u + 1, g.n):
+        for v in bits(g.ball_mask(u, len(g.adj[u])) >> (u + 1) << (u + 1)):
             if _interval_is_cube(g, u, v):
                 edges.append((u, v))
     return Graph(g.n, edges)

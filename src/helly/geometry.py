@@ -47,6 +47,8 @@ def wheel_graph(rim):
 
 
 def hypercube_graph(dim):
+    if dim < 0:
+        raise ValidationError("hypercube dimension must be nonnegative")
     n = 1 << dim
     edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(dim) if u < u ^ (1 << b)]
     return Graph(n, edges)

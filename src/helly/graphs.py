@@ -15,6 +15,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError, int_lists, json_object, vertex_count
 
 
@@ -177,12 +179,15 @@ class Graph:
         return prefix[min(r, len(prefix) - 1)]
 
     def interval_mask(self, u, v):
-        ru, rv = self.dist_row(u), self.dist_row(v)
-        duv = ru[v]
+        """Mask of I(u, v): the x with d(u, x) + d(x, v) = d(u, v) = k.
+
+        It is the union over j of B(u, j) & B(v, k - j): a vertex in it has
+        d(u, x) + d(x, v) <= k, and the triangle inequality forces equality.
+        """
+        k = self.dist(u, v)
         m = 0
-        for x in range(self.n):
-            if ru[x] + rv[x] == duv:
-                m |= 1 << x
+        for j in range(k + 1):
+            m |= self.ball_mask(u, j) & self.ball_mask(v, k - j)
         return m
 
     def is_clique(self, vertices):
@@ -294,52 +299,140 @@ class WeakModularityReport:
         return self.tc_holds and self.qc_holds
 
 
+# numpy cells per step of `weak_modularity`: source rows x items per block of
+# the scan, and items x vertices per chunk while its item lists are built, so
+# each temporary holds about 32K one-byte entries unless one row alone is wider
+WM_BLOCK_CELLS = 1 << 15
+
+
+def _bool_rows(masks, n):
+    """The int masks as the rows of an n-column boolean matrix."""
+    width = (n + 7) // 8
+    buf = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(buf.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+class _WmItems:
+    """Pairs v < w, each with the members (common neighbours) of v and w.
+
+    Pairs are stored by decreasing member count, ties in lex order, so the
+    pairs with more than k members are a prefix; `order[i]` is the lex rank
+    of stored pair i.  `layers[k]` holds the k-th least member of each pair
+    of that prefix.
+    """
+
+    def __init__(self, adj, pairs):
+        v, w = np.nonzero(np.triu(pairs, 1))
+        sizes, members = [], []
+        step = max(1, WM_BLOCK_CELLS // len(adj))
+        for i in range(0, max(len(v), 1), step):  # one pass even with no pairs
+            common = adj[v[i:i + step]] & adj[w[i:i + step]]
+            sizes.append(np.count_nonzero(common, axis=1))
+            members.append(np.nonzero(common)[1].astype(np.min_scalar_type(len(adj))))
+        sizes, members = np.concatenate(sizes), np.concatenate(members)
+        self.order = np.argsort(-sizes, kind="stable")
+        self.v, self.w = v[self.order], w[self.order]
+        starts = (np.cumsum(sizes) - sizes)[self.order]
+        counts = len(sizes) - np.cumsum(np.bincount(sizes))[:-1]
+        self.layers = [members[starts[:c] + k] for k, c in enumerate(counts)]
+
+
+def _wm_items(g):
+    """TC items (the edges, with their apexes) and QC items (the non-adjacent
+    pairs at distance 2, with their common neighbours)."""
+    nbr = g.nbr_mask
+    far2 = []
+    for v in range(g.n):
+        two = 0
+        for x in bits(nbr[v]):
+            two |= nbr[x]
+        far2.append(two & ~g.ball1_mask[v])
+    adj = _bool_rows(nbr, g.n)
+    return _WmItems(adj, adj), _WmItems(adj, _bool_rows(far2, g.n))
+
+
 def weak_modularity(g):
     """Exhaustive triangle- and quadrangle-condition check.
 
     The first failing witness (lexicographically smallest) is reported:
     (u, v, w) for TC, (u, z, v, w) for QC.
+
+    Both conditions are tested for a block of sources u at once, on numpy
+    rows D[u] taken from the cached `dist_row`s, against fixed item lists:
+
+    - TC fails at u on the edge v < w iff D[u,v] = D[u,w] = j and no apex
+      (common neighbour) of v, w is at distance j - 1.
+    - QC fails at u on a non-adjacent pair v < w at distance 2, with common
+      neighbours C, iff D[u,v] = D[u,w] = j, some c in C is at distance
+      j + 1 and none at distance j - 1.  The pairs that fail for a vertex z
+      at distance j + 1 are exactly the pairs of neighbours of z at distance
+      j that fail this way, since z is then a common neighbour of theirs.
+
+    Neither fails unless j >= 2: v != w gives j > 0, and at j = 1 the
+    source u is a common neighbour at distance 0.  A member c is adjacent
+    to v, so |D[u,c] - D[u,v]| <= 1: "at distance j - 1" is D[u,c] < D[u,v]
+    and "j + 1" is D[u,c] > D[u,v].  Entries are only compared, never
+    computed, so rows are stored in the least signed dtype that holds n.
+
+    Witness order.  Sources are scanned in increasing order, so the first
+    row with a failure gives u.  TC items are ranked as the edges in lex
+    order, as in a scan over `edges()`, so the least-ranked failing item
+    gives (v, w).  A QC witness is ordered by z first, then (v, w): for each
+    failing pair its least possible z is its least common neighbour at
+    distance j + 1, and the witness is the lex-least (z, v, w) over the
+    pairs failing at u, which is the first hit of a scan over z, then over
+    pairs v < w of neighbours of z.  The scan stops at the block where both
+    witnesses are known.
     """
     n = g.n
-    edge_list = g.edges()
-    tc_witness = None
-    for u in range(n):
-        if tc_witness:
+    tc, qc = _wm_items(g)
+    block = max(1, WM_BLOCK_CELLS // max(n, len(tc.v), len(qc.v)))
+    dtype = np.min_scalar_type(-n)
+    tc_witness = qc_witness = None
+    tc_open, qc_open = len(tc.v) > 0, len(qc.v) > 0
+    for u0 in range(0, n, block):
+        if not (tc_open or qc_open):
             break
-        row = g.dist_row(u)
-        levels = g.level_masks(u)
-        for v, w in edge_list:
-            k = row[v]
-            if k != row[w] or k == 0:
-                continue
-            common = g.nbr_mask[v] & g.nbr_mask[w] & levels[k - 1]
-            if not common:
-                tc_witness = (u, v, w)
-                break
-    qc_witness = None
-    for u in range(n):
-        if qc_witness:
-            break
-        row = g.dist_row(u)
-        levels = g.level_masks(u)
-        for z in range(n):
-            k = row[z]
-            if k < 2:
-                continue
-            near = [x for x in g.adj[z] if row[x] == k - 1]
-            stop = False
-            for i, v in enumerate(near):
-                for w in near[i + 1:]:
-                    if (g.nbr_mask[v] >> w) & 1:
-                        continue
-                    if not (g.nbr_mask[v] & g.nbr_mask[w] & levels[k - 2]):
-                        qc_witness = (u, z, v, w)
-                        stop = True
-                        break
-                if stop:
+        d = np.array([g.dist_row(u) for u in range(u0, min(n, u0 + block))], dtype=dtype)
+        if tc_open:
+            dv = np.take(d, tc.v, axis=1)
+            fail = (dv == np.take(d, tc.w, axis=1)) & (dv >= 2)
+            for apex in tc.layers:
+                if not fail.any():
                     break
-            if stop:
-                break
+                fail[:, :len(apex)] &= np.take(d, apex, axis=1) >= dv[:, :len(apex)]
+            hit = fail.any(axis=1)
+            if hit.any():
+                r = int(hit.argmax())
+                i = np.flatnonzero(fail[r])
+                e = i[tc.order[i].argmin()]
+                tc_witness = (u0 + r, int(tc.v[e]), int(tc.w[e]))
+                tc_open = False
+        if qc_open:
+            dv = np.take(d, qc.v, axis=1)
+            fail = (dv == np.take(d, qc.w, axis=1)) & (dv >= 2)
+            up = np.zeros_like(fail)
+            for common in qc.layers:
+                if not fail.any():
+                    break
+                c = len(common)
+                dc = np.take(d, common, axis=1)
+                fail[:, :c] &= dc >= dv[:, :c]
+                up[:, :c] |= dc > dv[:, :c]
+            fail &= up
+            hit = fail.any(axis=1)
+            if hit.any():
+                r = int(hit.argmax())
+                # (z, v, w) for every farther common neighbour z of a failing pair
+                zvw = []
+                for common in qc.layers:
+                    c = len(common)
+                    m = fail[r, :c] & (d[r, common] > dv[r, :c])
+                    zvw.append((common[m], qc.v[:c][m], qc.w[:c][m]))
+                z, v, w = map(np.concatenate, zip(*zvw))
+                i = np.lexsort((w, v, z))[0]
+                qc_witness = (u0 + r, int(z[i]), int(v[i]), int(w[i]))
+                qc_open = False
     return WeakModularityReport(tc_witness is None, qc_witness is None,
                                 tc_witness, qc_witness)
 

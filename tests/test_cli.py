@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helly import claims, cli, geometry
 from helly.graphs import Graph
@@ -229,6 +230,7 @@ def test_bicombing_pair_out_of_range(graph_file, pair):
     (["build", "glue", "{}", "{}", "--gluings", "[[0,1.0,1,0]]"],
      '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
     (["check", "{}"], b"\xff\xfe{}"),
+    (["gen", "hypercube", "-1"], None),
 ])
 def test_malformed_input_is_refused(tmp_path, argv, text):
     if text is not None:
@@ -253,3 +255,81 @@ def test_bad_env_cap_is_validation_error(graph_file, monkeypatch, var, argv, val
     code, out, err = run_cli(argv + [path])
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and var in err
+
+
+# -- input-boundary fuzzing -----------------------------------------------------
+
+GRAPH_JSON = st.one_of(
+    st.fixed_dictionaries({
+        "n": st.integers(-1, 6),
+        "edges": st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=9)}),
+    # mostly connected: a spanning tree plus extra pairs, some out of range
+    st.integers(1, 6).flatmap(lambda n: st.fixed_dictionaries({
+        "n": st.just(n),
+        "edges": st.tuples(*[st.integers(0, v - 1).map(lambda u, v=v: [u, v])
+                             for v in range(1, n)]).map(list)
+                 .flatmap(lambda tree: st.lists(st.lists(st.integers(-1, n), min_size=2,
+                                                         max_size=2), max_size=n)
+                          .map(lambda extra: tree + extra))})))
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["n", "edges", "d", "perms", "factors", "pieces"]), inner, max_size=4),
+    max_leaves=12)
+FILE_JSON = st.one_of(
+    GRAPH_JSON, ANY_JSON,
+    st.fixed_dictionaries({"d": st.lists(st.lists(st.integers(-1, 3), max_size=4), max_size=4)}),
+    st.fixed_dictionaries({"perms": st.lists(st.lists(st.integers(-1, 3), max_size=4),
+                                             max_size=2)}),
+    st.fixed_dictionaries({"factors": st.lists(GRAPH_JSON, max_size=2),
+                           "pieces": st.lists(st.lists(st.none() | st.integers(-1, 3),
+                                                       max_size=2), max_size=3)}))
+FILE_BYTES = st.one_of(st.binary(max_size=48), FILE_JSON.map(json.dumps).map(str.encode))
+
+# every subcommand that reads files; "{}" is the fuzzed file, "{g}" a path graph
+FILE_COMMANDS = [
+    ["check", "{}"], ["hull", "{}"], ["hyp", "{}"], ["hyper-check", "{}"],
+    ["bicombing", "{}", "--pair", "0", "1"],
+    ["bicombing", "{}", "--fellow-traveler", "--budget", "30"],
+    ["coarse", "{}", "--centers", "0", "--radii", "1"],
+    ["fix", "{}", "{g}"], ["fix", "{g}", "{}"],
+    ["build", "product", "{}", "{g}"], ["build", "glue", "{g}", "{}", "--gluings", "[[0,0,1,0]]"],
+] + [["build", kind, "{}"] for kind in ("thicken", "rips", "face", "nerve", "sgp")]
+
+
+def run_cli_to_exit(argv):
+    """Like run_cli, with argparse's usage exits turned into their code."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code, "", ""
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code:
+        assert err.count("\n") == 1 and out == "", err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "g.json").write_text(geometry.path_graph(3).to_json())
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.sampled_from(FILE_COMMANDS), data=FILE_BYTES)
+def test_every_file_subcommand_exits_cleanly_on_arbitrary_input(fuzz_dir, argv, data):
+    (fuzz_dir / "in.json").write_bytes(data)
+    files = {"{}": str(fuzz_dir / "in.json"), "{g}": str(fuzz_dir / "g.json")}
+    assert_clean_exit(*run_cli_to_exit([files.get(a, a) for a in argv]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["gen", "repro"]),
+       name=st.one_of(st.sampled_from(sorted(cli._GENERATORS)), st.text(max_size=8)),
+       params=st.lists(st.integers(-2, 4), max_size=3))
+def test_named_subcommands_exit_cleanly_on_arbitrary_names(command, name, params):
+    argv = [command, "--", name] + ([str(p) for p in params] if command == "gen" else [])
+    assert_clean_exit(*run_cli_to_exit(argv))

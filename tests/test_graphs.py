@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from helly import geometry, hull
+from helly import constructions, geometry, hull
 from helly.errors import ValidationError
 from helly.graphs import (Graph, ball, ball_star, interval,
                           is_convex, is_gated, is_isometric_embedding,
@@ -111,6 +112,23 @@ def test_weak_modularity_examples():
     assert not rep.tc_holds and rep.tc_witness == (0, 2, 3)
     assert weak_modularity(geometry.cycle_graph(4)).holds
     assert weak_modularity(geometry.sun3()).holds
+
+
+def test_weak_modularity_memory_stays_under_a_megabyte():
+    # the distance rows are the graph's own cache; what is measured is the
+    # item lists and the per-block numpy temporaries.  On king 20x20 a block
+    # budget four times the module's pushes the peak past the bound.
+    for g in [geometry.king_graph(11, 11), geometry.king_graph(20, 20),
+              constructions.strong_product([geometry.path_graph(4)] * 3)[0]]:
+        for u in range(g.n):
+            g.dist_row(u)
+        tracemalloc.start()
+        try:
+            weak_modularity(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (g, peak)
 
 
 def test_pseudo_modular_examples():

@@ -3,12 +3,13 @@
 import random
 from itertools import combinations, product
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from helly import constructions, geometry, hull, recognition
+from helly import constructions, geometry, graphs as graphs_module, hull, recognition
 from helly.bicombing import (_steps, fellow_traveler_check, imprint, is_normal_path,
                              max_distance, min_distance, normal_clique_path, normal_paths)
-from helly.graphs import Graph, bits, weak_modularity
+from helly.graphs import Graph, WeakModularityReport, bits, mask_of, weak_modularity
 from helly.hypergraphs import (Hypergraph, helly_property_certified,
                                helly_property_oracle, is_conformal_certified)
 
@@ -139,6 +140,69 @@ def plain_is_median(g):
                for u, v, w in combinations(range(g.n), 3))
 
 
+def plain_weak_modularity(g):
+    """Source by source: TC over the edges in lex order, then QC over z,
+    then over pairs v < w of neighbours of z one level closer to u."""
+    n = g.n
+    edge_list = g.edges()
+    tc_witness = None
+    for u in range(n):
+        if tc_witness:
+            break
+        row = g.dist_row(u)
+        levels = g.level_masks(u)
+        for v, w in edge_list:
+            k = row[v]
+            if k != row[w] or k == 0:
+                continue
+            common = g.nbr_mask[v] & g.nbr_mask[w] & levels[k - 1]
+            if not common:
+                tc_witness = (u, v, w)
+                break
+    qc_witness = None
+    for u in range(n):
+        if qc_witness:
+            break
+        row = g.dist_row(u)
+        levels = g.level_masks(u)
+        for z in range(n):
+            k = row[z]
+            if k < 2:
+                continue
+            near = [x for x in g.adj[z] if row[x] == k - 1]
+            stop = False
+            for i, v in enumerate(near):
+                for w in near[i + 1:]:
+                    if (g.nbr_mask[v] >> w) & 1:
+                        continue
+                    if not (g.nbr_mask[v] & g.nbr_mask[w] & levels[k - 2]):
+                        qc_witness = (u, z, v, w)
+                        stop = True
+                        break
+                if stop:
+                    break
+            if stop:
+                break
+    return WeakModularityReport(tc_witness is None, qc_witness is None,
+                                tc_witness, qc_witness)
+
+
+def plain_interval_mask(g, u, v):
+    ru, rv = g.dist_row(u), g.dist_row(v)
+    return mask_of(x for x in range(g.n) if ru[x] + rv[x] == ru[v])
+
+
+def plain_thicken_median(g):
+    """Every pair u < v whose interval induces a d(u, v)-cube."""
+    edges = []
+    for u, v in combinations(range(g.n), 2):
+        k, m = g.dist(u, v), plain_interval_mask(g, u, v)
+        if m.bit_count() == 1 << k and all((g.nbr_mask[x] & m).bit_count() == k
+                                           for x in bits(m)):
+            edges.append((u, v))
+    return Graph(g.n, edges)
+
+
 def four_point(d, q):
     i, j, k, l = q
     s = sorted((d[i][j] + d[k][l], d[i][k] + d[j][l], d[i][l] + d[j][k]))
@@ -195,6 +259,50 @@ def test_hyperbolicity_matches_oracle_and_lex_least_witness(g):
 @given(mostly_bipartite_graphs())
 def test_is_median_matches_plain_sweep(g):
     assert recognition.is_median(g) == plain_is_median(g)
+
+
+@SETTINGS
+@given(st.one_of(graphs(max_n=12), mostly_bipartite_graphs()),
+       st.sampled_from([1, 20, graphs_module.WM_BLOCK_CELLS]))
+def test_weak_modularity_matches_plain_scan(g, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs_module, "WM_BLOCK_CELLS", cells)
+        assert weak_modularity(g) == plain_weak_modularity(g)
+
+
+def weak_modularity_families():
+    rng = random.Random(7)
+    yield from (geometry.king_graph(a, b) for a in range(1, 9) for b in range(a, 9))
+    yield from (geometry.cycle_graph(n) for n in range(3, 41))
+    yield from (geometry.random_tree(rng.randint(1, 60), rng.randrange(1000)) for _ in range(20))
+    # sparse graphs past graphs(max_n=12): pairs failing QC with several
+    # common neighbours, where the least z and the least pair disagree
+    yield from (geometry.random_connected_graph(rng.randint(13, 30), rng.uniform(0.05, 0.35),
+                                                rng.randrange(1000)) for _ in range(20))
+
+
+@pytest.mark.parametrize("cells", [1, 300, graphs_module.WM_BLOCK_CELLS])
+def test_weak_modularity_matches_plain_scan_across_blocks(monkeypatch, cells):
+    # small budgets split the sources into many blocks, so witnesses are
+    # found past the first block and the two conditions finish in different ones
+    monkeypatch.setattr(graphs_module, "WM_BLOCK_CELLS", cells)
+    for g in weak_modularity_families():
+        assert weak_modularity(g) == plain_weak_modularity(g), g
+
+
+@SETTINGS
+@given(graphs())
+def test_interval_mask_matches_row_definition(g):
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.interval_mask(u, v) == plain_interval_mask(g, u, v)
+
+
+@SETTINGS
+@given(mostly_bipartite_graphs())
+def test_thicken_median_matches_all_pairs(g):
+    assume(recognition.is_median(g))
+    assert constructions.thicken_median(g) == plain_thicken_median(g)
 
 
 def plain_unit_neighbors(m, f):
