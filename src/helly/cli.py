@@ -42,7 +42,6 @@ def _cmd_check(args):
     report = recognition.is_helly(g)
     out = report.to_dict()
     out["is_median"] = recognition.is_median(g)
-    out["weakly_modular"] = report.weakly_modular
     _emit(out)
     return 0
 

@@ -67,10 +67,8 @@ def rips_power(g, delta):
         raise ValidationError("delta must be >= 1")
     edges = []
     for u in range(g.n):
-        row = g.dist_row(u)
-        for v in range(u + 1, g.n):
-            if 1 <= row[v] <= delta:
-                edges.append((u, v))
+        for v in bits(g.ball_mask(u, delta) >> (u + 1) << (u + 1)):
+            edges.append((u, v))
     return Graph(g.n, edges)
 
 

@@ -287,17 +287,19 @@ def hyperbolicity(g, cap=256):
         m = int((2 * hi + lo - s1 - s2 - s3).max())  # hi - mid
         if m > best:
             best = m
-    return HyperbolicityResult(best, _least_quadruple(rows, best))
+    return HyperbolicityResult(best, _least_quadruple(g, best))
 
 
-def _least_quadruple(rows, value):
+def _least_quadruple(g, value):
     """Lexicographically least quadruple whose four-point value is `value`.
 
     A quadruple's value is at most twice each of its six distances, so only
-    vertices pairwise at distance >= value/2 are combined.
+    vertices pairwise at distance >= value/2, outside each other's balls of
+    radius (value - 1) // 2, are combined.
     """
-    n = len(rows)
-    far = [sum(1 << v for v in range(n) if 2 * rows[u][v] >= value) for u in range(n)]
+    n = g.n
+    rows = [g.dist_row(u) for u in range(n)]
+    far = [~g.ball_mask(u, (value - 1) // 2) & ((1 << n) - 1) for u in range(n)]
     for i in range(n):
         ri = rows[i]
         for j in bits(far[i] >> (i + 1) << (i + 1)):
@@ -340,8 +342,9 @@ def hyperbolicity_sampled(g, samples=100000, seed=0):
 
 
 def isometric_embedding_exists(g, pattern):
-    """Backtracking search for an isometric copy of `pattern` inside g;
-    `assign` recurses once per pattern vertex, so its depth is pattern.n + 1."""
+    """Backtracking search for an isometric copy of `pattern` inside g, on an
+    explicit list of positions: each pattern vertex tries the vertices of g
+    in increasing order, and one with none left moves its predecessor on."""
     pn, gn = pattern.n, g.n
     if pn > gn:
         return False
@@ -351,24 +354,25 @@ def isometric_embedding_exists(g, pattern):
     order = sorted(range(pn), key=lambda v: pd[0][v])
     image = [-1] * pn
     used = [False] * gn
-
-    def assign(idx):
-        if idx == pn:
-            return True
+    start = [0] * pn  # the next candidate to try at each position
+    idx = 0
+    while idx < pn:
         v = order[idx]
-        for cand in range(gn):
-            if used[cand]:
-                continue
-            if all(gd[cand][image[order[t]]] == pd[v][order[t]] for t in range(idx)):
+        for cand in range(start[idx], gn):
+            if not used[cand] and all(gd[cand][image[order[t]]] == pd[v][order[t]]
+                                      for t in range(idx)):
                 image[v] = cand
                 used[cand] = True
-                if assign(idx + 1):
-                    return True
-                used[cand] = False
-                image[v] = -1
-        return False
-
-    return assign(0)
+                start[idx] = cand + 1
+                idx += 1
+                break
+        else:
+            if idx == 0:
+                return False
+            start[idx] = 0
+            idx -= 1
+            used[image[order[idx]]] = False
+    return True
 
 
 # -- verified counterexample families -------------------------------------------

@@ -3,10 +3,11 @@
 Vertices are dense ids 0..n-1.  Adjacency is kept both as sorted tuples
 (for iteration and serialization) and as per-vertex int bitmasks (for the
 set algebra that dominates every metric predicate in this package).
-Distance rows are computed by BFS on first use and memoized, so desk-scale
-graphs pay for all-pairs distances only when an operation actually sweeps
-all pairs.  The graph is observably immutable: the lazy caches are
-idempotent, so concurrent readers can at worst recompute a row.
+Distance rows are computed by BFS on first use, and balls are grown per
+radius as far as a caller asks; both are memoized, so desk-scale graphs pay
+for all-pairs distances only when an operation actually sweeps all pairs.
+The graph is observably immutable: the lazy caches are idempotent, so
+concurrent readers can at worst recompute a row or a ball.
 """
 
 from __future__ import annotations
@@ -82,14 +83,7 @@ class Graph:
         self._rows = [None] * n
         self._ball_masks = [None] * n
         # connectivity is a constructor guarantee, not a per-op check
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= nbr[v]
-            frontier = nxt & ~seen
-            seen |= nxt
+        seen = self.ball_mask(0, n)
         if seen != (1 << n) - 1:
             missing = next(bits(~seen & ((1 << n) - 1)))
             raise ValidationError(f"graph is disconnected (vertex {missing} unreachable from 0)")
@@ -157,26 +151,33 @@ class Graph:
         return max(self.eccentricity(u) for u in range(self.n))
 
     def level_masks(self, u):
-        """Masks of the BFS levels of u, indexed by distance."""
-        row = self.dist_row(u)
-        levels = [0] * (max(row) + 1)
-        for v, d in enumerate(row):
-            levels[d] |= 1 << v
+        """Masks of the spheres around u, indexed by distance."""
+        levels = [1 << u]
+        while sphere := self.ball_mask(u, len(levels)) & ~self.ball_mask(u, len(levels) - 1):
+            levels.append(sphere)
         return levels
 
     def ball_mask(self, v, r):
-        """Mask of the ball of radius r around v (cached per vertex)."""
+        """Mask of the ball of radius r around v.
+
+        The balls B_0, B_1, ... of v are cached as one list, grown on demand
+        by adding the neighbours of the last sphere, and complete once it
+        ends in two equal balls (the whole component of v).
+        """
         if r < 0:
             return 0
-        prefix = self._ball_masks[v]
-        if prefix is None:
-            prefix = []
-            acc = 0
-            for level in self.level_masks(v):
-                acc |= level
-                prefix.append(acc)
-            self._ball_masks[v] = prefix
-        return prefix[min(r, len(prefix) - 1)]
+        balls = self._ball_masks[v]
+        if balls is None or (r >= len(balls) and balls[-1] != balls[-2]):
+            # grown on a copy and stored with one assignment
+            balls = [1 << v, self.ball1_mask[v]] if balls is None else balls[:]
+            nbr = self.nbr_mask
+            while len(balls) <= r and balls[-1] != balls[-2]:
+                ball = balls[-1]
+                for x in bits(ball & ~balls[-2]):
+                    ball |= nbr[x]
+                balls.append(ball)
+            self._ball_masks[v] = balls
+        return balls[min(r, len(balls) - 1)]
 
     def interval_mask(self, u, v):
         """Mask of I(u, v): the x with d(u, x) + d(x, v) = d(u, v) = k.
@@ -340,14 +341,8 @@ class _WmItems:
 def _wm_items(g):
     """TC items (the edges, with their apexes) and QC items (the non-adjacent
     pairs at distance 2, with their common neighbours)."""
-    nbr = g.nbr_mask
-    far2 = []
-    for v in range(g.n):
-        two = 0
-        for x in bits(nbr[v]):
-            two |= nbr[x]
-        far2.append(two & ~g.ball1_mask[v])
-    adj = _bool_rows(nbr, g.n)
+    far2 = [g.ball_mask(v, 2) & ~g.ball1_mask[v] for v in range(g.n)]
+    adj = _bool_rows(g.nbr_mask, g.n)
     return _WmItems(adj, adj), _WmItems(adj, _bool_rows(far2, g.n))
 
 

@@ -84,15 +84,12 @@ def is_one_helly(g):
     """Berge-Duchet on the family of unit balls.
 
     Two vertices share a unit ball iff they are within distance 2, so the
-    triple kernel walks only triples that are pairwise within distance 2;
-    B_2(x) is the union of the unit balls around the neighbours of x.
+    triple kernel walks only triples that are pairwise within distance 2,
+    that is, within the balls B_2(x).
     """
     ball1 = g.ball1_mask
     full = (1 << g.n) - 1
-    near = [0] * g.n
-    for x in range(g.n):
-        for v in bits(ball1[x]):
-            near[x] |= ball1[v]
+    near = [g.ball_mask(x, 2) for x in range(g.n)]
 
     def pair_cap(x, y):
         cap = full
@@ -253,7 +250,7 @@ class HellyReport:
     is_clique_helly: bool
     is_one_helly: bool
     is_dismantlable: bool
-    weakly_modular: bool    # route B's verdict; not part of to_dict
+    weakly_modular: bool    # route B's verdict
     certificate: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -262,6 +259,7 @@ class HellyReport:
             "is_clique_helly": self.is_clique_helly,
             "is_one_helly": self.is_one_helly,
             "is_dismantlable": self.is_dismantlable,
+            "weakly_modular": self.weakly_modular,
             "certificate": self.certificate,
         }
 
@@ -334,9 +332,7 @@ def is_median(g):
     if any(row0[u] == row0[v] for u, v in g.edges()):
         return False
     for u in range(g.n):
-        two = 0
-        for x in bits(nbr[u]):
-            two |= nbr[x]
+        two = g.ball_mask(u, 2) & ~g.ball1_mask[u]
         if any((nbr[u] & nbr[v]).bit_count() >= 3 for v in bits(two & (-1 << (u + 1)))):
             return False
     return weak_modularity(g).holds

@@ -98,6 +98,14 @@ def test_normal_clique_path_examples():
         {names["u"], names["u'"], names["w"]}, {names["s"]}]
 
 
+def test_normal_clique_path_reads_unit_balls_without_distance_rows():
+    # the imprints need distances from tau only; the unit balls around the
+    # sigma end come from the adjacency masks, not from BFS rows
+    king = geometry.king_graph(20, 20)
+    normal_clique_path(king, 0, 399)
+    assert sum(row is not None for row in king._rows) == 1
+
+
 def test_normal_clique_path_rejects_non_uniform():
     king = geometry.king_graph(3, 3)
     # {0,1} and {2} see distances 2 and 1

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -137,6 +139,17 @@ def test_isometric_embedding_search():
     c4 = geometry.cycle_graph(4)
     assert isometric_embedding_exists(geometry.grid_graph(2, 2), c4)
     assert not isometric_embedding_exists(geometry.complete_graph(4), c4)
+
+
+def test_isometric_embedding_search_is_not_bounded_by_the_recursion_limit():
+    # a search recursing once per pattern vertex needs 60 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        found = isometric_embedding_exists(geometry.path_graph(60), geometry.path_graph(60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found
 
 
 def test_ncp_figure_is_helly():

@@ -32,8 +32,8 @@ def test_distance_matrix_invariants(corpus):
 
 
 def test_constructor_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        Graph(4, [(0, 1), (2, 3)])  # disconnected
+    with pytest.raises(ValidationError, match=r"disconnected \(vertex 2 unreachable from 0\)"):
+        Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValidationError):
         Graph(2, [(0, 0)])  # loop
     with pytest.raises(ValidationError):

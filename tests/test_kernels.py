@@ -1,7 +1,7 @@
 """Property tests: the pruned kernels against plain sweeps and oracles."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -140,6 +140,25 @@ def plain_is_median(g):
                for u, v, w in combinations(range(g.n), 3))
 
 
+def plain_level_masks(g, u):
+    """Masks of the BFS levels of u, read off its distance row."""
+    row = g.dist_row(u)
+    levels = [0] * (max(row) + 1)
+    for v, d in enumerate(row):
+        levels[d] |= 1 << v
+    return levels
+
+
+def plain_ball_masks(g, v):
+    """B_0(v), ..., B_ecc(v)(v) as prefix unions of the BFS levels."""
+    prefix = []
+    acc = 0
+    for level in plain_level_masks(g, v):
+        acc |= level
+        prefix.append(acc)
+    return prefix
+
+
 def plain_weak_modularity(g):
     """Source by source: TC over the edges in lex order, then QC over z,
     then over pairs v < w of neighbours of z one level closer to u."""
@@ -150,7 +169,7 @@ def plain_weak_modularity(g):
         if tc_witness:
             break
         row = g.dist_row(u)
-        levels = g.level_masks(u)
+        levels = plain_level_masks(g, u)
         for v, w in edge_list:
             k = row[v]
             if k != row[w] or k == 0:
@@ -164,7 +183,7 @@ def plain_weak_modularity(g):
         if qc_witness:
             break
         row = g.dist_row(u)
-        levels = g.level_masks(u)
+        levels = plain_level_masks(g, u)
         for z in range(n):
             k = row[z]
             if k < 2:
@@ -288,6 +307,34 @@ def test_weak_modularity_matches_plain_scan_across_blocks(monkeypatch, cells):
     monkeypatch.setattr(graphs_module, "WM_BLOCK_CELLS", cells)
     for g in weak_modularity_families():
         assert weak_modularity(g) == plain_weak_modularity(g), g
+
+
+@SETTINGS
+@given(st.one_of(graphs(), mostly_bipartite_graphs()), st.data())
+def test_ball_mask_matches_row_prefix_in_any_request_order(g, data):
+    # radii are asked for in a drawn order, so a ball list grown part of the
+    # way is later extended; level_masks is read at a drawn point of that
+    for v in range(g.n):
+        balls = plain_ball_masks(g, v)
+        radii = data.draw(st.permutations(range(-1, len(balls) + 2)))
+        split = data.draw(st.integers(0, len(radii)))
+        for i, r in enumerate(radii):
+            if i == split:
+                assert g.level_masks(v) == plain_level_masks(g, v)
+            assert g.ball_mask(v, r) == (balls[min(r, len(balls) - 1)] if r >= 0 else 0)
+        assert g.level_masks(v) == plain_level_masks(g, v)
+
+
+def plain_isometric_embedding_exists(g, pattern):
+    return any(graphs_module.is_isometric_embedding(pattern, g, image)
+               for image in permutations(range(g.n), pattern.n))
+
+
+@SETTINGS
+@given(graphs(max_n=7), graphs(max_n=5))
+def test_isometric_embedding_search_matches_all_injections(g, pattern):
+    assert geometry.isometric_embedding_exists(g, pattern) == \
+        plain_isometric_embedding_exists(g, pattern)
 
 
 @SETTINGS
