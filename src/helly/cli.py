@@ -11,6 +11,7 @@ import argparse
 import inspect
 import json
 import sys
+from functools import cache
 
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, int_lists,
                      json_object, json_value)
@@ -226,6 +227,7 @@ def _cmd_repro(args):
     return 0
 
 
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="helly",

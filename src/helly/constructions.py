@@ -13,7 +13,7 @@ from math import prod
 
 from .errors import InvariantViolation, ResourceCapExceeded, ValidationError
 from .graphs import Graph, bits, mask_of
-from . import recognition
+from . import hypergraphs, recognition
 
 
 def strong_product(factors, cap=200000):
@@ -94,10 +94,7 @@ def nerve_graph_of_cliques(g):
     Returns (graph, maximal_cliques).
     """
     cliques = recognition.maximal_cliques(g)
-    masks = [mask_of(c) for c in cliques]
-    edges = [(i, j) for i, j in combinations(range(len(masks)), 2)
-             if masks[i] & masks[j]]
-    return Graph(len(cliques), edges), cliques
+    return hypergraphs.line_graph(hypergraphs.Hypergraph(g.n, tuple(cliques))), cliques
 
 
 # -- spaces of graph products --------------------------------------------------
@@ -143,20 +140,24 @@ def sgp_build(desc, cap=200000):
     """The union-of-subproducts graph (vertices are coordinate tuples).
 
     A piece with more than `cap` vertices is refused before its vertex set
-    is built.  Piece intersection via the agreement criterion is asserted
-    against the direct vertex-set computation.  Returns (graph, coords, index).
+    is built, and the union as soon as it grows past `cap`.  Piece
+    intersection via the agreement criterion is then asserted against the
+    direct vertex-set computation.  Returns (graph, coords, index).
     """
     for piece in desc.pieces:
         if prod(f.n for f, e in zip(desc.factors, piece) if e is FULL) > cap:
             raise ResourceCapExceeded(f"SGP piece size exceeds cap {cap}")
-    vertex_sets = [set(desc.piece_vertices(i)) for i in range(len(desc.pieces))]
+    vertex_sets, union = [], set()
+    for i in range(len(desc.pieces)):
+        vertex_sets.append(set(desc.piece_vertices(i)))
+        union |= vertex_sets[-1]
+        if len(union) > cap:
+            raise ResourceCapExceeded(f"SGP size exceeds cap {cap}")
     for i, j in combinations(range(len(desc.pieces)), 2):
         if bool(vertex_sets[i] & vertex_sets[j]) != pieces_intersect(desc, i, j):
             raise InvariantViolation(
                 f"agreement criterion disagrees with vertex intersection on pieces {i},{j}")
-    coords = sorted(set().union(*vertex_sets))
-    if len(coords) > cap:
-        raise ResourceCapExceeded(f"SGP size exceeds cap {cap}")
+    coords = sorted(union)
     index = {c: i for i, c in enumerate(coords)}
     nbr = [f.nbr_mask for f in desc.factors]
     edges = set()
@@ -268,6 +269,14 @@ def gsp_product_gilmore(desc):
     return True
 
 
+def _root(parent, x):
+    """Root of x in the union-find forest `parent`, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def glue_at_vertices(parts, gluings):
     """Wedge parts together along single vertices; the gluing pattern over
     the parts must be a tree.
@@ -279,49 +288,28 @@ def glue_at_vertices(parts, gluings):
     k = len(parts)
     if len(gluings) != k - 1:
         raise ValidationError("gluing pattern must be a tree over the parts")
-    comp = list(range(k))
-
-    def root(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
+    comp = {i: i for i in range(k)}
     for i, vi, j, vj in gluings:
         if not (0 <= i < k and 0 <= j < k):
             raise ValidationError("gluing references unknown part")
         if not (0 <= vi < parts[i].n and 0 <= vj < parts[j].n):
             raise ValidationError("gluing references unknown vertex")
-        ri, rj = root(i), root(j)
+        ri, rj = _root(comp, i), _root(comp, j)
         if ri == rj:
             raise ValidationError("gluing pattern is cyclic")
         comp[ri] = rj
-    if k and len({root(i) for i in range(k)}) != 1:
+    if k and len({_root(comp, i) for i in range(k)}) != 1:
         raise ValidationError("gluing pattern must connect all parts")
 
-    # union-find over (part, vertex), then dense relabel in sorted order
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for i in range(k):
-        for v in range(parts[i].n):
-            find((i, v))
+    # union-find over (part, vertex), each class rooted at its least member;
+    # the tree pattern makes every gluing join two classes
+    parent = {(i, v): (i, v) for i in range(k) for v in range(parts[i].n)}
     for i, vi, j, vj in gluings:
-        union((i, vi), (j, vj))
-    classes = sorted({find(x) for x in parent})
+        a, b = _root(parent, (i, vi)), _root(parent, (j, vj))
+        parent[max(a, b)] = min(a, b)
+    classes = sorted({_root(parent, x) for x in parent})
     new_id = {c: t for t, c in enumerate(classes)}
-    placement = {x: new_id[find(x)] for x in parent}
+    placement = {x: new_id[_root(parent, x)] for x in parent}
     edges = set()
     for i in range(k):
         for u, v in parts[i].edges():

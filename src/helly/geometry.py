@@ -55,31 +55,13 @@ def hypercube_graph(dim):
 
 
 def grid_graph(rows, cols):
-    """Rectangular l1 grid."""
-    def vid(r, c):
-        return r * cols + c
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c)))
-    return Graph(rows * cols, edges)
+    """Rectangular l1 grid; vertex r * cols + c sits at (r, c)."""
+    return _lattice(product(range(rows), range(cols)), ((0, 1), (1, 0)))[0]
 
 
 def king_graph(rows, cols):
     """Rectangular l-infinity grid (strong product of two paths)."""
-    def vid(r, c):
-        return r * cols + c
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < rows and 0 <= cc < cols:
-                    edges.append((vid(r, c), vid(rr, cc)))
-    return Graph(rows * cols, edges)
+    return _lattice(product(range(rows), range(cols)), _KING_STEPS)[0]
 
 
 def sun3():
@@ -109,19 +91,41 @@ def k33_minus():
 # -- lattice patches -----------------------------------------------------------
 
 
+_KING_STEPS = ((0, 1), (1, 0), (1, 1), (1, -1))
+_T3_STEPS = ((1, 0), (0, 1), (1, -1))
+
+
+def _lattice(points, steps):
+    """Graph on the sorted points joining p to p + s for each step s.
+
+    Steps are given up to sign, with entries in {-1, 0, 1}.  Vertex ids
+    follow sorted coordinate order.  Returns (graph, pts).
+    """
+    pts = sorted(points)
+    # points and steps as mixed-radix integers over the bounding box widened
+    # by one on every side, so that p + s never wraps onto another point
+    keys, offsets, radix = [0] * len(pts), [0] * len(steps), 1
+    for axis, ds in zip(zip(*pts), zip(*steps)):
+        lo = min(axis) - 1
+        keys = [k + (x - lo) * radix for k, x in zip(keys, axis)]
+        offsets = [o + d * radix for o, d in zip(offsets, ds)]
+        radix *= max(axis) - lo + 2
+    at = dict(zip(keys, range(len(pts))))
+    edges = [(t, at[k + o]) for o in offsets for t, k in enumerate(keys) if k + o in at]
+    return Graph(len(pts), edges), pts
+
+
+def _diamond(k):
+    return [p for p in product(range(-2 * k, 2 * k + 1), repeat=2) if sum(map(abs, p)) <= 2 * k]
+
+
 def l1_grid(k):
     """Rotated square grid of side 2k: even-parity points with |i|+|j| <= 2k,
     adjacent when both coordinates differ by exactly 1.
 
     Returns (graph, coords).
     """
-    pts = sorted((i, j) for i in range(-2 * k, 2 * k + 1)
-                 for j in range(-2 * k, 2 * k + 1)
-                 if abs(i) + abs(j) <= 2 * k and (i + j) % 2 == 0)
-    index = {p: t for t, p in enumerate(pts)}
-    edges = [(index[p], index[q]) for p, q in combinations(pts, 2)
-             if abs(p[0] - q[0]) == 1 and abs(p[1] - q[1]) == 1]
-    return Graph(len(pts), edges), pts
+    return _lattice((p for p in _diamond(k) if sum(p) % 2 == 0), ((1, 1), (1, -1)))
 
 
 def linf_diamond(k):
@@ -129,20 +133,12 @@ def linf_diamond(k):
 
     Returns (graph, coords); this is the expected Hellyfication of l1_grid(k).
     """
-    pts = sorted((i, j) for i in range(-2 * k, 2 * k + 1)
-                 for j in range(-2 * k, 2 * k + 1) if abs(i) + abs(j) <= 2 * k)
-    index = {p: t for t, p in enumerate(pts)}
-    edges = [(index[p], index[q]) for p, q in combinations(pts, 2)
-             if max(abs(p[0] - q[0]), abs(p[1] - q[1])) == 1]
-    return Graph(len(pts), edges), pts
+    return _lattice(_diamond(k), _KING_STEPS)
 
 
 def t3_distance(a, b):
     di, dj = b[0] - a[0], b[1] - a[1]
     return (abs(di) + abs(dj) + abs(di + dj)) // 2
-
-
-_T3_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
 
 def t3_deltoid(side):
@@ -151,35 +147,23 @@ def t3_deltoid(side):
     Returns (graph, coords, corners).  The generator self-checks the deltoid
     identity: the three corner distances of every vertex sum to 2*side.
     """
-    pts = sorted((i, j) for i in range(side + 1) for j in range(side + 1 - i))
-    index = {p: t for t, p in enumerate(pts)}
-    edges = [(index[p], index[(p[0] + di, p[1] + dj)])
-             for p in pts for di, dj in _T3_STEPS
-             if (p[0] + di, p[1] + dj) in index
-             and index[p] < index[(p[0] + di, p[1] + dj)]]
+    g, pts = _lattice(((i, j) for i in range(side + 1) for j in range(side + 1 - i)), _T3_STEPS)
     corners = [(0, 0), (side, 0), (0, side)]
-    g = Graph(len(pts), edges)
-    rows = [g.dist_row(index[c]) for c in corners]
+    rows = [g.dist_row(pts.index(c)) for c in corners]
     for t, p in enumerate(pts):
         if sum(r[t] for r in rows) != 2 * side:
             raise ValidationError(f"deltoid identity fails at {p}")
         for c, r in zip(corners, rows):
             if r[t] != t3_distance(c, p):
                 raise ValidationError(f"axial distance mismatch at {p}")
-    return g, pts, [index[c] for c in corners]
+    return g, pts, [pts.index(c) for c in corners]
 
 
 def t3_patch(radius):
     """Ball of the triangular grid around the origin, axial coordinates."""
-    pts = sorted(p for p in ((i, j) for i in range(-radius, radius + 1)
-                             for j in range(-radius, radius + 1))
-                 if t3_distance((0, 0), p) <= radius)
-    index = {p: t for t, p in enumerate(pts)}
-    edges = [(index[p], index[(p[0] + di, p[1] + dj)])
-             for p in pts for di, dj in _T3_STEPS
-             if (p[0] + di, p[1] + dj) in index
-             and index[p] < index[(p[0] + di, p[1] + dj)]]
-    return Graph(len(pts), edges), pts
+    rng = range(-radius, radius + 1)
+    return _lattice((p for p in product(rng, rng) if t3_distance((0, 0), p) <= radius),
+                    _T3_STEPS)
 
 
 def z3_box(half_side):
@@ -188,17 +172,8 @@ def z3_box(half_side):
     Returns (graph, index) with index[(x,y,z)] = vertex id.
     """
     rng = range(-half_side, half_side + 1)
-    pts = sorted(product(rng, rng, rng))
-    index = {p: t for t, p in enumerate(pts)}
-    edges = []
-    for p in pts:
-        for axis in range(3):
-            q = list(p)
-            q[axis] += 1
-            q = tuple(q)
-            if q in index:
-                edges.append((index[p], index[q]))
-    return Graph(len(pts), edges), index
+    g, pts = _lattice(product(rng, rng, rng), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return g, {p: t for t, p in enumerate(pts)}
 
 
 def random_connected_graph(n, p, seed):
@@ -436,7 +411,6 @@ def l1_linf_grid_correspondence(k):
     if hull_edges != diamond_edges:
         return False
     # the central square induces an isometric king graph in the hull
-    didx = {p: i for i, p in enumerate(dpts)}
     square = [p for p in dpts if abs(p[0]) <= k and abs(p[1]) <= k]
     hull_index = {form_of[hg.forms[i]]: i for i in range(len(hg.forms))}
     for p, q in combinations(square, 2):

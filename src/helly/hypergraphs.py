@@ -97,18 +97,19 @@ def two_section_masks(h):
     return nbr
 
 
+def _mask_graph(nbr):
+    """Graph with adjacency masks `nbr`; raises if disconnected."""
+    return Graph(len(nbr), [(u, v) for u, m in enumerate(nbr) for v in bits(m) if u < v])
+
+
 def two_section(h):
     """2-section as a Graph; raises if disconnected (metric use only)."""
-    nbr = two_section_masks(h)
-    edges = [(u, v) for u in range(h.n) for v in bits(nbr[u]) if u < v]
-    return Graph(h.n, edges)
+    return _mask_graph(two_section_masks(h))
 
 
 def line_graph(h):
     """Intersection graph of the edges; equals the 2-section of the dual."""
-    masks = h.edge_masks()
-    edges = [(i, j) for i, j in combinations(range(len(masks)), 2) if masks[i] & masks[j]]
-    return Graph(len(masks), edges)
+    return _mask_graph(_line_masks(h.edge_masks()))
 
 
 def helly_property(h):
@@ -303,6 +304,7 @@ def hellyfication_hypergraph(h):
 
 
 def _line_masks(edge_masks):
+    """Adjacency masks of the intersection graph: i ~ j when masks i and j meet."""
     k = len(edge_masks)
     nbr = [0] * k
     for i, j in combinations(range(k), 2):

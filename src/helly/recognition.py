@@ -9,7 +9,6 @@ theorem for finite graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env
 from .graphs import bits, maximal_clique_masks, weak_modularity
@@ -136,22 +135,9 @@ def helly_by_ball_oracle(g):
     ball_list = sorted({g.ball_mask(v, r) for v in range(g.n) for r in range(diam + 1)})
     k = len(ball_list)
     if k <= 16:
-        for size in range(2, k + 1):
-            for sub in combinations(ball_list, size):
-                if any(not (a & b) for a, b in combinations(sub, 2)):
-                    continue
-                cap = (1 << g.n) - 1
-                for m in sub:
-                    cap &= m
-                if cap == 0:
-                    return False
-        return True
-    meet = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i != j and ball_list[i] & ball_list[j]:
-                meet[i] |= 1 << j
-    for fam in maximal_clique_masks(meet):
+        return hypergraphs.helly_property_oracle(
+            hypergraphs.Hypergraph(g.n, tuple(tuple(bits(m)) for m in ball_list)))
+    for fam in maximal_clique_masks(hypergraphs._line_masks(ball_list)):
         if fam.bit_count() < 2:
             continue
         cap = (1 << g.n) - 1
@@ -174,6 +160,16 @@ class DismantlingFailure:
     certified: bool         # True when the verdict needs no confluence argument
 
 
+def _dominated(g, live):
+    """(v, least live dominator of v) for each dominated v of `live`, in order."""
+    for v in bits(live):
+        bv = g.ball1_mask[v] & live
+        for y in bits(g.nbr_mask[v] & live):
+            if bv & ~g.ball1_mask[y] == 0:
+                yield v, y
+                break
+
+
 def dismantling_order(g):
     """Greedy elimination of the smallest-id dominated vertex.
 
@@ -184,23 +180,11 @@ def dismantling_order(g):
     decisive, by the retract argument for cop-win graphs, but the
     exhaustive certificate is skipped).
     """
-    n = g.n
-    live = (1 << n) - 1
+    live = (1 << g.n) - 1
     order, doms = [], []
     while live.bit_count() > 1:
-        found = False
-        for v in bits(live):
-            bv = g.ball1_mask[v] & live
-            for y in bits(g.nbr_mask[v] & live):
-                if bv & ~(g.ball1_mask[y] & live) == 0:
-                    order.append(v)
-                    doms.append(y)
-                    live &= ~(1 << v)
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        step = next(_dominated(g, live), None)
+        if step is None:
             stuck = tuple(bits(live))
             if len(stuck) <= 14:
                 if _backtracking_dismantlable(g, live):
@@ -209,8 +193,11 @@ def dismantling_order(g):
                         "confluence of domination elimination is violated")
                 return DismantlingFailure(stuck, certified=True)
             return DismantlingFailure(stuck, certified=False)
-    last = next(bits(live))
-    order.append(last)
+        v, y = step
+        order.append(v)
+        doms.append(y)
+        live &= ~(1 << v)
+    order.append(next(bits(live)))
     doms.append(-1)
     return DismantlingOrder(tuple(order), tuple(doms))
 
@@ -218,26 +205,16 @@ def dismantling_order(g):
 def _backtracking_dismantlable(g, live, _memo=None):
     """Whether some elimination order dismantles `live`.  Each level removes
     one vertex, so on the at most 14 live vertices that `dismantling_order`
-    passes the recursion is at most 13 levels deep."""
+    passes the recursion is at most 13 levels deep.  Which neighbour
+    dominates v does not matter: removing v leaves the same subgraph."""
     if _memo is None:
         _memo = {}
     if live.bit_count() == 1:
         return True
-    cached = _memo.get(live)
-    if cached is not None:
-        return cached
-    result = False
-    for v in bits(live):
-        bv = g.ball1_mask[v] & live
-        for y in bits(g.nbr_mask[v] & live):
-            if bv & ~(g.ball1_mask[y] & live) == 0:
-                if _backtracking_dismantlable(g, live & ~(1 << v), _memo):
-                    result = True
-                break  # domination witnessed; the dominator choice is irrelevant
-        if result:
-            break
-    _memo[live] = result
-    return result
+    if live not in _memo:
+        _memo[live] = any(_backtracking_dismantlable(g, live & ~(1 << v), _memo)
+                          for v, _ in _dominated(g, live))
+    return _memo[live]
 
 
 def is_dismantlable(g):

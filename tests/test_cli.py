@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -192,6 +193,16 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "helly.cli", "repro", "--list"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout.split() == list(claims.CLAIMS)
+
+
+def test_every_tracer_target_exists():
+    # the per-layer benchmark wraps these names; a rename would zero its metrics
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.Tracer().missing == []
 
 
 @pytest.mark.parametrize("pair", [("0", "99"), ("-1", "0"), ("0", "9")])

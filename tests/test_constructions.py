@@ -1,6 +1,6 @@
 import pytest
 
-from helly import geometry, recognition
+from helly import constructions, geometry, recognition
 from helly.constructions import (FULL, GspDescription, SgpDescription,
                                  face_graph, glue_at_vertices, gsp_product_gilmore,
                                  maximal_cubes, nerve_graph_of_cliques,
@@ -161,6 +161,17 @@ def test_over_cap_piece_is_refused_before_its_vertices_are_built(monkeypatch):
         strong_product([p60, p60, p60], cap=1000)
     with pytest.raises(ResourceCapExceeded):
         sgp_build(SgpDescription((p60, p60), ((FULL, FULL), (0, 0))), cap=1000)
+
+
+def test_over_cap_union_is_refused_before_pieces_are_compared(monkeypatch):
+    def unreachable(desc, i, j):
+        raise AssertionError("pieces compared before the union cap check")
+
+    monkeypatch.setattr(constructions, "pieces_intersect", unreachable)
+    p10 = geometry.path_graph(10)
+    desc = SgpDescription((p10, p10, p10), tuple((FULL, FULL, k) for k in range(10)))
+    with pytest.raises(ResourceCapExceeded):
+        sgp_build(desc, cap=500)
 
 
 def test_sgp_three_piece_violation_reports_spanning_clique():

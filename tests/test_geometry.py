@@ -49,6 +49,36 @@ def test_t3_distance_against_bfs():
             assert row[j] == t3_distance(p, q)
 
 
+def _l1(p, q):
+    return sum(abs(a - b) for a, b in zip(p, q))
+
+
+def _chebyshev(p, q):
+    return max(abs(a - b) for a, b in zip(p, q))
+
+
+def _grid_coords(rows, cols):
+    return [divmod(v, cols) for v in range(rows * cols)]
+
+
+def _z3_box_coords(half_side):
+    g, index = geometry.z3_box(half_side)
+    return g, sorted(index, key=index.get)
+
+
+@pytest.mark.parametrize("make, metric", [
+    (lambda: (geometry.grid_graph(4, 6), _grid_coords(4, 6)), _l1),
+    (lambda: _z3_box_coords(2), _l1),
+    (lambda: (geometry.king_graph(5, 3), _grid_coords(5, 3)), _chebyshev),
+    (lambda: geometry.linf_diamond(2), _chebyshev),
+    (lambda: geometry.t3_deltoid(5)[:2], t3_distance),
+], ids=["grid_graph", "z3_box", "king_graph", "linf_diamond", "t3_deltoid"])
+def test_generator_distance_is_its_lattice_metric(make, metric):
+    g, coords = make()
+    for u in range(g.n):
+        assert g.dist_row(u) == [metric(coords[u], q) for q in coords]
+
+
 def test_corpus_is_large_and_connected(corpus):
     assert len(corpus) >= 30
     assert all(g.n <= 200 for g in corpus.values())
