@@ -84,6 +84,7 @@ class Graph:
         self._ball_masks = [None] * n
         # connectivity is a constructor guarantee, not a per-op check
         seen = self.ball_mask(0, n)
+        self._ball_masks[0] = None  # a long thin graph would keep ecc(0) + 2 masks
         if seen != (1 << n) - 1:
             missing = next(bits(~seen & ((1 << n) - 1)))
             raise ValidationError(f"graph is disconnected (vertex {missing} unreachable from 0)")

@@ -3,16 +3,14 @@
 Vertices of the hull are the extremal integer metric forms: integer vectors
 f with f(x)+f(y) >= d(x,y) everywhere and a tight partner for every
 coordinate.  The hull graph joins forms at sup-distance 1.  Construction is
-a BFS from the distance-row forms d(x, .); the one-step neighborhood of a
-form is enumerated by a depth-first search over per-coordinate moves in
-{-1,0,+1} with online feasibility/tightness pruning, which stays exact
-while avoiding the 3^n sweep.  The set of moves still open at a coordinate
-is always an interval: it starts as [-1, 1] (or [0, 1] when f(x) = 0),
-propagation only raises its lower end and branching fixes one value.  So
-each domain is a pair of bounds and each tightness test one comparison.
-The search uses an explicit stack, so the number of points is not bounded
-by the recursion limit, and the neighbour lists it returns are the hull
-edges.
+a BFS from the distance-row forms d(x, .).  A unit neighbour f + delta of a
+form, delta in {-1,0,+1}^n, is fixed by the set M = {delta = -1}, so the
+neighbour search runs over M alone: a depth-first search on bitmasks that
+keeps only the branches where every coordinate can still be tight, with no
+3^n sweep.  It uses an explicit stack, so the number of points is not
+bounded by the recursion limit, and the neighbour lists it returns are the
+hull edges.  The result is checked against the definition on numpy blocks
+of forms.
 """
 
 from __future__ import annotations
@@ -20,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
                      int_lists, json_object)
-from .graphs import Graph
+from .graphs import WM_BLOCK_CELLS, Graph, mask_of
 
 
 def _form_cap():
@@ -134,105 +134,80 @@ def kuratowski_form(m, x):
 def _unit_neighbors(m, f):
     """All extremal forms at sup-distance exactly 1 from the extremal form f.
 
-    Backtracking over per-coordinate moves in {-1,0,+1} with unit
-    propagation, over the pairs of slack s = f(x) + f(y) - d(x, y) <= 1;
-    y == x, with s = 2 f(x), is one of them when f(x) = 0.  They bound the
-    move sums from below (a metric-form condition; larger slacks cannot be
-    violated by unit moves), and each coordinate needs one of them whose
-    move sum realizes -s (tightness, hence extremality of the result).
-    Larger slacks are never needed for tightness: a coordinate that moves
-    by -1 has a partner z of slack 0 in f, which must move by +1 and so
-    stays tight, and any other move leaves a tight partner of slack
-    -move(x) - move(y) <= 1.
+    Write one as g = f + delta, delta in {-1,0,1}^n, with M = {delta = -1}
+    and P = {delta = 1}.  Let s(x, y) = f(x) + f(y) - d(x, y) be the slack
+    (s(x, x) = 2 f(x)) and T0(z), T1(z) the partners of z at slack 0 and 1.
+    Then g is an extremal form exactly when
+      (a) M is nonempty, lies in {f > 0} and is independent at slack <= 1;
+      (b) P = T0(M);
+      (c) every other z has a T0 partner outside M | P or a T1 partner in M.
+    Proof: g is a metric form iff delta(x) + delta(y) >= -s(x, y) for all
+    x, y, where only slacks 0 and 1 can fail: so M lies in {f > 0}, no two
+    points of M are at slack <= 1, and T0(M) lies in P.  g is extremal iff
+    each z has a w with delta(z) + delta(w) = -s(z, w).  For z in P that
+    asks w in M at slack 0, so P = T0(M).  Each z in M then is tight, with
+    its slack-0 partner in f (f(z) > 0, so not z), which lies in P.  For
+    delta(z) = 0 it asks w outside M | P at slack 0 (w = z when f(z) = 0)
+    or w in M at slack 1: this is (c).  And delta != 0 iff M is nonempty.
 
-    Each coordinate's domain is an interval [lo, hi]: it starts as [-1, 1],
-    or [0, 1] when f(x) = 0, propagation only raises lower bounds
-    (move(y) >= -s - hi[x]) and branching fixes one value.  The sums of two
-    integer intervals fill an interval, so a partner y can still be tight
-    exactly when lo[x] + lo[y] <= -s <= hi[x] + hi[y]; the diagonal partner
-    needs no special case.  Only branching lowers an upper bound, and while
-    hi[x] = 1 the rule bounds nothing (-s - 1 <= -1 <= lo[y]), so every new
-    lower bound comes from the coordinate just fixed and propagation is one
-    step: raise its partners' lower bounds, then recheck tightness at every
-    changed coordinate and its partners.  No domain empties: s >= 0, so a
-    free y keeps -s - move(x) <= 1 = hi[y], and a fixed y bounded x from
-    below when it was fixed.  The search runs on an explicit stack and
-    undoes domain changes through a trail.
+    The search decides, lowest first, whether each open coordinate joins M,
+    on a stack of bitmask states (M, P, open); open holds the coordinates
+    that can still join M.  A closed coordinate outside M | P is dead when
+    it has no T0 partner outside M | P and no T1 partner in M | open.  M and
+    P only grow and open only shrinks, so a dead coordinate stays dead and
+    its branch is pruned.  A coordinate can die only when it closes, when a
+    T0 partner joins M | P or when a T1 partner closes outside M.  So when x
+    stays out of M only x and T1(x) are checked; when x joins M every closed
+    coordinate outside M | P is, which costs no more than listing the T0
+    partners of the new P (about n/2 of them on a row form of a path).  At a
+    leaf no coordinate is open and none is dead, which is (c).
     """
     n = m.n
     d = m.d
-    near = [[] for _ in range(n)]  # (y, slack <= 1); y == x encodes the diagonal
+    t0 = [0] * n
+    t1 = [0] * n
     for x in range(n):
         fx = f[x]
         dx = d[x]
         for y in range(n):
             s = fx + f[y] - dx[y]
-            if s <= 1:
-                near[x].append((y, s))
+            if s == 0:
+                t0[x] |= 1 << y
+            elif s == 1:
+                t1[x] |= 1 << y
 
-    # branch in BFS order over the slack<=1 graph so constraints bind early
-    order = []
-    seen = [False] * n
-    head = 0
-    for root in range(n):
-        if not seen[root]:
-            seen[root] = True
-            order.append(root)
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y, _ in near[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    order.append(y)
-
-    lo = [-1 if f[x] > 0 else 0 for x in range(n)]  # f(x)=0 forbids the -1 move
-    hi = [1] * n
-    trail = []  # (x, lo, hi) before each change
-
-    def tight_possible(x):
-        lx, hx = lo[x], hi[x]
-        for y, s in near[x]:
-            if lx + lo[y] <= -s <= hx + hi[y]:
-                return True
-        return False
-
-    def consistent(changed):
-        """Each changed coordinate and each of its partners can still be tight."""
-        for x in changed:
-            if not tight_possible(x):
+    def alive(check, mp, reach):
+        while check:
+            low = check & -check
+            z = low.bit_length() - 1
+            if not (t0[z] & ~mp or t1[z] & reach):
                 return False
-            for y, _ in near[x]:
-                if not tight_possible(y):
-                    return False
+            check ^= low
         return True
 
     out = []
-    stack = [(0, -1, 0)]  # (depth, next move, trail mark)
+    points = (1 << n) - 1
+    stack = [(0, 0, mask_of(x for x in range(n) if f[x] > 0))]
     while stack:
-        i, move, mark = stack.pop()
-        while len(trail) > mark:
-            z, lo[z], hi[z] = trail.pop()
-        x = order[i]
-        if move < lo[x]:
-            move = lo[x]
-        if move > hi[x]:
+        mm, pp, op = stack.pop()
+        if not op:
+            if mm:
+                out.append(tuple(f[z] - (mm >> z & 1) + (pp >> z & 1) for z in range(n)))
             continue
-        stack.append((i, move + 1, mark))
-        trail.append((x, lo[x], hi[x]))
-        lo[x] = hi[x] = move
-        changed = [x]
-        for y, s in near[x]:
-            if -s - move > lo[y]:  # move(y) >= -s - hi[x]
-                trail.append((y, lo[y], hi[y]))
-                lo[y] = -s - move
-                changed.append(y)
-        if not consistent(changed):
-            continue
-        if i + 1 < n:
-            stack.append((i + 1, -1, len(trail)))
-        elif any(lo):
-            out.append(tuple(f[z] + lo[z] for z in range(n)))
+        bit = op & -op
+        x = bit.bit_length() - 1
+        # x stays out of M: check x and the T1 partners it no longer rescues
+        rest = op ^ bit
+        mp = mm | pp
+        if alive((bit | t1[x]) & ~mp & ~rest, mp, mm | rest):
+            stack.append((mm, pp, rest))
+        # x joins M: T0(x) joins P and every partner at slack <= 1 closes
+        mm |= bit
+        pp |= t0[x]
+        rest &= ~(t0[x] | t1[x])
+        mp = mm | pp
+        if alive(points & ~mp & ~rest, mp, mm | rest):
+            stack.append((mm, pp, rest))
     return sorted(out)
 
 
@@ -290,28 +265,49 @@ def hellyfication(m, cap=None):
 
 
 def _validate_hull(hg):
+    """Check the hull against its definition; a failure is an InvariantViolation.
+
+    Every stored form is extremal and 1-Lipschitz with f(x) =
+    sup-distance(f, e(x)), the embedding is isometric, and the hull-graph
+    distance is the sup-distance.  The 1-Lipschitz and f(x) = sup-distance
+    checks follow from extremality (f(y) - f(x) <= d(x, y) through a tight
+    partner of y, and |f(y) - d(x, y)| <= f(x) with equality at y = x), and
+    are kept as independent checks.  The checks run on numpy blocks of at
+    most WM_BLOCK_CELLS cells, or of one form where that needs more; the
+    first failing form gets the message of the first check it fails.
+    """
     m = hg.metric
-    for f in hg.forms:
-        if not is_extremal(m, f):
-            raise InvariantViolation(f"stored form {f} is not extremal")
-        for x in range(m.n):
-            dx = m.d[x]
-            if any(f[x] + dx[y] < f[y] for y in range(m.n)):
-                raise InvariantViolation(f"form {f} is not 1-Lipschitz")
-            if f[x] != sup_distance(f, kuratowski_form(m, x)):
-                raise InvariantViolation(f"f(x) != sup-distance(f, e(x)) for {f}")
-    for x in range(m.n):
-        fx = hg.forms[hg.embed[x]]
-        for y in range(x + 1, m.n):
-            fy = hg.forms[hg.embed[y]]
-            if sup_distance(fx, fy) != m.d[x][y]:
-                raise InvariantViolation("embedding is not isometric")
-    # hull-graph distance must agree with the sup-metric on forms
-    for i, f in enumerate(hg.forms):
-        row = hg.graph.dist_row(i)
-        for j in range(i + 1, len(hg.forms)):
-            if row[j] != sup_distance(f, hg.forms[j]):
-                raise InvariantViolation("unit-step graph distance != sup-metric")
+    n = m.n
+    d = np.array(m.d)
+    forms = np.array(hg.forms)
+    step = max(1, WM_BLOCK_CELLS // (n * n))
+    for lo in range(0, len(forms), step):
+        f = forms[lo:lo + step]
+        # least slack 0 at x: a metric form (f >= 0 at y = x) tight at x
+        extremal = ((f[:, :, None] + f[:, None, :] - d).min(2) == 0).all(1)
+        lipschitz = (f[:, None, :] - f[:, :, None] <= d).all(2)
+        sup = np.abs(f[:, None, :] - d).max(2) == f
+        bad = ~extremal | ~(lipschitz & sup).all(1)
+        if bad.any():
+            i = int(bad.argmax())
+            form = hg.forms[lo + i]
+            if not is_extremal(m, form):  # raises ValidationError on a non-form
+                raise InvariantViolation(f"stored form {form} is not extremal")
+            if not lipschitz[i, (lipschitz[i] & sup[i]).argmin()]:
+                raise InvariantViolation(f"form {form} is not 1-Lipschitz")
+            raise InvariantViolation(f"f(x) != sup-distance(f, e(x)) for {form}")
+    embedded = forms[list(hg.embed)]
+    for lo in range(0, n, step):
+        sup = np.abs(embedded[lo:lo + step, None, :] - embedded).max(2)
+        if (sup != d[lo:lo + step]).any():
+            raise InvariantViolation("embedding is not isometric")
+    # hull-graph distance = sup-distance, from each block to the forms after it
+    step = max(1, WM_BLOCK_CELLS // (len(forms) * n))
+    for lo in range(0, len(forms), step):
+        rows = np.array([hg.graph.dist_row(i)[lo:] for i in range(lo, min(lo + step, len(forms)))])
+        sup = np.abs(forms[lo:lo + step, None, :] - forms[lo:]).max(2)
+        if (rows != sup).any():
+            raise InvariantViolation("unit-step graph distance != sup-metric")
 
 
 def enumerate_extremal_forms(m, cap=None):

@@ -40,6 +40,14 @@ def test_constructor_rejects_bad_input():
         Graph(2, [(0, 5)])  # out of range
 
 
+def test_a_new_graph_caches_no_ball_list():
+    # the connectivity test grows every ball of vertex 0; a long path would
+    # keep n + 1 masks of n bits
+    g = geometry.path_graph(300)
+    assert g._ball_masks == [None] * 300
+    assert g.ball_mask(0, 2) == 0b111
+
+
 def test_interval_examples():
     assert interval(geometry.cycle_graph(4), 0, 2) == (0, 1, 2, 3)
     assert interval(geometry.path_graph(5), 0, 4) == (0, 1, 2, 3, 4)

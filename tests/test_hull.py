@@ -1,13 +1,15 @@
 import inspect
 import random
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from helly import geometry, recognition
-from helly.errors import ValidationError
-from helly.hull import (FiniteMetric, coarse_helly_defect,
+from helly.errors import InvariantViolation, ValidationError
+from helly.graphs import Graph
+from helly.hull import (FiniteMetric, _validate_hull, coarse_helly_defect,
                         dress_distance_identity_check, enumerate_extremal_forms,
                         extremalize, hellyfication, hull_distance_profile,
                         is_extremal, kuratowski_form, sup_distance)
@@ -89,6 +91,23 @@ def test_hull_validation_invariants(small_corpus):
             for x in range(m.n):
                 assert f[x] == sup_distance(f, kuratowski_form(m, x))
                 assert all(f[x] + m.d[x][y] >= f[y] for y in range(m.n))
+
+
+def test_hull_validation_reports_each_corruption():
+    hg = hellyfication(geometry.cycle_graph(6))
+    raised = tuple(v + 1 for v in hg.forms[3])
+    e0, e1 = hg.embed[:2]
+    # the hull of C6 has cycles, so it stays connected without its first edge
+    cut = Graph(hg.graph.n, hg.graph.edges()[1:])
+    for bad, message in [
+            (replace(hg, forms=hg.forms[:3] + (raised,) + hg.forms[4:]),
+             f"stored form {raised} is not extremal"),
+            (replace(hg, embed=(e1, e0) + hg.embed[2:]), "embedding is not isometric"),
+            (replace(hg, graph=cut), "unit-step graph distance != sup-metric")]:
+        with pytest.raises(InvariantViolation) as err:
+            _validate_hull(bad)
+        assert str(err.value) == message
+    _validate_hull(hg)
 
 
 def test_hull_profile_examples():

@@ -17,9 +17,9 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def graphs(draw, max_n=10):
+def graphs(draw, max_n=10, min_n=1):
     """Connected graph: a random spanning tree plus random extra edges."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     if n > 1:
         vertex = st.integers(0, n - 1)
@@ -96,15 +96,38 @@ def mostly_bipartite_graphs(draw):
 
 
 @st.composite
-def small_metrics(draw):
-    """Metrics on at most 6 points: graph metrics and l1 point sets."""
-    if draw(st.booleans()):
-        return hull.FiniteMetric.of_graph(draw(graphs(max_n=6)))
-    dim = draw(st.integers(1, 3))
+def weighted_metrics(draw, max_n):
+    """Shortest-path metrics of random graphs with edge lengths 1..4."""
+    g = draw(graphs(max_n=max_n))
+    inf = 4 * g.n
+    d = [[0 if x == y else inf for y in range(g.n)] for x in range(g.n)]
+    for x, y in g.edges():
+        d[x][y] = d[y][x] = draw(st.integers(1, 4))
+    for z, x, y in product(range(g.n), repeat=3):
+        d[x][y] = min(d[x][y], d[x][z] + d[z][y])
+    return hull.FiniteMetric.of(d)
+
+
+@st.composite
+def l1_metrics(draw, max_n, max_dim):
+    """l1 metrics of point sets in {0..3}^dim, 1 <= dim <= max_dim."""
+    dim = draw(st.integers(1, max_dim))
     point = st.tuples(*[st.integers(0, 3)] * dim)
-    pts = sorted(draw(st.sets(point, min_size=1, max_size=6)))
+    pts = sorted(draw(st.sets(point, min_size=1, max_size=max_n)))
     return hull.FiniteMetric.of([[sum(abs(a - b) for a, b in zip(p, q)) for q in pts]
                                  for p in pts])
+
+
+def small_metrics():
+    """Metrics on at most 6 points: graph, weighted-graph and l1 metrics."""
+    return st.one_of(graphs(max_n=6).map(hull.FiniteMetric.of_graph), weighted_metrics(6),
+                     l1_metrics(6, 3))
+
+
+def medium_metrics():
+    """Graph metrics on 7..12 points, weighted-graph metrics and l1 metrics."""
+    return st.one_of(graphs(max_n=12, min_n=7).map(hull.FiniteMetric.of_graph),
+                     weighted_metrics(10), l1_metrics(12, 4))
 
 
 def plain_berge_duchet(h):
@@ -362,11 +385,125 @@ def plain_unit_neighbors(m, f):
     return out
 
 
+# the interval-domain search that `hull._unit_neighbors` replaced, kept as an
+# oracle that is not limited to 3^n brute force
+def interval_unit_neighbors(m, f):
+    """All extremal forms at sup-distance exactly 1 from the extremal form f.
+
+    Backtracking over per-coordinate moves in {-1,0,+1} with unit
+    propagation, over the pairs of slack s = f(x) + f(y) - d(x, y) <= 1;
+    y == x, with s = 2 f(x), is one of them when f(x) = 0.  They bound the
+    move sums from below (a metric-form condition; larger slacks cannot be
+    violated by unit moves), and each coordinate needs one of them whose
+    move sum realizes -s (tightness, hence extremality of the result).
+    Larger slacks are never needed for tightness: a coordinate that moves
+    by -1 has a partner z of slack 0 in f, which must move by +1 and so
+    stays tight, and any other move leaves a tight partner of slack
+    -move(x) - move(y) <= 1.
+
+    Each coordinate's domain is an interval [lo, hi]: it starts as [-1, 1],
+    or [0, 1] when f(x) = 0, propagation only raises lower bounds
+    (move(y) >= -s - hi[x]) and branching fixes one value.  The sums of two
+    integer intervals fill an interval, so a partner y can still be tight
+    exactly when lo[x] + lo[y] <= -s <= hi[x] + hi[y]; the diagonal partner
+    needs no special case.  Only branching lowers an upper bound, and while
+    hi[x] = 1 the rule bounds nothing (-s - 1 <= -1 <= lo[y]), so every new
+    lower bound comes from the coordinate just fixed and propagation is one
+    step: raise its partners' lower bounds, then recheck tightness at every
+    changed coordinate and its partners.  No domain empties: s >= 0, so a
+    free y keeps -s - move(x) <= 1 = hi[y], and a fixed y bounded x from
+    below when it was fixed.  The search runs on an explicit stack and
+    undoes domain changes through a trail.
+    """
+    n = m.n
+    d = m.d
+    near = [[] for _ in range(n)]  # (y, slack <= 1); y == x encodes the diagonal
+    for x in range(n):
+        fx = f[x]
+        dx = d[x]
+        for y in range(n):
+            s = fx + f[y] - dx[y]
+            if s <= 1:
+                near[x].append((y, s))
+
+    # branch in BFS order over the slack<=1 graph so constraints bind early
+    order = []
+    seen = [False] * n
+    head = 0
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            order.append(root)
+        while head < len(order):
+            x = order[head]
+            head += 1
+            for y, _ in near[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    order.append(y)
+
+    lo = [-1 if f[x] > 0 else 0 for x in range(n)]  # f(x)=0 forbids the -1 move
+    hi = [1] * n
+    trail = []  # (x, lo, hi) before each change
+
+    def tight_possible(x):
+        lx, hx = lo[x], hi[x]
+        for y, s in near[x]:
+            if lx + lo[y] <= -s <= hx + hi[y]:
+                return True
+        return False
+
+    def consistent(changed):
+        """Each changed coordinate and each of its partners can still be tight."""
+        for x in changed:
+            if not tight_possible(x):
+                return False
+            for y, _ in near[x]:
+                if not tight_possible(y):
+                    return False
+        return True
+
+    out = []
+    stack = [(0, -1, 0)]  # (depth, next move, trail mark)
+    while stack:
+        i, move, mark = stack.pop()
+        while len(trail) > mark:
+            z, lo[z], hi[z] = trail.pop()
+        x = order[i]
+        if move < lo[x]:
+            move = lo[x]
+        if move > hi[x]:
+            continue
+        stack.append((i, move + 1, mark))
+        trail.append((x, lo[x], hi[x]))
+        lo[x] = hi[x] = move
+        changed = [x]
+        for y, s in near[x]:
+            if -s - move > lo[y]:  # move(y) >= -s - hi[x]
+                trail.append((y, lo[y], hi[y]))
+                lo[y] = -s - move
+                changed.append(y)
+        if not consistent(changed):
+            continue
+        if i + 1 < n:
+            stack.append((i + 1, -1, len(trail)))
+        elif any(lo):
+            out.append(tuple(f[z] + lo[z] for z in range(n)))
+    return sorted(out)
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_metrics())
 def test_unit_neighbors_match_brute_force_over_unit_moves(m):
-    for f in hull.hellyfication(m).forms:
+    for f in hull.enumerate_extremal_forms(m):
         assert hull._unit_neighbors(m, f) == plain_unit_neighbors(m, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(medium_metrics())
+def test_unit_neighbors_match_the_interval_domain_search(m):
+    for f in hull.hellyfication(m).forms:
+        assert hull._unit_neighbors(m, f) == interval_unit_neighbors(m, f)
 
 
 def plain_level_sets(g, t, s):
