@@ -7,18 +7,21 @@ the local path conditions, the uniqueness statement, and the fellow
 traveler constants (1 for clique-paths, 3 for vertex paths).
 
 Public functions validate their input once; the builders below them run on
-the unchecked `imprint_mask`.
+the unchecked `imprint_mask`.  The fellow-traveler check builds each path
+once from one memo of imprints and compares the paths of all tuples at once,
+on numpy blocks of padded distance tables.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, groupby
+
+import numpy as np
 
 from .errors import HellyPreconditionError, InvariantViolation, ValidationError
-from .graphs import ball_star_mask, bits, mask_of
+from .graphs import WM_BLOCK_CELLS, ball_star_mask, bits, mask_of
 
 
 def _sequence(value, what):
@@ -99,18 +102,19 @@ class CliquePath:
         return [list(c) for c in self.cliques]
 
 
-def _clique_path(g, tau, sigma, k):
+def _clique_path(g, tau, sigma, k, imprint=None):
     """Cliques tau, ..., sigma of the normal clique-path; unchecked input.
 
     tau and sigma are sorted cliques at uniform distance k; each imprint is
     again at uniform distance from tau, and is checked to be a clique before
-    it is imprinted in turn.
+    it is imprinted in turn by `imprint` (default `imprint_mask`).
     """
+    imprint = imprint or imprint_mask
     cliques = [sigma]
     for _ in range(k - 1):
         if len(cliques) > 1 and not g.is_clique(cliques[-1]):
             raise ValidationError(f"sigma {cliques[-1]!r} is not a clique")
-        cliques.append(tuple(bits(imprint_mask(g, tau, cliques[-1]))))
+        cliques.append(tuple(bits(imprint(g, tau, cliques[-1]))))
     if k:
         cliques.append(tau)
     return tuple(reversed(cliques))
@@ -163,20 +167,22 @@ def verify_normal_clique_path(g, path):
     return True
 
 
-def _steps(g, t, s):
+def _steps(g, t, s, imprint=None):
     """Level masks L_0..L_k of the normal (t, s)-paths, and the step mask of
     every member of L_1..L_k: its imprint toward t, or {t} at distance 1.
 
     L_k = {s} and each lower level is the union of the steps of the level
     above.  Every level member extends both ways, so the levels are exactly
-    the vertices at each position of some normal path.  Unchecked input.
+    the vertices at each position of some normal path.  Unchecked input;
+    steps by `imprint` (default `imprint_mask`).
     """
+    imprint = imprint or imprint_mask
     step = {}
     levels = [1 << s]
     for i in range(g.dist(t, s), 0, -1):
         below = 0
         for v in bits(levels[-1]):
-            step[v] = imprint_mask(g, (t,), (v,)) if i > 1 else 1 << t
+            step[v] = imprint(g, (t,), (v,)) if i > 1 else 1 << t
             below |= step[v]
         levels.append(below)
     return levels[::-1], step
@@ -223,23 +229,29 @@ class FellowTravelerReport:
     tuples_checked: int
 
 
-def _gap(a, b, dist):
-    """max over positions of dist between the entries of two sequences,
-    the shorter one held at its last entry."""
-    if len(a) < len(b):
-        a, b = b, a
-    return max(dist(x, b[min(i, len(b) - 1)]) for i, x in enumerate(a))
-
-
 def fellow_traveler_check(g, max_tuples=None, seed=0):
     """Fellow-traveler constants over 4-tuples (p,q,s,t) with d(p,q) <= 1,
     d(s,t) <= 1.
 
     Exhaustive by default; when `max_tuples` is given, a seeded sample of
     that size is used instead.  Clique-paths p->s and q->t are compared by
-    min-distance, their normal-path level sets by max-distance.  Asserts
-    clique constant <= 1 and path constant <= 3 and reports witnesses
+    min-distance, their normal-path level sets by max-distance, position by
+    position with the shorter one held at its last entry.  Asserts clique
+    constant <= 1 and path constant <= 3 and reports the first tuples
     attaining the maxima.
+
+    Paths toward one target a step by imprints toward {a} and share their
+    tails, so all of them read one memo of imprints keyed by (target,
+    sigma).  Each endpoint pair is built once, in the order a per-tuple loop
+    meets it (clique-paths (p,s), (q,t), then levels (p,s), (q,t)), so a
+    non-Helly graph raises the same first exception.  Then each vertex set
+    becomes a row of its members, padded by repeating the first, and each
+    path a row of set ids, padded by repeating the last.  Both paddings are
+    exact: a repeated member leaves a min or max unchanged, and past the end
+    of the longer path both sides sit at their last entries, a pair already
+    counted.  Blocks of tuples, at most `WM_BLOCK_CELLS` cells each, read
+    D[members_A, members_B] from the cached `dist_row`s and reduce it by min
+    or max, then take the max over positions.
     """
     if max_tuples is not None and max_tuples < 0:
         raise ValidationError(f"max_tuples must be nonnegative, got {max_tuples}")
@@ -247,23 +259,58 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     n = len(close)
     # tuple i is close[i // n] + close[i % n]; sampling indices picks the
     # same tuples as sampling the list of all n * n tuples would
-    indices = range(n * n)
     if max_tuples is not None and n * n > max_tuples:
-        indices = sorted(random.Random(seed).sample(indices, max_tuples))
-    # endpoint pairs recur across tuples: build each clique-path and each
-    # ladder of level sets once per call
-    clique_path = cache(lambda a, b: _clique_path(g, (a,), (b,), g.dist(a, b)))
-    level_sets = cache(lambda a, b: tuple(tuple(bits(m)) for m in _steps(g, a, b)[0]))
-    clique_constant = path_constant = 0
-    clique_witness = path_witness = None
-    for i in indices:
-        (p, q), (s, t) = close[i // n], close[i % n]
-        cg = _gap(clique_path(p, s), clique_path(q, t), partial(min_distance, g))
-        if cg > clique_constant:
-            clique_constant, clique_witness = cg, (p, q, s, t)
-        pg = _gap(level_sets(p, s), level_sets(q, t), partial(max_distance, g))
-        if pg > path_constant:
-            path_constant, path_witness = pg, (p, q, s, t)
+        indices = np.array(sorted(random.Random(seed).sample(range(n * n), max_tuples)))
+    else:
+        indices = np.arange(n * n, dtype=np.min_scalar_type(n * n))
+    if not len(indices):
+        return FellowTravelerReport(0, 0, None, None, 0)
+    # endpoint pairs (p, s) and (q, t) of each tuple as p * g.n + s, q * g.n + t
+    ends = np.array(close, dtype=np.min_scalar_type(g.n * g.n))
+    pairs, first, pair_of = np.unique(ends[indices // n] * g.n + ends[indices % n],
+                                      return_index=True, return_inverse=True)
+    memo = {}
+
+    def imprint(g, tau, sigma):
+        m = memo.get((tau, sigma))
+        if m is None:
+            m = memo[tau, sigma] = imprint_mask(g, tau, sigma)
+        return m
+
+    builders = (lambda a, b: _clique_path(g, (a,), (b,), g.dist(a, b), imprint),
+                lambda a, b: [tuple(bits(m)) for m in _steps(g, a, b, imprint)[0]])
+    set_id, paths = {}, ([None] * len(pairs), [None] * len(pairs))
+    # pairs by first use; positions 2i and 2i + 1 of the keys are tuple i's
+    order = np.argsort(first).tolist()
+    for _, fresh in groupby(order, key=lambda r: first[r] // 2):
+        fresh = [(r, *divmod(int(pairs[r]), g.n)) for r in fresh]
+        for build, rows in zip(builders, paths):
+            for r, a, b in fresh:
+                rows[r] = [set_id.setdefault(c, len(set_id)) for c in build(a, b)]
+    sizes = np.array([len(c) for c in set_id])
+    wide = sizes.max()
+    members = np.array([c + c[:1] * (wide - len(c)) for c in set_id], dtype=np.int32)
+    # not np.unique, whose first plain call imports numpy.ma (about 1 MB)
+    used = np.flatnonzero(np.bincount(members.ravel(), minlength=g.n))
+    dist = np.array([g.dist_row(v) for v in used.tolist()], dtype=np.min_scalar_type(g.n))
+    length = max(map(len, paths[0]))
+    pair_of = pair_of.reshape(-1, 2).astype(np.int32)
+    found = []
+    for rows, reduce in zip(paths, (np.min, np.max)):
+        table = np.array([r + r[-1:] * (length - len(r)) for r in rows], dtype=np.int32)
+        width = int(sizes[table].max())
+        cols = members[:, :width]
+        at = np.searchsorted(used, cols)  # row of each member in `dist`
+        step = max(1, WM_BLOCK_CELLS // (length * width * width))
+        gaps = np.empty(len(indices), dtype=dist.dtype)
+        for i in range(0, len(indices), step):
+            ids = table[pair_of[i:i + step]]
+            d = dist[at[ids[:, 0]][..., :, None], cols[ids[:, 1]][..., None, :]]
+            gaps[i:i + step] = reduce(d, axis=(2, 3)).max(axis=1)
+        i = int(gaps.argmax())  # the first tuple attaining the maximum
+        found.append((int(gaps[i]), close[indices[i] // n] + close[indices[i] % n])
+                     if gaps[i] else (0, None))
+    (clique_constant, clique_witness), (path_constant, path_witness) = found
     report = FellowTravelerReport(clique_constant, path_constant,
                                   clique_witness, path_witness, len(indices))
     if clique_constant > 1 or path_constant > 3:

@@ -6,8 +6,10 @@ set algebra that dominates every metric predicate in this package).
 Distance rows are computed by BFS on first use, and balls are grown per
 radius as far as a caller asks; both are memoized, so desk-scale graphs pay
 for all-pairs distances only when an operation actually sweeps all pairs.
-The graph is observably immutable: the lazy caches are idempotent, so
-concurrent readers can at worst recompute a row or a ball.
+The weak-modularity report is memoized too, since both recognition routes
+and the median test ask for it.  The graph is observably immutable: the
+lazy caches are idempotent, so concurrent readers can at worst recompute a
+row, a ball or the report.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def maximal_clique_masks(nbr):
 class Graph:
     """Simple, undirected, connected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "nbr_mask", "ball1_mask", "_rows", "_ball_masks")
+    __slots__ = ("n", "adj", "nbr_mask", "ball1_mask", "_rows", "_ball_masks", "_wm")
 
     def __init__(self, n, edges):
         if n <= 0:
@@ -82,6 +84,7 @@ class Graph:
         self.adj = [tuple(bits(nbr[v])) for v in range(n)]
         self._rows = [None] * n
         self._ball_masks = [None] * n
+        self._wm = None  # weak_modularity(self), once computed
         # connectivity is a constructor guarantee, not a per-op check
         seen = self.ball_mask(0, n)
         self._ball_masks[0] = None  # a long thin graph would keep ecc(0) + 2 masks
@@ -378,8 +381,10 @@ def weak_modularity(g):
     distance j + 1, and the witness is the lex-least (z, v, w) over the
     pairs failing at u, which is the first hit of a scan over z, then over
     pairs v < w of neighbours of z.  The scan stops at the block where both
-    witnesses are known.
+    witnesses are known.  The report is memoized on the graph.
     """
+    if g._wm is not None:
+        return g._wm
     n = g.n
     tc, qc = _wm_items(g)
     block = max(1, WM_BLOCK_CELLS // max(n, len(tc.v), len(qc.v)))
@@ -429,8 +434,9 @@ def weak_modularity(g):
                 i = np.lexsort((w, v, z))[0]
                 qc_witness = (u0 + r, int(z[i]), int(v[i]), int(w[i]))
                 qc_open = False
-    return WeakModularityReport(tc_witness is None, qc_witness is None,
-                                tc_witness, qc_witness)
+    g._wm = WeakModularityReport(tc_witness is None, qc_witness is None,
+                                 tc_witness, qc_witness)
+    return g._wm
 
 
 def is_pseudo_modular(g):

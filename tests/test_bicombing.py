@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from itertools import combinations
 
 import pytest
@@ -228,8 +229,13 @@ def test_is_normal_path_rejects_non_normal_geodesics():
 
 def test_fellow_traveler_king5():
     rep = fellow_traveler_check(geometry.king_graph(5, 5))
-    assert rep.clique_constant <= 1
-    assert rep.path_constant <= 3
+    assert astuple(rep) == (1, 1, (0, 0, 0, 1), (0, 0, 0, 1), 28561)
+
+
+def test_fellow_traveler_empty_sample_and_single_vertex():
+    rep = fellow_traveler_check(geometry.king_graph(3, 3), max_tuples=0)
+    assert astuple(rep) == (0, 0, None, None, 0)
+    assert astuple(fellow_traveler_check(geometry.king_graph(1, 1))) == (0, 0, None, None, 1)
 
 
 def test_fellow_traveler_tree_and_thickened_q4():

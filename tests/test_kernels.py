@@ -1,14 +1,17 @@
 """Property tests: the pruned kernels against plain sweeps and oracles."""
 
 import random
+from dataclasses import astuple
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helly import constructions, geometry, graphs as graphs_module, hull, recognition
+from helly import (bicombing, constructions, geometry, graphs as graphs_module, hull,
+                   recognition)
 from helly.bicombing import (_steps, fellow_traveler_check, imprint, is_normal_path,
                              max_distance, min_distance, normal_clique_path, normal_paths)
+from helly.errors import HellyPreconditionError, InvariantViolation, ValidationError
 from helly.graphs import Graph, WeakModularityReport, bits, mask_of, weak_modularity
 from helly.hypergraphs import (Hypergraph, helly_property_certified,
                                helly_property_oracle, is_conformal_certified)
@@ -562,6 +565,62 @@ def test_fellow_traveler_matches_plain_per_tuple_loop(g, data):
     rep = fellow_traveler_check(g, max_tuples=budget, seed=seed)
     assert (rep.clique_constant, rep.path_constant, rep.clique_witness, rep.path_witness,
             rep.tuples_checked) == plain_fellow_traveler(g, budget, seed)
+
+
+def checked(g, budget=None, seed=0):
+    """`fellow_traveler_check` as the tuple `plain_fellow_traveler` returns."""
+    return astuple(fellow_traveler_check(g, budget, seed))
+
+
+def outcome(check, *args):
+    """What `check(*args)` returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except (ValidationError, InvariantViolation) as e:
+        return type(e), str(e)
+
+
+def test_fellow_traveler_raises_like_plain_loop_on_fixed_non_helly_graphs():
+    for g in (geometry.cycle_graph(4), geometry.cycle_graph(6), geometry.grid_graph(3, 3)):
+        for budget in (None, 5):
+            expected = outcome(plain_fellow_traveler, g, budget, 1)
+            assert expected[0] is HellyPreconditionError
+            assert outcome(checked, g, budget, 1) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=8, min_n=4).filter(lambda g: not recognition.is_helly(g).is_helly),
+       st.one_of(st.none(), st.integers(0, 40)), st.integers(0, 99))
+def test_fellow_traveler_raises_like_plain_loop_on_non_helly_graphs(g, budget, seed):
+    assert (outcome(checked, g, budget, seed)
+            == outcome(plain_fellow_traveler, g, budget, seed))
+
+
+def test_fellow_traveler_matches_plain_loop_across_blocks():
+    g = geometry.random_tree(30, 2)
+    rep = fellow_traveler_check(g)
+    # one block holds WM_BLOCK_CELLS distance cells, one per position per tuple here
+    assert rep.tuples_checked * (g.diameter() + 1) > 2 * bicombing.WM_BLOCK_CELLS
+    assert checked(g) == plain_fellow_traveler(g)
+
+
+@pytest.mark.parametrize("cells", [1, 97])
+def test_fellow_traveler_matches_plain_loop_in_small_blocks(monkeypatch, cells):
+    # one or a few tuples per block.  The sampled kings have different clique
+    # and path witnesses.  The samples of long cycles miss the antipodal
+    # pairs, so no imprint is empty and the constants are exceeded: the
+    # report in the message has its witnesses at tuples 6, 7 and 9.
+    monkeypatch.setattr(bicombing, "WM_BLOCK_CELLS", cells)
+    for a, b, budget, seed in ((3, 4, None, 0), (2, 3, 20, 17), (2, 4, 10, 16)):
+        g = geometry.king_graph(a, b)
+        assert checked(g, budget, seed) == plain_fellow_traveler(g, budget, seed)
+    for n, seed in ((8, 20), (10, 3), (12, 4)):
+        g = geometry.cycle_graph(n)
+        report = bicombing.FellowTravelerReport(*plain_fellow_traveler(g, 10, seed))
+        assert report.clique_constant > 1
+        with pytest.raises(InvariantViolation) as e:
+            fellow_traveler_check(g, 10, seed)
+        assert str(e.value) == f"fellow traveler constants exceeded: {report}"
 
 
 @SETTINGS

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from helly import geometry, hypergraphs as hgm
+from helly import geometry, graphs as graphs_module, hypergraphs as hgm
 from helly.errors import ValidationError
 from helly.graphs import Graph, is_pseudo_modular, weak_modularity
 from helly.recognition import (DismantlingFailure, DismantlingOrder,
@@ -209,3 +209,18 @@ def test_dominating_clique_examples():
     assert dominating_clique(k5, range(5)) == (0,)
     patch, _ = geometry.t3_patch(2)
     assert dominating_clique(patch, [10, 17, 3, 6]) is None
+
+
+def test_is_helly_and_is_median_share_one_weak_modularity_scan(monkeypatch):
+    scan, scans = graphs_module._wm_items, []
+
+    def counted(g):
+        scans.append(g)
+        return scan(g)
+
+    monkeypatch.setattr(graphs_module, "_wm_items", counted)
+    g = geometry.grid_graph(6, 6)
+    assert not is_helly(g).is_helly and is_median(g)
+    assert scans == [g]
+    assert weak_modularity(g) == weak_modularity(geometry.grid_graph(6, 6))
+    assert len(scans) == 2
