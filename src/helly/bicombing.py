@@ -8,8 +8,8 @@ traveler constants (1 for clique-paths, 3 for vertex paths).
 
 Public functions validate their input once; the builders below them run on
 the unchecked `imprint_mask`.  The fellow-traveler check builds each path
-once from one memo of imprints and compares the paths of all tuples at once,
-on numpy blocks of padded distance tables.
+once, following one dict of linked path tails, and compares the paths of all
+tuples at once, on numpy blocks of padded distance tables.
 """
 
 from __future__ import annotations
@@ -102,22 +102,33 @@ class CliquePath:
         return [list(c) for c in self.cliques]
 
 
-def _clique_path(g, tau, sigma, k, imprint=None):
-    """Cliques tau, ..., sigma of the normal clique-path; unchecked input.
+def _clique_path(g, tau, sigma, k, links=None):
+    """Masks of the cliques tau, ..., sigma of the normal clique-path;
+    unchecked input.
 
-    tau and sigma are sorted cliques at uniform distance k; each imprint is
-    again at uniform distance from tau, and is checked to be a clique before
-    it is imprinted in turn by `imprint` (default `imprint_mask`).
+    tau and sigma are sorted cliques at uniform distance k.  The path is
+    built from the sigma end: each clique c at distance >= 2 is imprinted
+    toward tau, a clique at uniform distance one less, and each imprint is
+    checked to be a clique before it is imprinted in turn.  `links`, a dict
+    that calls may share, holds each step as a link (tau, c) -> imprint
+    mask.  The tail from c toward tau is the same in every path that
+    reaches c, so a linked clique was checked once and is followed, not
+    imprinted again.
     """
-    imprint = imprint or imprint_mask
-    cliques = [sigma]
-    for _ in range(k - 1):
-        if len(cliques) > 1 and not g.is_clique(cliques[-1]):
-            raise ValidationError(f"sigma {cliques[-1]!r} is not a clique")
-        cliques.append(tuple(bits(imprint(g, tau, cliques[-1]))))
+    links = {} if links is None else links
+    path = [mask_of(sigma)]
+    for i in range(k - 1):
+        key = (tau, path[-1])
+        step = links.get(key)
+        if step is None:
+            vs = tuple(bits(path[-1]))
+            if i and not g.is_clique(vs):
+                raise ValidationError(f"sigma {vs!r} is not a clique")
+            step = links[key] = imprint_mask(g, tau, vs)
+        path.append(step)
     if k:
-        cliques.append(tau)
-    return tuple(reversed(cliques))
+        path.append(mask_of(tau))
+    return path[::-1]
 
 
 def normal_clique_path(g, tau, sigma):
@@ -136,7 +147,7 @@ def normal_clique_path(g, tau, sigma):
     k = uniform_distance(g, tau, sigma)
     if k is None:
         raise ValidationError("cliques are not at uniform distance")
-    return CliquePath(_clique_path(g, tau, sigma, k))
+    return CliquePath(tuple(tuple(bits(c)) for c in _clique_path(g, tau, sigma, k)))
 
 
 def verify_normal_clique_path(g, path):
@@ -167,31 +178,41 @@ def verify_normal_clique_path(g, path):
     return True
 
 
-def _steps(g, t, s, imprint=None):
-    """Level masks L_0..L_k of the normal (t, s)-paths, and the step mask of
-    every member of L_1..L_k: its imprint toward t, or {t} at distance 1.
+def _steps(g, t, s, links=None):
+    """Level masks L_0..L_k of the normal (t, s)-paths, from the t end.
 
     L_k = {s} and each lower level is the union of the steps of the level
-    above.  Every level member extends both ways, so the levels are exactly
-    the vertices at each position of some normal path.  Unchecked input;
-    steps by `imprint` (default `imprint_mask`).
+    above: a member v of L_i steps to its imprint toward t for i >= 2, and
+    to {t} for i = 1.  Every level member extends both ways, so the levels
+    are exactly the vertices at each position of some normal path.
+    Unchecked input.  `links`, a dict that calls may share, holds the step
+    of each member v as the link ((t,), {v}) of `_clique_path`, and each
+    level as a link (t, L_i) -> L_(i-1), so a level already linked is
+    followed, not stepped again.
     """
-    imprint = imprint or imprint_mask
-    step = {}
-    levels = [1 << s]
+    links = {} if links is None else links
+    tau, levels = (t,), [1 << s]
     for i in range(g.dist(t, s), 0, -1):
-        below = 0
-        for v in bits(levels[-1]):
-            step[v] = imprint(g, (t,), (v,)) if i > 1 else 1 << t
-            below |= step[v]
+        key = (t, levels[-1])
+        below = links.get(key)
+        if below is None:
+            below = 0
+            for v in bits(levels[-1]):
+                vkey = (tau, 1 << v)
+                step = links.get(vkey)
+                if step is None:
+                    step = links[vkey] = imprint_mask(g, tau, (v,)) if i > 1 else 1 << t
+                below |= step
+            links[key] = below
         levels.append(below)
-    return levels[::-1], step
+    return levels[::-1]
 
 
 def normal_paths(g, t, s, cap=100000):
     """All normal (t,s)-paths, lexicographically sorted."""
     _vertices(g, (t, s), "pair")
-    _, step = _steps(g, t, s)
+    links, tau = {}, (t,)
+    step = {v: links[tau, 1 << v] for level in _steps(g, t, s, links)[1:] for v in bits(level)}
     paths = [(s,)]
     for _ in range(g.dist(t, s)):
         if sum(step[p[-1]].bit_count() for p in paths) > cap:
@@ -241,8 +262,11 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     attaining the maxima.
 
     Paths toward one target a step by imprints toward {a} and share their
-    tails, so all of them read one memo of imprints keyed by (target,
-    sigma).  Each endpoint pair is built once, in the order a per-tuple loop
+    tails, so all of them follow one dict of links: ((a,), clique) -> its
+    imprint for clique-paths and vertex steps, and (a, level) -> the level
+    below for level sets.  A path imprints only the cliques and levels not
+    yet linked, and is built as masks; each distinct mask becomes a vertex
+    set once.  Each endpoint pair is built once, in the order a per-tuple loop
     meets it (clique-paths (p,s), (q,t), then levels (p,s), (q,t)), so a
     non-Helly graph raises the same first exception.  Then each vertex set
     becomes a row of its members, padded by repeating the first, and each
@@ -269,16 +293,9 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     ends = np.array(close, dtype=np.min_scalar_type(g.n * g.n))
     pairs, first, pair_of = np.unique(ends[indices // n] * g.n + ends[indices % n],
                                       return_index=True, return_inverse=True)
-    memo = {}
-
-    def imprint(g, tau, sigma):
-        m = memo.get((tau, sigma))
-        if m is None:
-            m = memo[tau, sigma] = imprint_mask(g, tau, sigma)
-        return m
-
-    builders = (lambda a, b: _clique_path(g, (a,), (b,), g.dist(a, b), imprint),
-                lambda a, b: [tuple(bits(m)) for m in _steps(g, a, b, imprint)[0]])
+    links = {}
+    builders = (lambda a, b: _clique_path(g, (a,), (b,), g.dist(a, b), links),
+                lambda a, b: _steps(g, a, b, links))
     set_id, paths = {}, ([None] * len(pairs), [None] * len(pairs))
     # pairs by first use; positions 2i and 2i + 1 of the keys are tuple i's
     order = np.argsort(first).tolist()
@@ -287,9 +304,11 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
         for build, rows in zip(builders, paths):
             for r, a, b in fresh:
                 rows[r] = [set_id.setdefault(c, len(set_id)) for c in build(a, b)]
-    sizes = np.array([len(c) for c in set_id])
+    links.clear()  # about one entry per step built; freed before the numpy blocks
+    sets = [tuple(bits(c)) for c in set_id]
+    sizes = np.array([len(c) for c in sets])
     wide = sizes.max()
-    members = np.array([c + c[:1] * (wide - len(c)) for c in set_id], dtype=np.int32)
+    members = np.array([c + c[:1] * (wide - len(c)) for c in sets], dtype=np.int32)
     # not np.unique, whose first plain call imports numpy.ma (about 1 MB)
     used = np.flatnonzero(np.bincount(members.ravel(), minlength=g.n))
     dist = np.array([g.dist_row(v) for v in used.tolist()], dtype=np.min_scalar_type(g.n))

@@ -165,6 +165,9 @@ def _cmd_gen(args):
 
 
 def _cmd_hyp(args):
+    for name, value in (("--cap", args.cap), ("--sample", args.sample)):
+        if value < 0:
+            raise ValidationError(f"{name} must be nonnegative, got {value}")
     g = _load_graph(args.graph)
     if g.n > args.cap:
         bound = geometry.hyperbolicity_sampled(g, samples=args.sample, seed=args.seed)

@@ -13,7 +13,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import InvariantViolation, ValidationError
-from .graphs import Graph, bits
+from .graphs import WM_BLOCK_CELLS, Graph
 from . import hull as hull_mod
 
 
@@ -227,18 +227,41 @@ class HyperbolicityResult:
 def hyperbolicity(g, cap=256):
     """Exact four-point hyperbolicity 2*delta with witness quadruple.
 
-    For a quadruple with pair sums S1 >= S2 >= S3 the value is S1 - S2,
-    and S1 - S2 <= 2*min(d(a,b), d(c,d)) when (a,b),(c,d) is the
-    largest-sum pairing; the same triangle-inequality argument bounds it
-    by twice each of the six distances.  Pairs (i,j) are visited by
-    decreasing d(i,j), each against every (k,l) at once in numpy, and the
-    sweep stops once 2*d(i,j) <= best: every quadruple not yet seen has all
-    its pairs at distance <= d(i,j).  This is the pair-ordering cutoff of
-    Cohen, Coudert and Lancin, "On computing the Gromov hyperbolicity"
-    (ACM JEA 2015).  Worst case (trees, where best stays 0) is still
-    O(n^4), so the vertex cap keeps runtimes at desk scale.  The witness is
-    the lexicographically least quadruple attaining the value, found by a
-    plain scan over quadruples whose six distances are all >= best/2.
+    For a quadruple with pair sums S1 >= S2 >= S3 the value is S1 - S2.  It
+    is at most twice each of the six distances: with S1 = d(a,b) + d(c,d),
+    d(a,b) <= d(a,c) + d(c,d) + d(d,b) gives S1 - S2 <= 2*d(c,d), and so on.
+    A quadruple with a repeated vertex has two equal largest sums, value 0.
+
+    Far-apart pairs.  A pair (x, y) is far-apart when no neighbour of x is
+    farther from y and no neighbour of y is farther from x.  Some quadruple
+    made of two far-apart pairs attains 2*delta (Soto's far-apart lemma,
+    PhD thesis 2011): take one attaining it, with S1 = d(a,b) + d(c,d).  If
+    a neighbour a' of a has d(a',b) = d(a,b) + 1, replacing a by a' raises
+    S1 by 1 and each other sum by at most 1, so S1 stays the largest and the
+    value does not drop.  As d(a,b) grows, repeating this ends with (a,b),
+    and likewise (c,d), far-apart; for 2*delta > 0 no step repeats a vertex,
+    since that would give value 0.  With M[x] the elementwise max of the
+    rows D[x'] over the neighbours x' of x, padded with x itself (harmless,
+    as D[x,y] <= D[x,y]), the far-apart mask is (M <= D) & (M.T <= D).
+
+    Sweep.  The far-apart pairs are sorted by decreasing distance, and the
+    pair at position p, as the outer pair, is scored against the inner pairs
+    at positions p, p+1, ... in numpy blocks of outer pairs of at most
+    `WM_BLOCK_CELLS` cells.  A quadruple of two far-apart pairs is scored
+    when its earlier pair is the outer one.  Every score is the value of a
+    real quadruple, so none exceeds 2*delta.  The sweep stops once
+    2*d(i,j) <= best: every quadruple of two far-apart pairs not yet scored
+    has both pairs at distance <= d(i,j).  This is the pair-ordering cutoff
+    of Cohen, Coudert and Lancin, "On computing the Gromov hyperbolicity"
+    (ACM JEA 2015), who also restrict it to far-apart pairs.  Distances are
+    kept in the smallest signed dtype that holds 6*diameter, the largest
+    intermediate sum (int16 at most under the default cap).  A tree has
+    2*delta = 0 and never reaches the cutoff, but its far-apart pairs are
+    only its leaf pairs.  The vertex cap keeps the worst case, dense graphs
+    with 2*delta = 0, at desk scale.
+
+    The witness is the lexicographically least quadruple attaining the
+    value among all quadruples, see `_least_quadruple`.
     """
     n = g.n
     if n > cap:
@@ -246,46 +269,67 @@ def hyperbolicity(g, cap=256):
     if n < 4:
         return HyperbolicityResult(0, tuple(range(min(n, 4))))
     rows = [g.dist_row(u) for u in range(n)]
-    d = np.array(rows, dtype=np.int64)
-    pairs = sorted(((i, j) for i in range(n) for j in range(i + 1, n)),
-                   key=lambda p: -rows[p[0]][p[1]])
-    best = 0
-    for i, j in pairs:
-        dij = rows[i][j]
-        if 2 * dij <= best:
-            break
-        s1 = d + dij                     # d(i,j) + d(k,l)
-        s2 = np.add.outer(d[i], d[j])    # d(i,k) + d(j,l)
-        s3 = s2.T                        # d(i,l) + d(j,k)
-        hi = np.maximum(np.maximum(s1, s2), s3)
-        lo = np.minimum(np.minimum(s1, s2), s3)
-        m = int((2 * hi + lo - s1 - s2 - s3).max())  # hi - mid
-        if m > best:
-            best = m
-    return HyperbolicityResult(best, _least_quadruple(g, best))
+    d = np.array(rows, dtype=np.min_scalar_type(-6 * max(map(max, rows)) - 1))
+    pi, pj = _far_apart(g, d)
+    pd = d[pi, pj]
+    best, p, total = 0, 0, len(pd)
+    while p < total and 2 * int(pd[p]) > best:
+        q = p + max(1, WM_BLOCK_CELLS // (total - p))
+        i, j, k, l = pi[p:q, None], pj[p:q, None], pi[None, p:], pj[None, p:]
+        s1 = pd[p:q, None] + pd[None, p:]
+        best = max(best, int(_four_point(s1, d[i, k] + d[j, l], d[i, l] + d[j, k]).max()))
+        p = q
+    return HyperbolicityResult(best, _least_quadruple(d, best))
 
 
-def _least_quadruple(g, value):
-    """Lexicographically least quadruple whose four-point value is `value`.
+def _four_point(s1, s2, s3):
+    """Four-point values hi - mid of the pair sums s1, s2, s3, elementwise."""
+    hi = np.maximum(np.maximum(s1, s2), s3)
+    lo = np.minimum(np.minimum(s1, s2), s3)
+    return 2 * hi + lo - s1 - s2 - s3
+
+
+def _far_apart(g, d):
+    """Far-apart pairs i < j of g by decreasing distance, as two index
+    arrays; d is the distance table.
+
+    M[x] is the elementwise max of the rows d[x'] over the neighbours x' of
+    x, taken one neighbour slot at a time with each list padded by x.
+    """
+    wide = max(map(len, g.adj))
+    nbrs = np.array([a + (x,) * (wide - len(a)) for x, a in enumerate(g.adj)])
+    m = d.copy()
+    for col in nbrs.T:
+        np.maximum(m, d[col], out=m)
+    pi, pj = np.nonzero(np.triu((m <= d) & (m.T <= d), 1))
+    order = np.argsort(-d[pi, pj], kind="stable")
+    return pi[order], pj[order]
+
+
+def _least_quadruple(d, value):
+    """Lexicographically least quadruple i < j < k < l of four-point value
+    `value`, over all quadruples; d is the distance table.
 
     A quadruple's value is at most twice each of its six distances, so only
-    vertices pairwise at distance >= value/2, outside each other's balls of
-    radius (value - 1) // 2, are combined.
+    vertices pairwise at distance >= value/2 are combined.  For each such
+    pair i < j in lexicographic order, every candidate (k, l) with
+    j < k < l is scored as one numpy block, and the first hit in row-major
+    order is the least (k, l).  So the first pair (i, j) with a hit gives
+    the least quadruple.
     """
-    n = g.n
-    rows = [g.dist_row(u) for u in range(n)]
-    far = [~g.ball_mask(u, (value - 1) // 2) & ((1 << n) - 1) for u in range(n)]
-    for i in range(n):
-        ri = rows[i]
-        for j in bits(far[i] >> (i + 1) << (i + 1)):
-            rj, dij = rows[j], ri[j]
-            fij = far[i] & far[j]
-            for k in bits(fij >> (j + 1) << (j + 1)):
-                rk = rows[k]
-                for l in bits(fij & far[k] >> (k + 1) << (k + 1)):
-                    s1, s2, s3 = dij + rk[l], ri[k] + rj[l], ri[l] + rj[k]
-                    if 2 * max(s1, s2, s3) + min(s1, s2, s3) - s1 - s2 - s3 == value:
-                        return (i, j, k, l)
+    ok = d >= (value + 1) // 2
+    upper = np.triu(ok, 1)
+    for i in range(len(d)):
+        for j in np.flatnonzero(upper[i]).tolist():
+            c = np.flatnonzero(ok[i, j + 1:] & ok[j, j + 1:]) + (j + 1)
+            if len(c) < 2:
+                continue
+            s2 = d[i, c][:, None] + d[j, c]
+            scores = _four_point(d[np.ix_(c, c)] + d[i, j], s2, s2.T)
+            hit = (scores == value) & upper[np.ix_(c, c)]
+            if hit.any():
+                k, l = divmod(int(hit.argmax()), len(c))
+                return (i, j, int(c[k]), int(c[l]))
     raise InvariantViolation(f"no quadruple attains four-point value {value}")
 
 
@@ -306,6 +350,8 @@ def hyperbolicity_sampled(g, samples=100000, seed=0):
     For graphs beyond the exhaustive cap; the true value is at least the
     returned one.
     """
+    if samples < 0:
+        raise ValidationError(f"samples must be nonnegative, got {samples}")
     rng = random.Random(seed)
     best = 0
     for _ in range(samples):

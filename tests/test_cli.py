@@ -242,6 +242,9 @@ def test_bicombing_pair_out_of_range(graph_file, pair):
      '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
     (["check", "{}"], b"\xff\xfe{}"),
     (["gen", "hypercube", "-1"], None),
+    (["hyp", "{}", "--cap", "10", "--sample", "-3"], '{"n": 12, "edges": %s}'
+     % [[i, i + 1] for i in range(11)]),
+    (["hyp", "{}", "--cap", "-1"], '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
 ])
 def test_malformed_input_is_refused(tmp_path, argv, text):
     if text is not None:

@@ -111,6 +111,8 @@ def test_hyperbolicity_sampled_is_lower_bound():
     sampled = geometry.hyperbolicity_sampled(g, samples=4000, seed=1)
     assert 0 <= sampled <= exact
     assert geometry.hyperbolicity_sampled(g, samples=4000, seed=1) == sampled
+    with pytest.raises(ValidationError):
+        geometry.hyperbolicity_sampled(g, samples=-1)
 
 
 def test_z3_counterexample():

@@ -4,6 +4,7 @@ import random
 from dataclasses import astuple
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -254,6 +255,57 @@ def four_point(d, q):
     return s[2] - s[1]
 
 
+def plain_hyperbolicity(g):
+    """The sweep of `geometry.hyperbolicity` over all pairs by decreasing
+    distance, each against every (k, l), with its plain witness scan: the
+    version before the far-apart reduction, kept as an oracle."""
+    n = g.n
+    if n < 4:
+        return geometry.HyperbolicityResult(0, tuple(range(min(n, 4))))
+    rows = [g.dist_row(u) for u in range(n)]
+    d = np.array(rows, dtype=np.int64)
+    pairs = sorted(((i, j) for i in range(n) for j in range(i + 1, n)),
+                   key=lambda p: -rows[p[0]][p[1]])
+    best = 0
+    for i, j in pairs:
+        dij = rows[i][j]
+        if 2 * dij <= best:
+            break
+        s1 = d + dij                     # d(i,j) + d(k,l)
+        s2 = np.add.outer(d[i], d[j])    # d(i,k) + d(j,l)
+        s3 = s2.T                        # d(i,l) + d(j,k)
+        hi = np.maximum(np.maximum(s1, s2), s3)
+        lo = np.minimum(np.minimum(s1, s2), s3)
+        m = int((2 * hi + lo - s1 - s2 - s3).max())  # hi - mid
+        if m > best:
+            best = m
+    return geometry.HyperbolicityResult(best, plain_least_quadruple(g, best))
+
+
+def plain_least_quadruple(g, value):
+    """Lexicographically least quadruple whose four-point value is `value`.
+
+    A quadruple's value is at most twice each of its six distances, so only
+    vertices pairwise at distance >= value/2, outside each other's balls of
+    radius (value - 1) // 2, are combined.
+    """
+    n = g.n
+    rows = [g.dist_row(u) for u in range(n)]
+    far = [~g.ball_mask(u, (value - 1) // 2) & ((1 << n) - 1) for u in range(n)]
+    for i in range(n):
+        ri = rows[i]
+        for j in bits(far[i] >> (i + 1) << (i + 1)):
+            rj, dij = rows[j], ri[j]
+            fij = far[i] & far[j]
+            for k in bits(fij >> (j + 1) << (j + 1)):
+                rk = rows[k]
+                for l in bits(fij & far[k] >> (k + 1) << (k + 1)):
+                    s1, s2, s3 = dij + rk[l], ri[k] + rj[l], ri[l] + rj[k]
+                    if 2 * max(s1, s2, s3) + min(s1, s2, s3) - s1 - s2 - s3 == value:
+                        return (i, j, k, l)
+    raise InvariantViolation(f"no quadruple attains four-point value {value}")
+
+
 def unit_ball_hypergraph(g):
     return Hypergraph.of(g.n, [tuple(v for v in range(g.n) if g.dist(c, v) <= 1)
                                for c in range(g.n)])
@@ -298,6 +350,25 @@ def test_hyperbolicity_matches_oracle_and_lex_least_witness(g):
         first = next(q for q in combinations(range(g.n), 4)
                      if four_point(d, q) == res.two_delta)
         assert res.witness == first
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(min_n=20, max_n=60))
+def test_hyperbolicity_on_far_apart_pairs_matches_pair_ordered_sweep(g):
+    assert geometry.hyperbolicity(g) == plain_hyperbolicity(g)
+
+
+@pytest.mark.parametrize("g", [geometry.path_graph(2), geometry.path_graph(9),
+                               geometry.star_graph(5)]
+                         + [geometry.random_tree(n, seed) for n, seed in
+                            ((12, 1), (40, 2), (100, 3))])
+def test_far_apart_pairs_of_a_tree_are_its_leaf_pairs(g):
+    d = np.array([g.dist_row(u) for u in range(g.n)])
+    leaves = [v for v in range(g.n) if len(g.adj[v]) == 1]
+    pairs = list(zip(*(a.tolist() for a in geometry._far_apart(g, d))))
+    assert sorted(pairs) == list(combinations(leaves, 2))
+    assert [g.dist(i, j) for i, j in pairs] == sorted((g.dist(i, j) for i, j in pairs),
+                                                      reverse=True)
 
 
 @SETTINGS
@@ -630,5 +701,5 @@ def test_normal_paths_are_the_normal_geodesics_and_fill_the_levels(g, data):
     paths = normal_paths(g, t, s)
     assert paths == sorted(p for p in geodesics(g, t, s) if is_normal_path(g, p))
     levels = plain_level_sets(g, t, s)
-    assert [tuple(bits(m)) for m in _steps(g, t, s)[0]] == levels
+    assert [tuple(bits(m)) for m in _steps(g, t, s)] == levels
     assert [tuple(sorted({p[i] for p in paths})) for i in range(len(levels))] == levels
