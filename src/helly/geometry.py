@@ -334,7 +334,11 @@ def _least_quadruple(d, value):
 
 
 def hyperbolicity_oracle(g):
-    """Plain-loop reference implementation for small graphs."""
+    """Plain-loop reference implementation for small graphs.
+
+    Oracle: tests check `hyperbolicity` against it, and the benchmark its
+    closed forms.
+    """
     n = g.n
     d = [g.dist_row(u) for u in range(n)]
     best = 0
@@ -365,7 +369,11 @@ def hyperbolicity_sampled(g, samples=100000, seed=0):
 def isometric_embedding_exists(g, pattern):
     """Backtracking search for an isometric copy of `pattern` inside g, on an
     explicit list of positions: each pattern vertex tries the vertices of g
-    in increasing order, and one with none left moves its predecessor on."""
+    in increasing order, and one with none left moves its predecessor on.
+
+    Oracle: tests use it to check that low-hyperbolicity Helly graphs hold
+    no isometric king patch.
+    """
     pn, gn = pattern.n, g.n
     if pn > gn:
         return False

@@ -148,11 +148,8 @@ class Graph:
     def dist(self, u, v):
         return self.dist_row(u)[v]
 
-    def eccentricity(self, u):
-        return max(self.dist_row(u))
-
     def diameter(self):
-        return max(self.eccentricity(u) for u in range(self.n))
+        return max(max(self.dist_row(u)) for u in range(self.n))
 
     def level_masks(self, u):
         """Masks of the spheres around u, indexed by distance."""
@@ -216,24 +213,6 @@ class Graph:
         return f"Graph(n={self.n}, m={sum(len(a) for a in self.adj) // 2})"
 
 
-def interval(g, u, v):
-    """Vertices metrically between u and v (always contains both)."""
-    return tuple(bits(g.interval_mask(u, v)))
-
-
-def ball(g, center, r):
-    """Union ball: vertices within distance r of the set `center`."""
-    if r < 0:
-        raise ValidationError("radius must be nonnegative")
-    vs = list(center)
-    if not vs:
-        raise ValidationError("center set must be nonempty")
-    m = 0
-    for v in vs:
-        m |= g.ball_mask(v, r)
-    return tuple(bits(m))
-
-
 def ball_star_mask(g, vertices, r):
     m = (1 << g.n) - 1
     for v in vertices:
@@ -241,14 +220,28 @@ def ball_star_mask(g, vertices, r):
     return m
 
 
-def ball_star(g, vertices, r):
-    """Intersection ball: vertices within distance r of every member."""
-    if r < 0:
-        raise ValidationError("radius must be nonnegative")
-    vs = list(vertices)
+def as_sequence(value, what):
+    """`value` as a tuple; a value that is not iterable is bad input."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, got {value!r}") from None
+
+
+def as_vertices(g, value, what):
+    """`value` as a tuple of vertices of g; anything else is bad input."""
+    vs = as_sequence(value, what)
+    if not all(isinstance(v, int) and 0 <= v < g.n for v in vs):
+        raise ValidationError(f"{what} {vs!r} has a vertex outside [0, {g.n})")
+    return vs
+
+
+def as_vertex_set(g, value, what):
+    """`value` as a sorted nonempty tuple of distinct vertices of g."""
+    vs = tuple(sorted(set(as_vertices(g, value, what))))
     if not vs:
-        raise ValidationError("vertex set must be nonempty")
-    return tuple(bits(ball_star_mask(g, vs, r)))
+        raise ValidationError(f"{what} must be nonempty")
+    return vs
 
 
 def is_gated(g, subset):
@@ -257,9 +250,7 @@ def is_gated(g, subset):
     On success the second component maps every outside vertex to its gate.
     On failure it is the first outside vertex with no gate.
     """
-    hs = sorted(set(subset))
-    if not hs:
-        raise ValidationError("subset must be nonempty")
+    hs = as_vertex_set(g, subset, "subset")
     hmask = mask_of(hs)
     gates = {}
     for x in range(g.n):
@@ -281,9 +272,7 @@ def is_gated(g, subset):
 
 def is_convex(g, subset):
     """True iff the set contains the interval between each of its pairs."""
-    vs = sorted(set(subset))
-    if not vs:
-        raise ValidationError("subset must be nonempty")
+    vs = as_vertex_set(g, subset, "subset")
     smask = mask_of(vs)
     for i, u in enumerate(vs):
         for v in vs[i + 1:]:
@@ -467,12 +456,6 @@ class MetricTriangle:
 
     def vertices(self):
         return (self.v1, self.v2, self.v3)
-
-
-def is_metric_triangle(g, a, b, c):
-    """Pairwise intervals meet only at the shared endpoints."""
-    iab, ibc, ica = g.interval_mask(a, b), g.interval_mask(b, c), g.interval_mask(c, a)
-    return (iab & ica == 1 << a) and (iab & ibc == 1 << b) and (ibc & ica == 1 << c)
 
 
 def quasi_median(g, x, y, z):

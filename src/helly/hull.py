@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
                      int_lists, json_object)
-from .graphs import WM_BLOCK_CELLS, Graph, mask_of
+from .graphs import WM_BLOCK_CELLS, Graph, as_vertices, mask_of
 
 
 def _form_cap():
@@ -103,32 +103,6 @@ def is_extremal(m, f):
         if all(fx + f[y] > dx[y] for y in range(m.n)):
             return False
     return True
-
-
-def extremalize(m, f):
-    """Extremal minorant of a metric form.
-
-    Repeatedly decrements the smallest-index coordinate that still admits a
-    decrement; any extremal form below the input serves, so the coordinate
-    order is a determinism choice, not a correctness one.
-    """
-    if not is_metric_form(m, f):
-        raise ValidationError("not a metric form")
-    g = list(f)
-    n = m.n
-    while True:
-        for x in range(n):
-            dx = m.d[x]
-            if g[x] >= 1 and all(g[x] - 1 + g[y] >= dx[y] for y in range(n) if y != x):
-                g[x] -= 1
-                break
-        else:
-            break
-    return tuple(g)
-
-
-def kuratowski_form(m, x):
-    return tuple(m.d[x])
 
 
 def _unit_neighbors(m, f):
@@ -218,9 +192,6 @@ class HullGraph:
     graph: Graph     # edges at sup-distance 1, vertex i = forms[i]
     embed: tuple     # embed[x] = index of d(x, .) in forms
 
-    def form_index(self, f):
-        return self.forms.index(tuple(f))
-
 
 def sup_distance(f, g):
     return max(abs(a - b) for a, b in zip(f, g))
@@ -238,9 +209,8 @@ def hellyfication(m, cap=None):
     cap = _form_cap() if cap is None else cap
     if isinstance(m, Graph):
         m = FiniteMetric.of_graph(m)
-    seeds = [kuratowski_form(m, x) for x in range(m.n)]
-    seen = set(seeds)
-    frontier = list(dict.fromkeys(seeds))
+    frontier = list(m.d)  # the distance-row forms d(x, .), distinct as d(x, x) = 0 < d(y, x)
+    seen = set(frontier)
     nbrs = {}  # form -> its sorted unit neighbours
     while frontier:
         nxt = []
@@ -258,7 +228,7 @@ def hellyfication(m, cap=None):
     index = {f: i for i, f in enumerate(forms)}
     edges = [(i, index[g]) for i, f in enumerate(forms) for g in nbrs[f] if f < g]
     graph = Graph(len(forms), edges)
-    embed = tuple(index[kuratowski_form(m, x)] for x in range(m.n))
+    embed = tuple(index[row] for row in m.d)
     hg = HullGraph(m, forms, graph, embed)
     _validate_hull(hg)
     return hg
@@ -377,14 +347,12 @@ def coarse_helly_defect(g, centers, radii, require_pairwise=True):
     the flag exists because the classical unbounded-defect grid families are
     stated with radii below the pairwise-intersection threshold.
     """
-    centers = list(centers)
+    centers = as_vertices(g, centers, "centers")
     radii = list(radii)
     if len(centers) != len(radii) or not centers:
         raise ValidationError("need equally many centers and radii, at least one")
     if any(r < 0 for r in radii):
         raise ValidationError("radii must be nonnegative")
-    if not all(0 <= c < g.n for c in centers):
-        raise ValidationError(f"centers must lie in [0, {g.n}), got {centers}")
     rows = [g.dist_row(c) for c in centers]
     if require_pairwise:
         for i, j in combinations(range(len(centers)), 2):

@@ -44,12 +44,6 @@ class Hypergraph:
     def edge_masks(self):
         return [mask_of(e) for e in self.edges]
 
-    def covered_vertices(self):
-        m = 0
-        for e in self.edge_masks():
-            m |= e
-        return tuple(bits(m))
-
 
 def simplify(h):
     """Drop edges contained in another edge (and duplicates)."""
@@ -69,11 +63,7 @@ def simplify(h):
 
 
 def dual(h):
-    """Dual hypergraph: one vertex per edge, one edge S_v per covered vertex.
-
-    Vertices of h lying in no edge contribute no dual edge; they are
-    reported by `uncovered_vertices`.
-    """
+    """Dual hypergraph: one vertex per edge, one edge S_v per covered vertex."""
     masks = h.edge_masks()
     star_edges = []
     for v in range(h.n):
@@ -81,11 +71,6 @@ def dual(h):
         if star:
             star_edges.append(star)
     return Hypergraph(len(h.edges), tuple(star_edges))
-
-
-def uncovered_vertices(h):
-    covered = mask_of(h.covered_vertices())
-    return tuple(v for v in range(h.n) if not (covered >> v) & 1)
 
 
 def two_section_masks(h):
@@ -97,19 +82,24 @@ def two_section_masks(h):
     return nbr
 
 
-def _mask_graph(nbr):
-    """Graph with adjacency masks `nbr`; raises if disconnected."""
-    return Graph(len(nbr), [(u, v) for u, m in enumerate(nbr) for v in bits(m) if u < v])
+def _section_cliques(h):
+    """Maximal cliques, as masks, of the 2-section on the covered vertices.
 
-
-def two_section(h):
-    """2-section as a Graph; raises if disconnected (metric use only)."""
-    return _mask_graph(two_section_masks(h))
+    A vertex in no edge is isolated in the 2-section and would add only its
+    own singleton clique; with no vertex covered there is no clique at all,
+    not the empty one.  Every other maximal clique meets the covered set
+    and so lies inside it.
+    """
+    covered = 0
+    for m in h.edge_masks():
+        covered |= m
+    return [c for c in maximal_clique_masks(two_section_masks(h)) if c & covered]
 
 
 def line_graph(h):
-    """Intersection graph of the edges; equals the 2-section of the dual."""
-    return _mask_graph(_line_masks(h.edge_masks()))
+    """Intersection graph of the edges (the 2-section of the dual); raises if disconnected."""
+    nbr = _line_masks(h.edge_masks())
+    return Graph(len(nbr), [(u, v) for u, m in enumerate(nbr) for v in bits(m) if u < v])
 
 
 def helly_property(h):
@@ -222,16 +212,8 @@ def is_conformal_certified(h):
 
 def is_conformal_via_cliques(h):
     """Oracle route: every maximal clique of the 2-section lies in an edge."""
-    nbr = two_section_masks(h)
     masks = h.edge_masks()
-    isolated = [v for v in range(h.n) if nbr[v] == 0 and not any((m >> v) & 1 for m in masks)]
-    skip = mask_of(isolated)
-    for clique in maximal_clique_masks(nbr):
-        if clique & skip:
-            continue  # vertices in no edge form spurious singleton cliques
-        if not any(m & clique == clique for m in masks):
-            return False
-    return True
+    return all(any(m & c == c for m in masks) for c in _section_cliques(h))
 
 
 def is_triangle_free_hypergraph(h):
@@ -256,7 +238,10 @@ def is_triangle_free_hypergraph(h):
 
 
 def strong_gilmore(h):
-    """Gilmore with the witness forced among the three edges themselves."""
+    """Gilmore with the witness forced among the three edges themselves.
+
+    Oracle: tests check `is_triangle_free_hypergraph` against it.
+    """
     masks = h.edge_masks()
     for i, j, k in combinations(range(len(masks)), 3):
         need = (masks[i] & masks[j]) | (masks[i] & masks[k]) | (masks[j] & masks[k])
@@ -267,12 +252,8 @@ def strong_gilmore(h):
 
 def conformal_closure(h):
     """Add every maximal clique of the 2-section as an edge (same 2-section)."""
-    nbr = two_section_masks(h)
-    cliques = {tuple(bits(m)) for m in maximal_clique_masks(nbr) if m}
-    covered = set(h.covered_vertices())
-    cliques = {c for c in cliques if set(c) <= covered}
-    merged = sorted(set(h.edges) | cliques)
-    return Hypergraph(h.n, tuple(merged))
+    cliques = {tuple(bits(c)) for c in _section_cliques(h)}
+    return Hypergraph(h.n, tuple(sorted(set(h.edges) | cliques)))
 
 
 def hellyfication_hypergraph(h):
@@ -282,18 +263,7 @@ def hellyfication_hypergraph(h):
     maximal cliques of the line graph with empty intersection; witnesses are
     numbered n, n+1, ... in lexicographic order of the sorted edge-index sets.
     """
-    masks = h.edge_masks()
-    bad = []
-    for fam in maximal_clique_masks(_line_masks(masks)):
-        idxs = tuple(bits(fam))
-        if len(idxs) < 2:
-            continue
-        cap = masks[idxs[0]]
-        for i in idxs[1:]:
-            cap &= masks[i]
-        if cap == 0:
-            bad.append(idxs)
-    bad.sort()
+    bad = sorted(tuple(bits(fam)) for fam in _empty_families(h.edge_masks()))
     new_edges = [list(e) for e in h.edges]
     next_id = h.n
     for fam in bad:
@@ -312,6 +282,23 @@ def _line_masks(edge_masks):
             nbr[i] |= 1 << j
             nbr[j] |= 1 << i
     return nbr
+
+
+def _empty_families(masks):
+    """Maximal pairwise-intersecting families of the nonempty `masks` with
+    an empty intersection, each as a mask of member indices.
+
+    They are the maximal cliques of the intersection graph whose members
+    share no vertex; a family of one member meets in that member.
+    """
+    out = []
+    for fam in maximal_clique_masks(_line_masks(masks)):
+        cap = -1
+        for i in bits(fam):
+            cap &= masks[i]
+        if cap == 0:
+            out.append(fam)
+    return out
 
 
 # -- abstract cell complexes --------------------------------------------------
@@ -443,8 +430,3 @@ def check_cell_conditions(x):
             break
 
     return CellConditionReport(three_cell, gmc, helly3, witnesses)
-
-
-def cell_hypergraph(x):
-    """Nonempty cells as a hypergraph over the complex's vertices."""
-    return Hypergraph.of(x.n, [c for c in x.cells if c])

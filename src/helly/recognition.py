@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env
-from .graphs import bits, maximal_clique_masks, weak_modularity
+from .graphs import as_vertex_set, bits, maximal_clique_masks, weak_modularity
 from . import hypergraphs
 
 
@@ -105,6 +105,8 @@ def helly_by_ball_hypergraph(g):
     For a vertex pair x,y the intersection of all balls containing both is
     cap over v of B_{max(d(v,x),d(v,y))}(v); triples then reduce to three
     mask ANDs.  Every pair lies in some ball, so no triple is pruned.
+
+    Oracle: tests check `is_helly` and `is_one_helly` against it.
     """
     n = g.n
     rows = [g.dist_row(v) for v in range(n)]
@@ -133,19 +135,10 @@ def helly_by_ball_oracle(g):
         raise ValidationError("ball-family oracle is for n <= 10")
     diam = g.diameter()
     ball_list = sorted({g.ball_mask(v, r) for v in range(g.n) for r in range(diam + 1)})
-    k = len(ball_list)
-    if k <= 16:
+    if len(ball_list) <= 16:
         return hypergraphs.helly_property_oracle(
             hypergraphs.Hypergraph(g.n, tuple(tuple(bits(m)) for m in ball_list)))
-    for fam in maximal_clique_masks(hypergraphs._line_masks(ball_list)):
-        if fam.bit_count() < 2:
-            continue
-        cap = (1 << g.n) - 1
-        for i in bits(fam):
-            cap &= ball_list[i]
-        if cap == 0:
-            return False
-    return True
+    return not hypergraphs._empty_families(ball_list)
 
 
 @dataclass(frozen=True)
@@ -215,10 +208,6 @@ def _backtracking_dismantlable(g, live, _memo=None):
         _memo[live] = any(_backtracking_dismantlable(g, live & ~(1 << v), _memo)
                           for v, _ in _dominated(g, live))
     return _memo[live]
-
-
-def is_dismantlable(g):
-    return isinstance(dismantling_order(g), DismantlingOrder)
 
 
 @dataclass(frozen=True)
@@ -321,9 +310,7 @@ def dominating_clique(g, subset):
     Maximal cliques are scanned first; the full (size, lex)-ordered clique
     stream is the fallback, so the returned clique is deterministic.
     """
-    vs = sorted(set(subset))
-    if not vs:
-        raise ValidationError("subset must be nonempty")
+    vs = as_vertex_set(g, subset, "subset")
 
     def dominates(clique):
         cover = 0

@@ -5,11 +5,13 @@ from itertools import combinations
 import pytest
 
 from helly import constructions, geometry, hull
+from helly.bicombing import imprint
 from helly.errors import ValidationError
-from helly.graphs import (Graph, ball, ball_star, interval,
-                          is_convex, is_gated, is_isometric_embedding,
-                          is_metric_triangle, is_pseudo_modular, quasi_median,
-                          weak_modularity)
+from helly.graphs import (Graph, ball_star_mask, bits, is_convex, is_gated,
+                          is_isometric_embedding, is_pseudo_modular, mask_of,
+                          quasi_median, weak_modularity)
+from helly.hull import coarse_helly_defect
+from helly.recognition import dominating_clique
 
 from conftest import random_graphs
 
@@ -49,9 +51,9 @@ def test_a_new_graph_caches_no_ball_list():
 
 
 def test_interval_examples():
-    assert interval(geometry.cycle_graph(4), 0, 2) == (0, 1, 2, 3)
-    assert interval(geometry.path_graph(5), 0, 4) == (0, 1, 2, 3, 4)
-    assert interval(geometry.cycle_graph(5), 0, 2) == (0, 1, 2)
+    assert geometry.cycle_graph(4).interval_mask(0, 2) == mask_of((0, 1, 2, 3))
+    assert geometry.path_graph(5).interval_mask(0, 4) == mask_of((0, 1, 2, 3, 4))
+    assert geometry.cycle_graph(5).interval_mask(0, 2) == mask_of((0, 1, 2))
 
 
 def test_interval_endpoints_and_edges(corpus):
@@ -59,19 +61,19 @@ def test_interval_endpoints_and_edges(corpus):
     for g in [corpus["king4x4"], corpus["c7"], corpus["rand9b"], corpus["sun3"]]:
         for _ in range(30):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
-            iv = interval(g, u, v)
-            assert u in iv and v in iv
+            iv = g.interval_mask(u, v)
+            assert iv >> u & 1 and iv >> v & 1
             if g.dist(u, v) == 1:
-                assert len(iv) == 2
+                assert iv.bit_count() == 2
 
 
 def test_ball_examples():
     c6 = geometry.cycle_graph(6)
-    assert ball(c6, [0], 1) == (0, 1, 5)
-    assert ball_star(c6, [0, 3], 2) == (1, 2, 4, 5)
-    assert ball(c6, [2], c6.diameter()) == tuple(range(6))
-    assert ball_star(c6, [0], 0) == (0,)
-    assert ball_star(c6, [0, 1], 0) == ()
+    assert c6.ball_mask(0, 1) == mask_of((0, 1, 5))
+    assert ball_star_mask(c6, [0, 3], 2) == mask_of((1, 2, 4, 5))
+    assert c6.ball_mask(2, c6.diameter()) == mask_of(range(6))
+    assert ball_star_mask(c6, [0], 0) == mask_of((0,))
+    assert ball_star_mask(c6, [0, 1], 0) == 0
 
 
 def test_gated_examples():
@@ -102,6 +104,17 @@ def test_gated_implies_convex(corpus):
                 assert is_convex(g, subset)
 
 
+@pytest.mark.parametrize("check", [
+    is_gated, is_convex, dominating_clique,
+    pytest.param(lambda g, vs: imprint(g, vs, [0]), id="imprint"),
+    pytest.param(lambda g, vs: coarse_helly_defect(g, vs, [1] * len(vs)), id="coarse_helly_defect"),
+])
+@pytest.mark.parametrize("vertices", [[99], [-1], []])
+def test_vertex_lists_outside_the_graph_or_empty_are_refused(check, vertices):
+    with pytest.raises(ValidationError):
+        check(geometry.king_graph(3, 3), vertices)
+
+
 def test_convexity_examples():
     assert is_convex(geometry.cycle_graph(5), [3])
     assert not is_convex(geometry.cycle_graph(4), [0, 2])
@@ -112,7 +125,7 @@ def test_balls_around_convex_sets_convex_in_systolic_graphs():
     for g in [geometry.t3_patch(2)[0], geometry.random_tree(14, 3), geometry.complete_graph(5)]:
         for v in range(g.n):
             for r in range(g.diameter() + 1):
-                assert is_convex(g, ball(g, [v], r))
+                assert is_convex(g, bits(g.ball_mask(v, r)))
 
 
 def test_weak_modularity_examples():
@@ -166,7 +179,9 @@ def test_quasi_median_is_metric_triangle_and_equilateral_when_weakly_modular(cor
             x, y, z = (rng.randrange(g.n) for _ in range(3))
             qm = quasi_median(g, x, y, z)
             v1, v2, v3 = qm.vertices()
-            assert is_metric_triangle(g, v1, v2, v3)
+            # a metric triangle: pairwise intervals meet only at shared ends
+            a, b, c = g.interval_mask(v1, v2), g.interval_mask(v2, v3), g.interval_mask(v3, v1)
+            assert a & c == 1 << v1 and a & b == 1 << v2 and b & c == 1 << v3
             # the defining metric equalities of a quasi-median
             assert g.dist(x, y) == g.dist(x, v1) + g.dist(v1, v2) + g.dist(v2, y)
             assert g.dist(y, z) == g.dist(y, v2) + g.dist(v2, v3) + g.dist(v3, z)
@@ -202,5 +217,5 @@ def test_random_graph_interval_properties():
     for g in random_graphs(25, 9, seed=77):
         for u in range(g.n):
             for v in range(g.n):
-                iv = interval(g, u, v)
-                assert u in iv and v in iv
+                iv = g.interval_mask(u, v)
+                assert iv >> u & 1 and iv >> v & 1

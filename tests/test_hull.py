@@ -11,8 +11,8 @@ from helly.errors import InvariantViolation, ValidationError
 from helly.graphs import Graph
 from helly.hull import (FiniteMetric, _validate_hull, coarse_helly_defect,
                         dress_distance_identity_check, enumerate_extremal_forms,
-                        extremalize, hellyfication, hull_distance_profile,
-                        is_extremal, kuratowski_form, sup_distance)
+                        hellyfication, hull_distance_profile, is_extremal,
+                        sup_distance)
 
 from conftest import random_graphs
 
@@ -24,24 +24,11 @@ def metric_of(g):
 def test_is_extremal_examples():
     m = metric_of(geometry.cycle_graph(6))
     for x in range(6):
-        assert is_extremal(m, kuratowski_form(m, x))
+        assert is_extremal(m, m.d[x])
     assert not is_extremal(m, (3,) * 6)
     assert is_extremal(m, (1, 2, 1, 2, 1, 2))
     with pytest.raises(ValidationError):
         is_extremal(m, (0, 0, 0, 0, 0, 0))
-
-
-def test_extremalize():
-    m = metric_of(geometry.cycle_graph(6))
-    f = (1, 2, 1, 2, 1, 2)
-    assert extremalize(m, f) == f
-    g = extremalize(m, (3,) * 6)
-    assert is_extremal(m, g) and all(a <= 3 for a in g)
-    e0 = kuratowski_form(m, 0)
-    above = tuple(v + 1 for v in e0)
-    dominated = extremalize(m, above)
-    assert is_extremal(m, dominated)
-    assert all(a <= b for a, b in zip(dominated, above))
 
 
 def test_hull_of_helly_graph_is_the_graph(corpus):
@@ -89,7 +76,7 @@ def test_hull_validation_invariants(small_corpus):
         for f in hg.forms:
             assert all(f[x] <= bound[x] for x in range(m.n)), name
             for x in range(m.n):
-                assert f[x] == sup_distance(f, kuratowski_form(m, x))
+                assert f[x] == sup_distance(f, m.d[x])
                 assert all(f[x] + m.d[x][y] >= f[y] for y in range(m.n))
 
 

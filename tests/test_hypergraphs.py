@@ -5,14 +5,12 @@ import pytest
 
 from helly import geometry, hypergraphs as hgm, recognition
 from helly.errors import ValidationError
-from helly.hypergraphs import (CellComplex, Hypergraph, cell_hypergraph,
-                               check_cell_conditions, conformal_closure, dual,
-                               helly_property, helly_property_oracle,
-                               hellyfication_hypergraph, is_conformal,
-                               is_conformal_via_cliques,
+from helly.hypergraphs import (CellComplex, Hypergraph, check_cell_conditions,
+                               conformal_closure, dual, helly_property,
+                               helly_property_oracle, hellyfication_hypergraph,
+                               is_conformal, is_conformal_via_cliques,
                                is_triangle_free_hypergraph, line_graph,
-                               simplify, strong_gilmore,
-                               two_section, two_section_masks, uncovered_vertices)
+                               simplify, strong_gilmore, two_section_masks)
 
 from conftest import random_hypergraphs
 
@@ -41,10 +39,11 @@ def test_dual_examples():
     assert sorted(len(e) for e in dd.edges) == sorted(len(e) for e in c4_cliques.edges)
     assert helly_property(dd) == helly_property(c4_cliques)
 
+    # a vertex in no edge has no star: the dual of h2 drops vertex 2
     h = H(3, [(0, 1), (2,)])
-    assert uncovered_vertices(h) == ()
+    assert dual(h).edges == ((0,), (0,), (1,))
     h2 = H(3, [(0, 1)])
-    assert uncovered_vertices(h2) == (2,)
+    assert dual(h2).edges == ((0,), (0,))
     assert dual(h2).n == 1
 
 
@@ -64,9 +63,9 @@ def test_dual_of_triangle_free_is_triangle_free():
 
 def test_two_section_line_nerve():
     c4_edges = H(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert two_section(c4_edges) == geometry.cycle_graph(4)
+    assert two_section_masks(c4_edges) == geometry.cycle_graph(4).nbr_mask
     assert line_graph(c4_edges) == geometry.cycle_graph(4)
-    assert two_section(H(3, [(0, 1, 2)])) == geometry.complete_graph(3)
+    assert two_section_masks(H(3, [(0, 1, 2)])) == geometry.complete_graph(3).nbr_mask
 
 
 def test_line_graph_equals_two_section_of_dual():
@@ -121,7 +120,8 @@ def test_conformal_helly_duality(corpus):
 
 
 def test_conformal_gilmore_agrees_with_clique_oracle():
-    for h in random_hypergraphs(150, 7, 7, seed=55):
+    # the empty hypergraph has no clique to cover, not the empty one
+    for h in [H(0, ())] + random_hypergraphs(150, 7, 7, seed=55):
         assert is_conformal(h) == is_conformal_via_cliques(h)
 
 
@@ -132,12 +132,13 @@ def test_triangle_free_examples():
     # so it is triangle-free and its 2-section is clique-Helly
     h = H(6, [(0, 1, 2), (2, 3, 4), (4, 5)])
     assert is_triangle_free_hypergraph(h)
-    assert recognition.is_clique_helly(two_section(h))
+    # the 2-section of a hypergraph covering every vertex is its dual's line graph
+    assert recognition.is_clique_helly(line_graph(dual(h)))
     # adding an enclosing edge keeps it triangle-free (the big edge hosts
     # every 3-cycle it takes part in)
     h2 = H(6, [(0, 1, 2, 3, 4, 5), (0, 1, 2), (2, 3, 4)])
     assert is_triangle_free_hypergraph(h2)
-    assert recognition.is_clique_helly(two_section(h2))
+    assert recognition.is_clique_helly(line_graph(dual(h2)))
 
 
 def test_triangle_free_matches_strong_gilmore_and_implies_helly_conformal():
@@ -215,7 +216,7 @@ def test_clique_helly_conformal_equivalence_on_simplifications():
         if any(nbr[v] == 0 for v in range(h.n)):
             continue  # disconnected 2-section has no metric meaning
         try:
-            ts = two_section(h)
+            ts = line_graph(dual(h))  # the 2-section, as every vertex is covered
         except ValidationError:
             continue
         lhs = recognition.is_clique_helly(ts) and is_conformal(h)
@@ -255,15 +256,15 @@ def test_cell_conditions_flag_simplex():
     assert rep.three_cell and rep.gmc
     assert not rep.helly3
     assert rep.witnesses["helly3"] == ((0, 1), (0, 2), (1, 2))
-    assert is_conformal(cell_hypergraph(full_simplex_complex(4)))
+    assert is_conformal(H(4, [c for c in full_simplex_complex(4).cells if c]))
 
 
 def test_cell_conditions_cube_complex():
     x = cube_complex_q3()
     rep = check_cell_conditions(x)
     assert rep.all_hold
-    # all three conditions imply conformality of the cell hypergraph
-    assert is_conformal(cell_hypergraph(x))
+    # all three conditions imply conformality of the hypergraph of nonempty cells
+    assert is_conformal(H(x.n, [c for c in x.cells if c]))
 
 
 def test_cell_conditions_hollow_triangle():

@@ -638,6 +638,24 @@ def test_fellow_traveler_matches_plain_per_tuple_loop(g, data):
             rep.tuples_checked) == plain_fellow_traveler(g, budget, seed)
 
 
+@SETTINGS
+@given(graphs(), st.data())
+def test_imprints_of_cliques_are_cliques_one_step_closer_in_any_graph(g, data):
+    # the proof in `bicombing._clique_path` that lets the path build take
+    # each imprint as a clique unchecked, whether or not g is Helly
+    cliques = recognition.all_cliques(g)
+    tau = data.draw(st.sampled_from(cliques))
+    far = [c for c in cliques if max_distance(g, tau, c) >= 2]
+    if far:
+        sigma = data.draw(st.sampled_from(far))
+        try:
+            step = tuple(bits(bicombing.imprint_mask(g, tau, sigma)))
+        except HellyPreconditionError:
+            return
+        assert g.is_clique(step)
+        assert max_distance(g, tau, step) == max_distance(g, tau, sigma) - 1
+
+
 def checked(g, budget=None, seed=0):
     """`fellow_traveler_check` as the tuple `plain_fellow_traveler` returns."""
     return astuple(fellow_traveler_check(g, budget, seed))
