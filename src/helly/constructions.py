@@ -140,13 +140,24 @@ def sgp_build(desc, cap=200000):
     """The union-of-subproducts graph (vertices are coordinate tuples).
 
     A piece with more than `cap` vertices is refused before its vertex set
-    is built, and the union as soon as it grows past `cap`.  Piece
-    intersection via the agreement criterion is then asserted against the
-    direct vertex-set computation.  Returns (graph, coords, index).
+    is built.  So is a union that a lower bound puts past `cap`: pieces
+    pinned to distinct vertices of one factor are pairwise disjoint, so for
+    each factor the largest pieces pinned to each of its vertices add up to
+    at most the union size.  Any other union is refused as soon as it grows
+    past `cap`.  Piece intersection via the agreement criterion is then
+    asserted against the direct vertex-set computation.  Returns (graph,
+    coords, index).
     """
-    for piece in desc.pieces:
-        if prod(f.n for f, e in zip(desc.factors, piece) if e is FULL) > cap:
-            raise ResourceCapExceeded(f"SGP piece size exceeds cap {cap}")
+    sizes = [prod(f.n for f, e in zip(desc.factors, piece) if e is FULL) for piece in desc.pieces]
+    if max(sizes) > cap:
+        raise ResourceCapExceeded(f"SGP piece size exceeds cap {cap}")
+    for t in range(len(desc.factors)):
+        largest = {}
+        for piece, size in zip(desc.pieces, sizes):
+            if piece[t] is not FULL:
+                largest[piece[t]] = max(size, largest.get(piece[t], 0))
+        if sum(largest.values()) > cap:
+            raise ResourceCapExceeded(f"SGP size exceeds cap {cap}")
     vertex_sets, union = [], set()
     for i in range(len(desc.pieces)):
         vertex_sets.append(set(desc.piece_vertices(i)))

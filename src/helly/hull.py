@@ -9,8 +9,13 @@ neighbour search runs over M alone: a depth-first search on bitmasks that
 keeps only the branches where every coordinate can still be tight, with no
 3^n sweep.  It uses an explicit stack, so the number of points is not
 bounded by the recursion limit, and the neighbour lists it returns are the
-hull edges.  The result is checked against the definition on numpy blocks
-of forms.
+hull edges.  Each BFS frontier is handled at once: the partner masks of its
+forms come from numpy blocks of slacks, and the search leaves, kept as
+bitmask pairs, become neighbour vectors through one np.unpackbits.  The
+result is checked against the definition on numpy blocks of forms; the
+hull-graph distance is checked to be the sup-distance by a descent
+certificate, which is equivalent to it: from each form, the nearest
+neighbour to any other form is one step closer to it.
 """
 
 from __future__ import annotations
@@ -105,12 +110,70 @@ def is_extremal(m, f):
     return True
 
 
-def _unit_neighbors(m, f):
-    """All extremal forms at sup-distance exactly 1 from the extremal form f.
+def _bitmasks(b):
+    """The rows along the last axis of the boolean array b as int bitmasks, in
+    C order; bit y of a mask is column y.  Each row is packed into 64-bit
+    words, which are joined into one int per row, highest word first."""
+    rows = b.reshape(-1, b.shape[-1])
+    bits = np.zeros((len(rows), -(-rows.shape[1] // 64) * 64), bool)
+    bits[:, :rows.shape[1]] = rows
+    out = 0
+    for word in np.packbits(bits, axis=1, bitorder="little").view("<u8").T[::-1]:
+        out = out << 64 | word.astype(object)
+    return out.tolist()
 
-    Write one as g = f + delta, delta in {-1,0,1}^n, with M = {delta = -1}
-    and P = {delta = 1}.  Let s(x, y) = f(x) + f(y) - d(x, y) be the slack
-    (s(x, x) = 2 f(x)) and T0(z), T1(z) the partners of z at slack 0 and 1.
+
+def _partner_masks(d, f):
+    """T0 and T1 of each form of the block f (k x n), as k lists of n bitmasks
+    each: T0(x) holds the y with f(x) + f(y) - d(x, y) = 0, T1(x) those at 1."""
+    n = d.shape[0]
+    s = f[:, :, None] + f[:, None, :] - d
+    masks = _bitmasks(np.stack((s == 0, s == 1)))
+    half = len(masks) // 2
+    return ([masks[i:i + n] for i in range(0, half, n)],
+            [masks[i:i + n] for i in range(half, len(masks), n)])
+
+
+def _frontier_neighbors(d, frontier, room):
+    """Yield each form f of a BFS frontier, in order, with its unit neighbours.
+
+    The partner masks are built on numpy blocks of at most WM_BLOCK_CELLS
+    cells, or of one form where that needs more.  The search leaves (M, P)
+    become g = f - M + P through one np.unpackbits at the end of the
+    frontier, or sooner once they outnumber room(), the forms the cap still
+    allows: only then can they take the form count past it.
+    """
+    n = d.shape[0]
+    forms = np.array(frontier)
+    width = (n + 7) // 8
+    step = max(1, WM_BLOCK_CELLS // (n * n))
+    done, owner, found = 0, [], []
+    for lo in range(0, len(frontier), step):
+        for i, t0, t1 in zip(range(lo, len(frontier)), *_partner_masks(d, forms[lo:lo + step])):
+            leaves = _unit_neighbors(t0, t1)
+            owner += [i] * len(leaves)
+            found += leaves
+            if len(found) <= room() and i + 1 < len(frontier):
+                continue
+            buf = b"".join(mask.to_bytes(width, "little") for leaf in found for mask in leaf)
+            steps = np.unpackbits(np.frombuffer(buf, np.uint8).reshape(-1, width), axis=1,
+                                  count=n, bitorder="little").reshape(-1, 2, n)
+            out = [[] for _ in range(done, i + 1)]
+            for j, g in zip(owner, (forms[owner] - steps[:, 0] + steps[:, 1]).tolist()):
+                out[j - done].append(tuple(g))
+            yield from zip(frontier[done:i + 1], out)
+            done, owner, found = i + 1, [], []
+
+
+def _unit_neighbors(t0, t1):
+    """All extremal forms at sup-distance exactly 1 from an extremal form f,
+    as the pairs of bitmasks (M, P) with g = f - M + P.
+
+    Write a neighbour as g = f + delta, delta in {-1,0,1}^n, with M =
+    {delta = -1} and P = {delta = 1}.  Let s(x, y) = f(x) + f(y) - d(x, y)
+    be the slack (s(x, x) = 2 f(x)) and T0(z), T1(z) the partners of z at
+    slack 0 and 1, given as the bitmask lists t0 and t1 (_partner_masks);
+    f(x) > 0 exactly when x is not in T0(x).
     Then g is an extremal form exactly when
       (a) M is nonempty, lies in {f > 0} and is independent at slack <= 1;
       (b) P = T0(M);
@@ -136,19 +199,6 @@ def _unit_neighbors(m, f):
     partners of the new P (about n/2 of them on a row form of a path).  At a
     leaf no coordinate is open and none is dead, which is (c).
     """
-    n = m.n
-    d = m.d
-    t0 = [0] * n
-    t1 = [0] * n
-    for x in range(n):
-        fx = f[x]
-        dx = d[x]
-        for y in range(n):
-            s = fx + f[y] - dx[y]
-            if s == 0:
-                t0[x] |= 1 << y
-            elif s == 1:
-                t1[x] |= 1 << y
 
     def alive(check, mp, reach):
         while check:
@@ -160,13 +210,13 @@ def _unit_neighbors(m, f):
         return True
 
     out = []
-    points = (1 << n) - 1
-    stack = [(0, 0, mask_of(x for x in range(n) if f[x] > 0))]
+    points = (1 << len(t0)) - 1
+    stack = [(0, 0, mask_of(x for x, t in enumerate(t0) if not t >> x & 1))]
     while stack:
         mm, pp, op = stack.pop()
         if not op:
             if mm:
-                out.append(tuple(f[z] - (mm >> z & 1) + (pp >> z & 1) for z in range(n)))
+                out.append((mm, pp))
             continue
         bit = op & -op
         x = bit.bit_length() - 1
@@ -182,7 +232,7 @@ def _unit_neighbors(m, f):
         mp = mm | pp
         if alive(points & ~mp & ~rest, mp, mm | rest):
             stack.append((mm, pp, rest))
-    return sorted(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -209,14 +259,15 @@ def hellyfication(m, cap=None):
     cap = _form_cap() if cap is None else cap
     if isinstance(m, Graph):
         m = FiniteMetric.of_graph(m)
+    d = np.array(m.d)
     frontier = list(m.d)  # the distance-row forms d(x, .), distinct as d(x, x) = 0 < d(y, x)
     seen = set(frontier)
-    nbrs = {}  # form -> its sorted unit neighbours
+    nbrs = {}  # form -> its unit neighbours
     while frontier:
         nxt = []
-        for f in frontier:
-            nbrs[f] = _unit_neighbors(m, f)
-            for g in nbrs[f]:
+        for f, found in _frontier_neighbors(d, frontier, lambda: cap - len(seen)):
+            nbrs[f] = found
+            for g in found:
                 if g not in seen:
                     seen.add(g)
                     nxt.append(g)
@@ -244,7 +295,9 @@ def _validate_hull(hg):
     partner of y, and |f(y) - d(x, y)| <= f(x) with equality at y = x), and
     are kept as independent checks.  The checks run on numpy blocks of at
     most WM_BLOCK_CELLS cells, or of one form where that needs more; the
-    first failing form gets the message of the first check it fails.
+    first failing form gets the message of the first check it fails.  The
+    hull-graph distance is checked last, by the descent certificate of
+    _check_hull_distances, with no BFS.
     """
     m = hg.metric
     n = m.n
@@ -271,12 +324,39 @@ def _validate_hull(hg):
         sup = np.abs(embedded[lo:lo + step, None, :] - embedded).max(2)
         if (sup != d[lo:lo + step]).any():
             raise InvariantViolation("embedding is not isometric")
-    # hull-graph distance = sup-distance, from each block to the forms after it
-    step = max(1, WM_BLOCK_CELLS // (len(forms) * n))
-    for lo in range(0, len(forms), step):
-        rows = np.array([hg.graph.dist_row(i)[lo:] for i in range(lo, min(lo + step, len(forms)))])
-        sup = np.abs(forms[lo:lo + step, None, :] - forms[lo:]).max(2)
-        if (rows != sup).any():
+    _check_hull_distances(forms, hg.graph)
+
+
+def _check_hull_distances(forms, graph):
+    """Raise an InvariantViolation unless the graph distance between vertices
+    i and j is the sup-distance S of forms[i] and forms[j], for all i, j.
+
+    It is checked as a descent certificate: for every pair i != j, the least
+    S(h, j) over the neighbours h of i is S(i, j) - 1.  Proof: for an edge
+    (i, j) the neighbour h = j gives least 0, so S(i, j) = 1; a path of t
+    edges then moves S by at most t, so graph distance >= S.  For i != j
+    the least is >= 0, so S(i, j) >= 1, and a step to a neighbour one closer
+    gives graph distance <= S by induction on S.  Conversely, when graph
+    distance = S no neighbour is more than one closer, and the first step
+    of a shortest path is one closer.  So the edges are exactly the pairs
+    at S = 1, and each pair at S = k >= 2 steps down to k - 1.  The check
+    runs on blocks of columns j of S: the least over the neighbours of each
+    i is one np.minimum.reduceat over the edges sorted by tail (the graph
+    is connected, so each vertex has a neighbour when there are two or
+    more).  A pair i = j always fails, as its least is >= 0, so a block of
+    w columns passes when exactly w pairs fail.
+    """
+    count = len(forms)
+    if count == 1:
+        return
+    degree = [len(a) for a in graph.adj]
+    heads = np.array([v for a in graph.adj for v in a])  # sorted by tail
+    starts = np.cumsum([0] + degree[:-1])
+    step = max(1, WM_BLOCK_CELLS // max(count * forms.shape[1], len(heads)))
+    for lo in range(0, count, step):
+        sup = np.abs(forms[lo:lo + step, None, :] - forms).max(2)  # sup[j - lo, i] = S(i, j)
+        nearest = np.minimum.reduceat(sup[:, heads], starts, axis=1)
+        if np.count_nonzero(nearest != sup - 1) != len(sup):
             raise InvariantViolation("unit-step graph distance != sup-metric")
 
 

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helly import constructions, geometry, recognition
 from helly.constructions import (FULL, GspDescription, SgpDescription,
@@ -172,6 +175,41 @@ def test_over_cap_union_is_refused_before_pieces_are_compared(monkeypatch):
     desc = SgpDescription((p10, p10, p10), tuple((FULL, FULL, k) for k in range(10)))
     with pytest.raises(ResourceCapExceeded):
         sgp_build(desc, cap=500)
+
+
+def test_disjoint_over_cap_union_is_refused_before_any_vertex_is_built():
+    # 60 pairwise disjoint pieces of 3,600 vertices each: 216,000 past the cap of 200,000
+    p60 = geometry.path_graph(60)
+    desc = SgpDescription((p60, p60, p60), tuple((FULL, FULL, k) for k in range(60)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapExceeded) as err:
+            sgp_build(desc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "SGP size exceeds cap 200000"
+    assert peak < 1 << 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sgp_union_is_built_exactly_when_within_the_cap(data):
+    factors = tuple(geometry.path_graph(k)
+                    for k in data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    entry = [st.one_of(st.none(), st.integers(0, f.n - 1)) for f in factors]
+    pieces = data.draw(st.lists(st.tuples(*entry), min_size=1, max_size=6, unique=True))
+    desc = SgpDescription(factors, tuple(pieces))
+    size = len(set().union(*(desc.piece_vertices(i) for i in range(len(pieces)))))
+    cap = data.draw(st.integers(0, 2 * size))
+    if size > cap:
+        with pytest.raises(ResourceCapExceeded):
+            sgp_build(desc, cap)
+    else:
+        try:
+            assert sgp_build(desc, cap)[0].n == size
+        except ValidationError as err:
+            assert "disconnected" in str(err)
 
 
 def test_sgp_three_piece_violation_reports_spanning_clique():

@@ -86,11 +86,15 @@ def test_hull_validation_reports_each_corruption():
     e0, e1 = hg.embed[:2]
     # the hull of C6 has cycles, so it stays connected without its first edge
     cut = Graph(hg.graph.n, hg.graph.edges()[1:])
+    far = next((i, j) for i, j in combinations(range(len(hg.forms)), 2)
+               if sup_distance(hg.forms[i], hg.forms[j]) == 2)
+    extra = Graph(hg.graph.n, hg.graph.edges() + [far])
     for bad, message in [
             (replace(hg, forms=hg.forms[:3] + (raised,) + hg.forms[4:]),
              f"stored form {raised} is not extremal"),
             (replace(hg, embed=(e1, e0) + hg.embed[2:]), "embedding is not isometric"),
-            (replace(hg, graph=cut), "unit-step graph distance != sup-metric")]:
+            (replace(hg, graph=cut), "unit-step graph distance != sup-metric"),
+            (replace(hg, graph=extra), "unit-step graph distance != sup-metric")]:
         with pytest.raises(InvariantViolation) as err:
             _validate_hull(bad)
         assert str(err.value) == message
@@ -156,6 +160,10 @@ def test_form_cap(monkeypatch):
     from helly.errors import ResourceCapExceeded
     with pytest.raises(ResourceCapExceeded):
         hellyfication(geometry.cycle_graph(6), cap=3)
+    # the cap is exact: C6 has 14 forms
+    assert len(hellyfication(geometry.cycle_graph(6), cap=14).forms) == 14
+    with pytest.raises(ResourceCapExceeded):
+        hellyfication(geometry.cycle_graph(6), cap=13)
     monkeypatch.setenv("HELLY_MAX_FORMS", "3")
     with pytest.raises(ResourceCapExceeded):
         hellyfication(geometry.cycle_graph(6))

@@ -1,7 +1,7 @@
 """Property tests: the pruned kernels against plain sweeps and oracles."""
 
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -566,18 +566,135 @@ def interval_unit_neighbors(m, f):
     return sorted(out)
 
 
+def unit_neighbors(m, forms, room=float("inf")):
+    """The sorted unit neighbours of each form, from one frontier search whose
+    leaves are unpacked once they outnumber `room`."""
+    found = list(hull._frontier_neighbors(np.array(m.d), forms, lambda: room))
+    assert [f for f, _ in found] == list(forms)
+    return [sorted(neighbors) for _, neighbors in found]
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_metrics())
 def test_unit_neighbors_match_brute_force_over_unit_moves(m):
-    for f in hull.enumerate_extremal_forms(m):
-        assert hull._unit_neighbors(m, f) == plain_unit_neighbors(m, f)
+    forms = hull.enumerate_extremal_forms(m)
+    assert unit_neighbors(m, forms) == [plain_unit_neighbors(m, f) for f in forms]
 
 
 @settings(max_examples=100, deadline=None)
 @given(medium_metrics())
 def test_unit_neighbors_match_the_interval_domain_search(m):
-    for f in hull.hellyfication(m).forms:
-        assert hull._unit_neighbors(m, f) == interval_unit_neighbors(m, f)
+    forms = hull.hellyfication(m).forms
+    assert unit_neighbors(m, forms) == [interval_unit_neighbors(m, f) for f in forms]
+
+
+@pytest.mark.parametrize("cells", [1, 50, 300])
+@pytest.mark.parametrize("room", [0, 30, float("inf")])
+def test_unit_neighbors_match_the_interval_domain_search_across_blocks(monkeypatch, cells,
+                                                                       room):
+    # one form per block, a few, and blocks that end inside a frontier; leaves
+    # unpacked after every form, after some, and once at the end
+    monkeypatch.setattr(hull, "WM_BLOCK_CELLS", cells)
+    for g in (geometry.cycle_graph(7), geometry.grid_graph(2, 3), geometry.path_graph(4)):
+        m = hull.FiniteMetric.of_graph(g)
+        forms = hull.enumerate_extremal_forms(m)
+        assert unit_neighbors(m, forms, room) == [interval_unit_neighbors(m, f) for f in forms]
+
+
+# the n^2 scan per form that `hull._partner_masks` replaced
+def plain_partner_masks(m, f):
+    """T0 and T1 of f: bit y of t0[x] (t1[x]) when f(x) + f(y) - d(x, y) is 0 (1)."""
+    t0 = [0] * m.n
+    t1 = [0] * m.n
+    for x in range(m.n):
+        for y in range(m.n):
+            s = f[x] + f[y] - m.d[x][y]
+            if s == 0:
+                t0[x] |= 1 << y
+            elif s == 1:
+                t1[x] |= 1 << y
+    return t0, t1
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 150), st.randoms(use_true_random=False))
+def test_bitmasks_are_the_rows_as_ints_across_64_bit_words(k, n, rng):
+    b = np.array([[[rng.random() < 0.5 for _ in range(n)] for _ in range(2)] for _ in range(k)])
+    assert hull._bitmasks(b) == [mask_of(np.flatnonzero(row).tolist()) for row in b.reshape(-1, n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_metrics(), medium_metrics()), st.data())
+def test_partner_masks_match_the_plain_scan(m, data):
+    # on the hull's forms and on vectors that are not forms, with slacks below 0
+    vector = st.tuples(*[st.integers(0, 1 + max(r)) for r in m.d])
+    forms = list(hull.hellyfication(m).forms) + data.draw(st.lists(vector, max_size=4))
+    t0, t1 = hull._partner_masks(np.array(m.d), np.array(forms))
+    assert list(zip(t0, t1)) == [plain_partner_masks(m, f) for f in forms]
+
+
+# the BFS-row check that `hull._check_hull_distances` replaced
+def bfs_hull_distances(forms, graph):
+    """Raise unless the graph distance of each pair of vertices is the sup-distance
+    of their forms, compared one BFS row per vertex."""
+    for i in range(len(forms)):
+        if graph.dist_row(i) != np.abs(forms - forms[i]).max(1).tolist():
+            raise InvariantViolation("unit-step graph distance != sup-metric")
+
+
+@st.composite
+def hull_graphs(draw):
+    """A hull as built, or with a form or an edge changed."""
+    hg = hull.hellyfication(draw(st.one_of(small_metrics(), medium_metrics())))
+    forms, edges, count = np.array(hg.forms), hg.graph.edges(), len(hg.forms)
+    pairs = list(combinations(range(count), 2))
+    kind = draw(st.sampled_from(["none", "drop", "add", "move", "copy", "swap"]
+                                if count > 1 else ["none"]))
+    if kind == "drop":
+        edges.remove(draw(st.sampled_from(edges)))
+    elif kind == "add":
+        absent = [e for e in pairs if e not in set(edges)]
+        assume(absent)
+        edges.append(draw(st.sampled_from(absent)))
+    elif kind == "move":
+        forms[draw(st.integers(0, count - 1)), draw(st.integers(0, forms.shape[1] - 1))] += (
+            draw(st.sampled_from([-1, 1])))
+    elif kind == "copy":
+        i, j = draw(st.sampled_from(pairs))
+        forms[i] = forms[j]
+    elif kind == "swap":
+        i, j = draw(st.sampled_from(pairs))
+        forms[[i, j]] = forms[[j, i]]
+    try:
+        return replace(hg, forms=tuple(map(tuple, forms.tolist())), graph=Graph(count, edges))
+    except ValidationError:
+        assume(False)  # the dropped edge was a bridge
+
+
+@settings(max_examples=150, deadline=None)
+@given(hull_graphs())
+def test_hull_distance_certificate_matches_bfs_rows(hg):
+    # alone, and inside the validator, where a changed form may fail an earlier check
+    forms = np.array(hg.forms)
+    assert (outcome(hull._check_hull_distances, forms, hg.graph)
+            == outcome(bfs_hull_distances, forms, hg.graph))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hull, "_check_hull_distances", bfs_hull_distances)
+        expected = outcome(hull._validate_hull, hg)
+    assert outcome(hull._validate_hull, hg) == expected
+
+
+@pytest.mark.parametrize("cells", [1, 200])
+def test_hull_distance_certificate_matches_bfs_rows_across_blocks(monkeypatch, cells):
+    monkeypatch.setattr(hull, "WM_BLOCK_CELLS", cells)
+    hg = hull.hellyfication(geometry.cycle_graph(7))
+    forms, edges = np.array(hg.forms), hg.graph.edges()
+    extra = next(e for e in combinations(range(len(forms)), 2) if e not in set(edges))
+    broken = (InvariantViolation, "unit-step graph distance != sup-metric")
+    for graph, expected in ((hg.graph, None), (Graph(len(forms), edges[1:]), broken),
+                            (Graph(len(forms), edges + [extra]), broken)):
+        assert outcome(hull._check_hull_distances, forms, graph) == expected
+        assert outcome(bfs_hull_distances, forms, graph) == expected
 
 
 def plain_level_sets(g, t, s):

@@ -1,20 +1,26 @@
 """Every public top-level name of `helly` has a caller, or is listed here.
 
-A name is referenced when an AST name, attribute or import in `src/helly`
-mentions it outside its own definition, or when a module of the benchmark
-in `perfbench/` mentions it, in code or in a string constant (the benchmark
-tracer patches names given as strings).  Tests do not count.  The names
-that nothing references are the oracles that tests compare against, the
-statements of the paper that wait for a claim row, and the test corpus.
-When one of them gains a caller it must leave its list, so the list
-shrinks along with the surface.
+A name `module.name` is referenced when `src/helly` or a module of the
+benchmark in `perfbench/` mentions it outside its own definition: as an
+import from `module`, as the attribute `module.name` of an imported helly
+module, as a read of `name` that the symbol tables of `module` resolve to
+its module scope (a local, a parameter or an attribute spelled the same
+does not count), or, in `perfbench/`, inside a string constant (the
+benchmark tracer patches names given as strings such as
+"hull.hellyfication").  Tests do not count.  The names that nothing
+references are the oracles that tests compare against, the statements of
+the paper that wait for a claim row, and the test corpus.  When one of
+them gains a caller it must leave its list, so the list shrinks along with
+the surface.
 """
 
 import ast
 import re
+import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = {path.stem for path in (ROOT / "src" / "helly").glob("*.py")}
 
 ORACLES = {
     "geometry.isometric_embedding_exists",
@@ -46,16 +52,41 @@ PAPER_STATEMENTS = {
 CORPUS = {"geometry.corpus"}
 
 
-def mentions(node):
-    """The names, attributes and imported names under `node`."""
+def helly_modules(tree):
+    """Local dotted name -> helly module, for the modules that `tree` imports
+    whole (`from . import graphs`, `import helly.cli`)."""
+    out = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.level or n.module == "helly"):
+            out.update((a.asname or a.name, a.name) for a in n.names if a.name in MODULES)
+        elif isinstance(n, ast.Import):
+            out.update((a.asname or a.name, a.name[6:]) for a in n.names
+                       if a.name.startswith("helly."))
+    return out
+
+
+def qualified(node, aliases):
+    """The `module.name` that `node` imports from a helly module or reads as
+    an attribute of one."""
     out = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        elif isinstance(n, ast.alias):
-            out.add(n.name.rpartition(".")[2])
+        if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith("helly")):
+            module = (n.module or "").rpartition(".")[2]
+            out.update(f"{module}.{a.name}" for a in n.names)
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, (ast.Name, ast.Attribute))
+                and ast.unparse(n.value) in aliases):
+            out.add(f"{aliases[ast.unparse(n.value)]}.{n.attr}")
+    return out
+
+
+def module_reads(node):
+    """The names a top-level statement reads that resolve to module scope."""
+    out, tables = set(), [symtable.symtable(ast.unparse(node), "<statement>", "exec")]
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        out.update(s.get_name() for s in table.get_symbols()
+                   if s.is_global() and s.is_referenced())
     return out
 
 
@@ -71,17 +102,22 @@ def unreferenced():
     bench = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
-        bench |= mentions(tree)
+        bench |= qualified(tree, helly_modules(tree))
         bench.update(word for n in ast.walk(tree)
                      if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                     for word in re.findall(r"\w+", n.value))
-    uses = [(path.stem, node, mentions(node))
-            for path in sorted((ROOT / "src" / "helly").glob("*.py"))
-            for node in ast.parse(path.read_text()).body]
+                     for word in re.findall(r"\w+\.\w+", n.value))
+    uses = []  # (module, top-level statement, the module.name it references)
+    for path in sorted((ROOT / "src" / "helly").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = helly_modules(tree)
+        uses += [(path.stem, node, qualified(node, aliases)
+                  | {f"{path.stem}.{name}" for name in module_reads(node)})
+                 for node in tree.body]
     return {f"{module}.{name}"
             for module, node, _ in uses for name in defined(node)
-            if not name.startswith("_") and name not in bench
-            and not any(name in refs for _, other, refs in uses if other is not node)}
+            if not name.startswith("_") and f"{module}.{name}" not in bench
+            and not any(f"{module}.{name}" in refs for _, other, refs in uses
+                        if other is not node)}
 
 
 def test_every_public_name_has_a_caller_or_is_listed():
