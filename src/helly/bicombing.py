@@ -7,9 +7,10 @@ the local path conditions, the uniqueness statement, and the fellow
 traveler constants (1 for clique-paths, 3 for vertex paths).
 
 Public functions validate their input once; the builders below them run on
-the unchecked `imprint_mask`.  The fellow-traveler check builds each path
-once, following one dict of linked path tails, and compares the paths of all
-tuples at once, on numpy blocks of padded distance tables.
+the unchecked `_imprint`, which takes the max-distance from the step index.
+The fellow-traveler check builds each path once, following one dict of
+linked path tails, and compares the paths of all tuples at once, on numpy
+blocks of padded distance tables.
 """
 
 from __future__ import annotations
@@ -50,7 +51,15 @@ def imprint_mask(g, tau, sigma):
     k = max_distance(g, tau, sigma)
     if k < 2:
         raise ValidationError(f"imprint needs max-distance >= 2, got {k}")
-    reach = ball_star_mask(g, tau, k) & ball_star_mask(g, sigma, 1)
+    return _imprint(g, tau, mask_of(sigma), k)
+
+
+def _imprint(g, tau, c, k):
+    """Imprint mask of the clique mask c toward the clique tau, at max-distance
+    k >= 2 from it; unchecked input."""
+    reach = ball_star_mask(g, tau, k)
+    for v in bits(c):
+        reach &= g.ball1_mask[v]
     if reach == 0:
         raise HellyPreconditionError(
             "empty projection set; the graph is not Helly")
@@ -107,11 +116,11 @@ def _clique_path(g, tau, sigma, k, links=None):
     """
     links = {} if links is None else links
     path = [mask_of(sigma)]
-    for _ in range(k - 1):
+    for i in range(k, 1, -1):  # path[-1] is at max-distance i from tau
         key = (tau, path[-1])
         step = links.get(key)
         if step is None:
-            step = links[key] = imprint_mask(g, tau, tuple(bits(path[-1])))
+            step = links[key] = _imprint(g, tau, path[-1], i)
         path.append(step)
     if k:
         path.append(mask_of(tau))
@@ -191,7 +200,7 @@ def _steps(g, t, s, links=None):
                 vkey = (tau, 1 << v)
                 step = links.get(vkey)
                 if step is None:
-                    step = links[vkey] = imprint_mask(g, tau, (v,)) if i > 1 else 1 << t
+                    step = links[vkey] = _imprint(g, tau, 1 << v, i) if i > 1 else 1 << t
                 below |= step
             links[key] = below
         levels.append(below)

@@ -2,18 +2,38 @@
 
 Vertices of the hull are the extremal integer metric forms: integer vectors
 f with f(x)+f(y) >= d(x,y) everywhere and a tight partner for every
-coordinate.  The hull graph joins forms at sup-distance 1.  Construction is
-a BFS from the distance-row forms d(x, .).  A unit neighbour f + delta of a
-form, delta in {-1,0,+1}^n, is fixed by the set M = {delta = -1}, so the
-neighbour search runs over M alone: a depth-first search on bitmasks that
-keeps only the branches where every coordinate can still be tight, with no
-3^n sweep.  It uses an explicit stack, so the number of points is not
-bounded by the recursion limit, and the neighbour lists it returns are the
-hull edges.  Each BFS frontier is handled at once: the partner masks of its
-forms come from numpy blocks of slacks, and the search leaves, kept as
-bitmask pairs, become neighbour vectors through one np.unpackbits.  The
-result is checked against the definition on numpy blocks of forms; the
-hull-graph distance is checked to be the sup-distance by a descent
+coordinate.  The hull graph joins forms at sup-distance S = 1, and its
+graph distance is S.
+
+Layers.  An extremal form has f(x) = S(f, e(x)), e(x) = d(x, .), and f(x)
+= 0 only for f = e(x).  So the graph distance from f to the forms e(x) is
+min f, and the BFS from them has layer k = {min f = k}.  Along an edge min
+f moves by at most 1, so the first step of a shortest path from a form of
+layer k + 1 toward its nearest e(x) is a form of layer k: every form of
+layer k + 1 is an upward neighbour (one with min g = min f + 1) of a form
+of layer k.  The BFS searches only upward neighbours.
+
+Upward neighbours.  Write a unit neighbour as g = f - M + P, with M and P
+the disjoint sets where g steps down and up, and let k = min f.  Then min g
+= k + 1 exactly when M lies in {f >= k + 2} and P contains {f = k}:
+g >= k + 1 forces x into P where f(x) = k and out of M where f(x) = k + 1;
+conversely those two conditions give g >= k + 1, with equality on
+{f = k}, which is not empty.
+
+The search runs over M alone: a depth-first search on bitmasks with an
+explicit stack, with no 3^n sweep and no bound from the recursion limit.
+It keeps only the branches where every coordinate can still be tight and
+every coordinate of {f = k} can still join P, which it does exactly when a
+slack-0 partner of it joins M (_unit_neighbors).  Each BFS layer is handled
+at once: the search masks of its forms come from numpy blocks of slacks,
+and the search leaves, kept as bitmask pairs, become neighbour vectors
+through one np.unpackbits.
+
+The hull edges are read off their definition, the pairs at S = 1, on numpy
+blocks of rows of S.  As an independent cross-check of the search, the
+pairs between consecutive layers must be as many as the upward neighbours
+it found.  The result is checked against the definition on numpy blocks of
+forms; the hull-graph distance is checked to be S by a descent
 certificate, which is equivalent to it: from each form, the nearest
 neighbour to any other form is one step closer to it.
 """
@@ -27,7 +47,7 @@ import numpy as np
 
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
                      int_lists, json_object)
-from .graphs import WM_BLOCK_CELLS, Graph, as_vertices, mask_of
+from .graphs import WM_BLOCK_CELLS, Graph, as_vertices
 
 
 def _form_cap():
@@ -124,23 +144,29 @@ def _bitmasks(b):
 
 
 def _partner_masks(d, f):
-    """T0 and T1 of each form of the block f (k x n), as k lists of n bitmasks
-    each: T0(x) holds the y with f(x) + f(y) - d(x, y) = 0, T1(x) those at 1."""
+    """The search masks of each form of the block f (k x n), as k tuples
+    (t0, t1, open, need): t0 and t1 are lists of n bitmasks, T0(x) the y
+    with f(x) + f(y) - d(x, y) = 0 and T1(x) those at 1, open is
+    {f >= min f + 2} and need is {f = min f}.  All of them come from one
+    _bitmasks call, 2n + 2 rows per form."""
     n = d.shape[0]
     s = f[:, :, None] + f[:, None, :] - d
-    masks = _bitmasks(np.stack((s == 0, s == 1)))
-    half = len(masks) // 2
-    return ([masks[i:i + n] for i in range(0, half, n)],
-            [masks[i:i + n] for i in range(half, len(masks), n)])
+    low = f.min(1, keepdims=True)
+    masks = _bitmasks(np.concatenate((s == 0, s == 1, (f >= low + 2)[:, None],
+                                      (f == low)[:, None]), axis=1))
+    rows = 2 * n + 2
+    return [(masks[i:i + n], masks[i + n:i + 2 * n], masks[i + 2 * n], masks[i + 2 * n + 1])
+            for i in range(0, len(masks), rows)]
 
 
 def _frontier_neighbors(d, frontier, room):
-    """Yield each form f of a BFS frontier, in order, with its unit neighbours.
+    """Yield the upward neighbours of each form f of a BFS layer, in order:
+    the extremal forms g at sup-distance 1 with min g = min f + 1.
 
-    The partner masks are built on numpy blocks of at most WM_BLOCK_CELLS
+    The search masks are built on numpy blocks of at most WM_BLOCK_CELLS
     cells, or of one form where that needs more.  The search leaves (M, P)
     become g = f - M + P through one np.unpackbits at the end of the
-    frontier, or sooner once they outnumber room(), the forms the cap still
+    layer, or sooner once they outnumber room(), the forms the cap still
     allows: only then can they take the form count past it.
     """
     n = d.shape[0]
@@ -149,8 +175,8 @@ def _frontier_neighbors(d, frontier, room):
     step = max(1, WM_BLOCK_CELLS // (n * n))
     done, owner, found = 0, [], []
     for lo in range(0, len(frontier), step):
-        for i, t0, t1 in zip(range(lo, len(frontier)), *_partner_masks(d, forms[lo:lo + step])):
-            leaves = _unit_neighbors(t0, t1)
+        for i, masks in zip(range(lo, len(frontier)), _partner_masks(d, forms[lo:lo + step])):
+            leaves = _unit_neighbors(*masks)
             owner += [i] * len(leaves)
             found += leaves
             if len(found) <= room() and i + 1 < len(frontier):
@@ -161,13 +187,19 @@ def _frontier_neighbors(d, frontier, room):
             out = [[] for _ in range(done, i + 1)]
             for j, g in zip(owner, (forms[owner] - steps[:, 0] + steps[:, 1]).tolist()):
                 out[j - done].append(tuple(g))
-            yield from zip(frontier[done:i + 1], out)
+            yield from out
             done, owner, found = i + 1, [], []
 
 
-def _unit_neighbors(t0, t1):
-    """All extremal forms at sup-distance exactly 1 from an extremal form f,
-    as the pairs of bitmasks (M, P) with g = f - M + P.
+def _unit_neighbors(t0, t1, open0, need):
+    """The extremal forms g = f - M + P at sup-distance 1 from an extremal
+    form f with M a subset of open0 and P a superset of need, as the pairs
+    of bitmasks (M, P).
+
+    The hull search calls it with open0 = {f >= k + 2} and need = {f = k},
+    k = min f, and so finds the upward neighbours, those with min g = k + 1
+    (see the module docstring).  With open0 = {f > 0} and need = 0 it finds
+    every unit neighbour; only tests call it so.
 
     Write a neighbour as g = f + delta, delta in {-1,0,1}^n, with M =
     {delta = -1} and P = {delta = 1}.  Let s(x, y) = f(x) + f(y) - d(x, y)
@@ -188,30 +220,44 @@ def _unit_neighbors(t0, t1):
     or w in M at slack 1: this is (c).  And delta != 0 iff M is nonempty.
 
     The search decides, lowest first, whether each open coordinate joins M,
-    on a stack of bitmask states (M, P, open); open holds the coordinates
-    that can still join M.  A closed coordinate outside M | P is dead when
-    it has no T0 partner outside M | P and no T1 partner in M | open.  M and
-    P only grow and open only shrinks, so a dead coordinate stays dead and
-    its branch is pruned.  A coordinate can die only when it closes, when a
-    T0 partner joins M | P or when a T1 partner closes outside M.  So when x
-    stays out of M only x and T1(x) are checked; when x joins M every closed
-    coordinate outside M | P is, which costs no more than listing the T0
-    partners of the new P (about n/2 of them on a row form of a path).  At a
-    leaf no coordinate is open and none is dead, which is (c).
+    on a stack of bitmask states (M, P, open); open starts as open0 and
+    holds the coordinates that can still join M.  P = T0(M) in every state,
+    M and P only grow, and M | open only shrinks.  Two rules prune a branch:
+      - a closed coordinate outside M | P and need is dead when it has no
+        T0 partner outside M | P and no T1 partner in M | open: its T0
+        partners all lie in P, which is closed, so it never joins P and
+        fails (c);
+      - a coordinate of need outside P is dead when it has no T0 partner in
+        M | open (the cover rule): it joins P only when a T0 partner joins
+        M, and the final M lies in M | open.
+    Both stay dead.  A coordinate can die only when it closes, when a T0
+    partner joins M | P or when a partner leaves M | open.  So when x stays
+    out of M only x, T1(x) and the need coordinates of T0(x) are checked;
+    when x joins M every closed coordinate outside M | P is, which costs no
+    more than listing the T0 partners of the new P (about n/2 of them on a
+    row form of a path).  At the root only need is checked: f is extremal,
+    so every other closed coordinate has a T0 partner.  At a leaf no
+    coordinate is open and none is dead, which is (c) and puts need inside
+    P.
     """
 
     def alive(check, mp, reach):
         while check:
             low = check & -check
             z = low.bit_length() - 1
-            if not (t0[z] & ~mp or t1[z] & reach):
+            if need & low:
+                if not t0[z] & reach:
+                    return False
+            elif not (t0[z] & ~mp or t1[z] & reach):
                 return False
             check ^= low
         return True
 
     out = []
+    if not alive(need, 0, open0):
+        return out
     points = (1 << len(t0)) - 1
-    stack = [(0, 0, mask_of(x for x, t in enumerate(t0) if not t >> x & 1))]
+    stack = [(0, 0, open0)]
     while stack:
         mm, pp, op = stack.pop()
         if not op:
@@ -220,10 +266,11 @@ def _unit_neighbors(t0, t1):
             continue
         bit = op & -op
         x = bit.bit_length() - 1
-        # x stays out of M: check x and the T1 partners it no longer rescues
+        # x stays out of M: check x, the T1 partners it no longer rescues and
+        # the need coordinates it no longer covers
         rest = op ^ bit
         mp = mm | pp
-        if alive((bit | t1[x]) & ~mp & ~rest, mp, mm | rest):
+        if alive((bit | t1[x] | t0[x] & need) & ~mp & ~rest, mp, mm | rest):
             stack.append((mm, pp, rest))
         # x joins M: T0(x) joins P and every partner at slack <= 1 closes
         mm |= bit
@@ -250,11 +297,18 @@ def sup_distance(f, g):
 def hellyfication(m, cap=None):
     """Discrete injective hull of a finite integer metric.
 
-    BFS from the distance-row forms over unit steps; connectivity of the
-    extremal-form graph makes the sweep complete, and the unit neighbours
-    the BFS lists are the hull edges.  The result is validated:
-    every stored form is extremal and 1-Lipschitz, the embedding is
-    isometric, and f(x) = sup-distance(f, d(x, .)) for all stored f, x.
+    BFS by layers from the distance-row forms e(x), the forms of layer 0.
+    Layer k is {min f = k}, and every form of layer k + 1 is an upward
+    neighbour of one of layer k (the layer lemma of the module docstring),
+    so searching only upward neighbours makes the sweep complete.  The
+    upward neighbours g = f - M + P of a form f of layer k are the unit
+    neighbours with M inside {f >= k + 2} and P containing {f = k}, and
+    only those.  The hull edges are then read off their definition, the
+    pairs of forms at sup-distance 1; the pairs between consecutive layers
+    must be as many as the upward neighbours the search found.  The result
+    is validated: every stored form is extremal and 1-Lipschitz, the
+    embedding is isometric, f(x) = sup-distance(f, d(x, .)) for all stored
+    f, x, and the hull-graph distance is the sup-distance.
     """
     cap = _form_cap() if cap is None else cap
     if isinstance(m, Graph):
@@ -262,11 +316,11 @@ def hellyfication(m, cap=None):
     d = np.array(m.d)
     frontier = list(m.d)  # the distance-row forms d(x, .), distinct as d(x, x) = 0 < d(y, x)
     seen = set(frontier)
-    nbrs = {}  # form -> its unit neighbours
+    upward = 0  # search leaves, one per pair of consecutive layers at sup-distance 1
     while frontier:
         nxt = []
-        for f, found in _frontier_neighbors(d, frontier, lambda: cap - len(seen)):
-            nbrs[f] = found
+        for found in _frontier_neighbors(d, frontier, lambda: cap - len(seen)):
+            upward += len(found)
             for g in found:
                 if g not in seen:
                     seen.add(g)
@@ -276,13 +330,32 @@ def hellyfication(m, cap=None):
                             f"extremal form count exceeds cap {cap}")
         frontier = nxt
     forms = tuple(sorted(seen))
+    graph = Graph(len(forms), _unit_edges(np.array(forms), upward))
     index = {f: i for i, f in enumerate(forms)}
-    edges = [(i, index[g]) for i, f in enumerate(forms) for g in nbrs[f] if f < g]
-    graph = Graph(len(forms), edges)
     embed = tuple(index[row] for row in m.d)
     hg = HullGraph(m, forms, graph, embed)
     _validate_hull(hg)
     return hg
+
+
+def _unit_edges(forms, upward):
+    """The pairs i < j of rows of forms at sup-distance 1, read off numpy
+    blocks of rows of S of at most WM_BLOCK_CELLS cells, or of one row
+    where that needs more.  The pairs whose forms have different minima must
+    number `upward`, the upward neighbours the search found, or an
+    InvariantViolation is raised."""
+    edges, across = [], 0
+    step = max(1, WM_BLOCK_CELLS // max(1, forms.size))
+    for lo in range(0, len(forms), step):
+        rest = forms[lo:]
+        i, j = np.nonzero(np.triu(np.abs(rest[:step, None, :] - rest).max(2) == 1, 1))
+        low = rest.min(1)
+        across += np.count_nonzero(low[i] != low[j])
+        edges += zip((i + lo).tolist(), (j + lo).tolist())
+    if across != upward:
+        raise InvariantViolation(
+            f"hull search found {upward} upward neighbours, sup-distance 1 gives {across}")
+    return edges
 
 
 def _validate_hull(hg):

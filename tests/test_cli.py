@@ -77,6 +77,13 @@ def test_hull_subcommand(graph_file, tmp_path):
     assert code == 0 and len(json.loads(out)["forms"]) == 3
 
 
+def test_hull_of_the_empty_metric_is_refused(tmp_path):
+    # no forms, so no edges: the hull graph refuses zero vertices
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps({"d": []}))
+    assert run_cli(["hull", str(metric)]) == (3, "", "error: graph needs at least one vertex\n")
+
+
 def test_bicombing_subcommand(graph_file):
     path = graph_file(geometry.king_graph(3, 3))
     code, out, _ = run_cli(["bicombing", path, "--pair", "0", "8"])

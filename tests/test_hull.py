@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -99,6 +100,20 @@ def test_hull_validation_reports_each_corruption():
             _validate_hull(bad)
         assert str(err.value) == message
     _validate_hull(hg)
+
+
+def test_hull_memory_stays_under_six_megabytes():
+    # the search keeps no neighbour lists, only the forms and one layer's
+    # upward leaves; with every leaf of a frontier unpacked at once and kept
+    # until an edge pass, C12 peaked at about 11 MB
+    m = metric_of(geometry.cycle_graph(12))
+    tracemalloc.start()
+    try:
+        hellyfication(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20, peak
 
 
 def test_hull_profile_examples():

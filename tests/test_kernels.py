@@ -2,7 +2,7 @@
 
 import random
 from dataclasses import astuple, replace
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 
 import numpy as np
 import pytest
@@ -566,44 +566,86 @@ def interval_unit_neighbors(m, f):
     return sorted(out)
 
 
-def unit_neighbors(m, forms, room=float("inf")):
-    """The sorted unit neighbours of each form, from one frontier search whose
-    leaves are unpacked once they outnumber `room`."""
-    found = list(hull._frontier_neighbors(np.array(m.d), forms, lambda: room))
-    assert [f for f, _ in found] == list(forms)
-    return [sorted(neighbors) for _, neighbors in found]
+def all_unit_neighbors(m, f):
+    """The sorted unit neighbours of f, from the search kernel with every
+    coordinate of {f > 0} open and none required in P."""
+    t0, t1, _, _ = plain_partner_masks(m, f)
+    open0 = mask_of(x for x in range(m.n) if f[x] > 0)
+    return sorted(tuple(v - (mm >> x & 1) + (pp >> x & 1) for x, v in enumerate(f))
+                  for mm, pp in hull._unit_neighbors(t0, t1, open0, 0))
+
+
+def upward_neighbors(m, forms, room=float("inf")):
+    """The sorted upward neighbours of each form, from one frontier search per
+    layer (the forms of one minimum) whose leaves are unpacked once they
+    outnumber `room`."""
+    found = {}
+    for _, layer in groupby(sorted(forms, key=min), key=min):
+        layer = list(layer)
+        neighbors = list(hull._frontier_neighbors(np.array(m.d), layer, lambda: room))
+        assert len(neighbors) == len(layer)
+        found.update((f, sorted(a)) for f, a in zip(layer, neighbors))
+    return [found[f] for f in forms]
+
+
+def upward(forms, neighbors):
+    """Each form's neighbours g with min g = min f + 1."""
+    return [[g for g in a if min(g) == min(f) + 1] for f, a in zip(forms, neighbors)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_metrics())
 def test_unit_neighbors_match_brute_force_over_unit_moves(m):
     forms = hull.enumerate_extremal_forms(m)
-    assert unit_neighbors(m, forms) == [plain_unit_neighbors(m, f) for f in forms]
+    expected = [plain_unit_neighbors(m, f) for f in forms]
+    assert [all_unit_neighbors(m, f) for f in forms] == expected
+    assert upward_neighbors(m, forms) == upward(forms, expected)
 
 
 @settings(max_examples=100, deadline=None)
 @given(medium_metrics())
 def test_unit_neighbors_match_the_interval_domain_search(m):
     forms = hull.hellyfication(m).forms
-    assert unit_neighbors(m, forms) == [interval_unit_neighbors(m, f) for f in forms]
+    expected = [interval_unit_neighbors(m, f) for f in forms]
+    assert [all_unit_neighbors(m, f) for f in forms] == expected
+    assert upward_neighbors(m, forms) == upward(forms, expected)
 
 
 @pytest.mark.parametrize("cells", [1, 50, 300])
 @pytest.mark.parametrize("room", [0, 30, float("inf")])
 def test_unit_neighbors_match_the_interval_domain_search_across_blocks(monkeypatch, cells,
                                                                        room):
-    # one form per block, a few, and blocks that end inside a frontier; leaves
+    # one form per block, a few, and blocks that end inside a layer; leaves
     # unpacked after every form, after some, and once at the end
     monkeypatch.setattr(hull, "WM_BLOCK_CELLS", cells)
     for g in (geometry.cycle_graph(7), geometry.grid_graph(2, 3), geometry.path_graph(4)):
         m = hull.FiniteMetric.of_graph(g)
         forms = hull.enumerate_extremal_forms(m)
-        assert unit_neighbors(m, forms, room) == [interval_unit_neighbors(m, f) for f in forms]
+        expected = upward(forms, [interval_unit_neighbors(m, f) for f in forms])
+        assert upward_neighbors(m, forms, room) == expected
+
+
+def test_hull_search_that_misses_a_leaf_is_an_invariant_violation(monkeypatch):
+    # C6 keeps all 14 forms when one leaf of e(0) is dropped, as each of its
+    # 8 layer-1 forms has three neighbours in layer 0; only the cross-check
+    # sees the loss
+    search, calls = hull._unit_neighbors, []
+
+    def drop_first_leaf(*masks):
+        calls.append(None)
+        leaves = search(*masks)
+        return leaves[1:] if len(calls) == 1 else leaves
+
+    monkeypatch.setattr(hull, "_unit_neighbors", drop_first_leaf)
+    with pytest.raises(InvariantViolation, match="^hull search found 23 upward neighbours, "
+                                                 "sup-distance 1 gives 24$"):
+        hull.hellyfication(geometry.cycle_graph(6))
 
 
 # the n^2 scan per form that `hull._partner_masks` replaced
 def plain_partner_masks(m, f):
-    """T0 and T1 of f: bit y of t0[x] (t1[x]) when f(x) + f(y) - d(x, y) is 0 (1)."""
+    """T0 and T1 of f: bit y of t0[x] (t1[x]) when f(x) + f(y) - d(x, y) is 0 (1);
+    then the masks {f >= min f + 2} and {f = min f}."""
     t0 = [0] * m.n
     t1 = [0] * m.n
     for x in range(m.n):
@@ -613,7 +655,8 @@ def plain_partner_masks(m, f):
                 t0[x] |= 1 << y
             elif s == 1:
                 t1[x] |= 1 << y
-    return t0, t1
+    return (t0, t1, mask_of(x for x in range(m.n) if f[x] >= min(f) + 2),
+            mask_of(x for x in range(m.n) if f[x] == min(f)))
 
 
 @SETTINGS
@@ -629,8 +672,8 @@ def test_partner_masks_match_the_plain_scan(m, data):
     # on the hull's forms and on vectors that are not forms, with slacks below 0
     vector = st.tuples(*[st.integers(0, 1 + max(r)) for r in m.d])
     forms = list(hull.hellyfication(m).forms) + data.draw(st.lists(vector, max_size=4))
-    t0, t1 = hull._partner_masks(np.array(m.d), np.array(forms))
-    assert list(zip(t0, t1)) == [plain_partner_masks(m, f) for f in forms]
+    masks = hull._partner_masks(np.array(m.d), np.array(forms))
+    assert masks == [plain_partner_masks(m, f) for f in forms]
 
 
 # the BFS-row check that `hull._check_hull_distances` replaced
