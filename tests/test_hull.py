@@ -103,9 +103,9 @@ def test_hull_validation_reports_each_corruption():
 
 
 def test_hull_memory_stays_under_six_megabytes():
-    # the search keeps no neighbour lists, only the forms and one layer's
-    # upward leaves; with every leaf of a frontier unpacked at once and kept
-    # until an edge pass, C12 peaked at about 11 MB
+    # the search keeps only the forms and one layer's upward leaves, and the
+    # edges come from numpy blocks; keeping every unit neighbour until a
+    # Python edge pass takes C12 to about 11 MB
     m = metric_of(geometry.cycle_graph(12))
     tracemalloc.start()
     try:
