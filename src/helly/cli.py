@@ -8,16 +8,12 @@ violation (a verified guarantee failed on the input).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from functools import cache
 
-from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, int_lists,
-                     json_object, json_value)
-from .graphs import Graph
-from . import (bicombing, claims, constructions, geometry, hull, hypergraphs, recognition,
-               symmetry)
+from .errors import (SIZE_CAP, InvariantViolation, ResourceCapExceeded, ValidationError,
+                     int_lists, json_object, json_value)
 
 
 def _read(path):
@@ -30,8 +26,13 @@ def _read(path):
         raise ValidationError(f"cannot read {path}: not UTF-8 text") from None
 
 
+def _graph(text):
+    from .graphs import Graph
+    return Graph.from_json(text)
+
+
 def _load_graph(path):
-    return Graph.from_json(_read(path))
+    return _graph(_read(path))
 
 
 def _emit(obj):
@@ -39,6 +40,7 @@ def _emit(obj):
 
 
 def _cmd_check(args):
+    from . import recognition
     g = _load_graph(args.graph)
     report = recognition.is_helly(g)
     out = report.to_dict()
@@ -48,9 +50,10 @@ def _cmd_check(args):
 
 
 def _cmd_hull(args):
+    from . import hull
     text = _read(args.input)
     if "edges" in json_object(text):
-        metric = hull.FiniteMetric.of_graph(Graph.from_json(text))
+        metric = hull.FiniteMetric.of_graph(_graph(text))
     else:
         metric = hull.FiniteMetric.from_json(text)
     hg = hull.hellyfication(metric)
@@ -64,6 +67,7 @@ def _cmd_hull(args):
 
 
 def _cmd_bicombing(args):
+    from . import bicombing
     g = _load_graph(args.graph)
     if args.fellow_traveler:
         budget = args.budget if args.budget else None
@@ -88,6 +92,7 @@ def _cmd_bicombing(args):
 
 
 def _cmd_build(args):
+    from . import constructions
     if args.kind == "product":
         gs = [_load_graph(p) for p in args.inputs]
         g, _, _ = constructions.strong_product(gs)
@@ -113,7 +118,7 @@ def _cmd_build(args):
                 isinstance(p, list) and all(e is None or type(e) is int for e in p)
                 for p in pieces)):
             raise ValidationError("sgp JSON needs a factor list and pieces of null or int")
-        desc = constructions.SgpDescription(tuple(Graph.from_json(json.dumps(f)) for f in factors),
+        desc = constructions.SgpDescription(tuple(_graph(json.dumps(f)) for f in factors),
                                             tuple(tuple(p) for p in pieces))
         g, _, _ = constructions.sgp_build(desc)
         three_piece, _ = constructions.sgp_three_piece(desc)
@@ -125,46 +130,63 @@ def _cmd_build(args):
     return 0
 
 
+# name -> (size, make).  Both take the generator's parameters, whose names
+# the usage message prints; make also takes the geometry module first.  size
+# is the vertex count, or for `complete` and `random` the n(n - 1)/2 pairs
+# they visit, read off the parameters so that `gen` refuses a graph past
+# SIZE_CAP before building any of it.
 _GENERATORS = {
-    "path": geometry.path_graph,
-    "cycle": geometry.cycle_graph,
-    "complete": geometry.complete_graph,
-    "star": geometry.star_graph,
-    "wheel": geometry.wheel_graph,
-    "hypercube": geometry.hypercube_graph,
-    "grid": geometry.grid_graph,
-    "king": geometry.king_graph,
-    "sun3": geometry.sun3,
-    "house": geometry.house_graph,
-    "bowtie": geometry.bowtie_graph,
-    "k4-minus": geometry.k4_minus,
-    "k33-minus": geometry.k33_minus,
-    "l1-grid": lambda k: geometry.l1_grid(k)[0],
-    "linf-diamond": lambda k: geometry.linf_diamond(k)[0],
-    "t3-deltoid": lambda side: geometry.t3_deltoid(side)[0],
-    "t3-patch": lambda radius: geometry.t3_patch(radius)[0],
-    "z3-box": lambda half_side: geometry.z3_box(half_side)[0],
-    "ncp-figure": lambda: geometry.ncp_figure()[0],
-    "random": lambda n, percent, seed: geometry.random_connected_graph(
-        n, percent / 100.0, seed),
-    "tree": geometry.random_tree,
+    "path": (lambda n: n, lambda geo, n: geo.path_graph(n)),
+    "cycle": (lambda n: n, lambda geo, n: geo.cycle_graph(n)),
+    "complete": (lambda n: n * (n - 1) // 2, lambda geo, n: geo.complete_graph(n)),
+    "star": (lambda leaves: leaves + 1, lambda geo, leaves: geo.star_graph(leaves)),
+    "wheel": (lambda rim: rim + 1, lambda geo, rim: geo.wheel_graph(rim)),
+    "hypercube": (lambda dim: 1 << min(dim, 64), lambda geo, dim: geo.hypercube_graph(dim)),
+    "grid": (lambda rows, cols: rows * cols,
+             lambda geo, rows, cols: geo.grid_graph(rows, cols)),
+    "king": (lambda rows, cols: rows * cols,
+             lambda geo, rows, cols: geo.king_graph(rows, cols)),
+    "sun3": (lambda: 6, lambda geo: geo.sun3()),
+    "house": (lambda: 5, lambda geo: geo.house_graph()),
+    "bowtie": (lambda: 5, lambda geo: geo.bowtie_graph()),
+    "k4-minus": (lambda: 4, lambda geo: geo.k4_minus()),
+    "k33-minus": (lambda: 6, lambda geo: geo.k33_minus()),
+    "l1-grid": (lambda k: (2 * k + 1) ** 2, lambda geo, k: geo.l1_grid(k)[0]),
+    "linf-diamond": (lambda k: 8 * k * k + 4 * k + 1, lambda geo, k: geo.linf_diamond(k)[0]),
+    "t3-deltoid": (lambda side: (side + 1) * (side + 2) // 2,
+                   lambda geo, side: geo.t3_deltoid(side)[0]),
+    "t3-patch": (lambda radius: 3 * radius * (radius + 1) + 1,
+                 lambda geo, radius: geo.t3_patch(radius)[0]),
+    "z3-box": (lambda half_side: (2 * half_side + 1) ** 3,
+               lambda geo, half_side: geo.z3_box(half_side)[0]),
+    "ncp-figure": (lambda: 9, lambda geo: geo.ncp_figure()[0]),
+    "random": (lambda n, percent, seed: n * (n - 1) // 2,
+               lambda geo, n, percent, seed: geo.random_connected_graph(n, percent / 100.0, seed)),
+    "tree": (lambda n, seed: n, lambda geo, n, seed: geo.random_tree(n, seed)),
 }
 
 
 def _cmd_gen(args):
-    maker = _GENERATORS.get(args.name)
-    if maker is None:
+    import inspect
+    if args.name not in _GENERATORS:
         raise ValidationError(
             f"unknown generator {args.name!r}; known: {', '.join(sorted(_GENERATORS))}")
-    names = list(inspect.signature(maker).parameters)
+    size, make = _GENERATORS[args.name]
+    names = list(inspect.signature(size).parameters)
     if len(args.params) != len(names):
         raise ValidationError(f"{args.name!r} takes parameters {names}, got {args.params}")
-    g = maker(*args.params)
+    # a negative parameter makes an empty or invalid graph, which the generator refuses
+    count = size(*(max(p, 0) for p in args.params))
+    if count > SIZE_CAP:
+        raise ResourceCapExceeded(f"generator {args.name!r} size {count} exceeds cap {SIZE_CAP}")
+    from . import geometry
+    g = make(geometry, *args.params)
     print(g.to_dot() if args.dot else g.to_json())
     return 0
 
 
 def _cmd_hyp(args):
+    from . import geometry
     for name, value in (("--cap", args.cap), ("--sample", args.sample)):
         if value < 0:
             raise ValidationError(f"{name} must be nonnegative, got {value}")
@@ -179,6 +201,7 @@ def _cmd_hyp(args):
 
 
 def _cmd_coarse(args):
+    from . import hull
     g = _load_graph(args.graph)
     defect = hull.coarse_helly_defect(g, args.centers, args.radii,
                                       require_pairwise=not args.no_pairwise_check)
@@ -187,6 +210,7 @@ def _cmd_coarse(args):
 
 
 def _cmd_fix(args):
+    from . import symmetry
     g = _load_graph(args.graph)
     action = symmetry.GroupAction.from_json(g, _read(args.action))
     clique = symmetry.fixed_clique(action)
@@ -195,6 +219,7 @@ def _cmd_fix(args):
 
 
 def _cmd_hyper_check(args):
+    from . import hypergraphs
     h = hypergraphs.Hypergraph.from_json(_read(args.hypergraph))
     helly_ok, helly_witness = hypergraphs.helly_property_certified(h)
     conf_ok, conf_witness = hypergraphs.is_conformal_certified(h)
@@ -210,6 +235,7 @@ def _cmd_hyper_check(args):
 
 
 def _cmd_repro(args):
+    from . import claims
     if args.list:
         for name in claims.CLAIMS:
             print(name)

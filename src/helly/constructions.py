@@ -11,12 +11,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .errors import InvariantViolation, ResourceCapExceeded, ValidationError
+from .errors import SIZE_CAP, InvariantViolation, ResourceCapExceeded, ValidationError
 from .graphs import Graph, bits, mask_of
 from . import hypergraphs, recognition
 
 
-def strong_product(factors, cap=200000):
+def strong_product(factors, cap=SIZE_CAP):
     """Direct (strong) product: adjacent when every coordinate is equal or
     adjacent.  Vertex ids enumerate coordinate tuples lexicographically.
     It is the one-piece union of subproducts."""
@@ -136,7 +136,7 @@ def pieces_intersect(desc, i, j):
     return all(pieces_agree(desc, i, j, t) for t in range(len(desc.factors)))
 
 
-def sgp_build(desc, cap=200000):
+def sgp_build(desc, cap=SIZE_CAP):
     """The union-of-subproducts graph (vertices are coordinate tuples).
 
     A piece with more than `cap` vertices is refused before its vertex set

@@ -11,6 +11,12 @@ import os
 from itertools import chain
 
 
+# the most vertices a strong product, a union of subproducts or a generated
+# graph may have (or, for a generator, pairs it may visit) unless a caller
+# passes its own cap
+SIZE_CAP = 200000
+
+
 class ValidationError(ValueError):
     """Input violates a documented precondition."""
 

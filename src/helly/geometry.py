@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import InvariantViolation, ValidationError
 from .graphs import WM_BLOCK_CELLS, Graph
-from . import hull as hull_mod
 
 
 # -- elementary generators -----------------------------------------------------
@@ -421,7 +420,8 @@ def z3_counterexample(n):
     centers = [index[(-2 * n, 2 * n, -2 * n)], index[(2 * n, 2 * n, 2 * n)],
                index[(-2 * n, -2 * n, 2 * n)], index[(2 * n, -2 * n, -2 * n)]]
     radii = [2 * n] * 4
-    defect = hull_mod.coarse_helly_defect(g, centers, radii, require_pairwise=False)
+    from . import hull  # only the claims need it, not `gen` or `hyp`
+    defect = hull.coarse_helly_defect(g, centers, radii, require_pairwise=False)
     return {"defect": defect, "graph": g, "centers": centers, "radii": radii}
 
 
@@ -435,7 +435,8 @@ def t3_counterexample(n, radii_scale=3):
         raise ValidationError("deltoid size cap: 1 <= n <= 3")
     g, _, corners = t3_deltoid(6 * n)
     radii = [radii_scale * n] * 3
-    defect = hull_mod.coarse_helly_defect(g, corners, radii)
+    from . import hull
+    defect = hull.coarse_helly_defect(g, corners, radii)
     return {"defect": defect, "graph": g, "centers": corners, "radii": radii}
 
 
@@ -449,8 +450,9 @@ def l1_linf_grid_correspondence(k):
     the even-parity diamond of radius k inside that king graph induces an
     isometric rotated l1 grid.
     """
+    from . import hull
     h1, pts = l1_grid(k)
-    hg = hull_mod.hellyfication(h1)
+    hg = hull.hellyfication(h1)
     diamond, dpts = linf_diamond(k)
     expected_forms = sorted(
         tuple(max(abs(p[0] - q[0]), abs(p[1] - q[1])) for q in pts) for p in dpts)

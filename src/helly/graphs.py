@@ -70,27 +70,39 @@ class Graph:
         if n <= 0:
             raise ValidationError("graph needs at least one vertex")
         nbr = [0] * n
+        adj = [[] for _ in range(n)]
         for e in edges:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge {e!r} out of range for n={n}")
             if u == v:
                 raise ValidationError(f"loop at vertex {u} not allowed")
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
+            if not nbr[u] >> v & 1:  # a repeated edge is kept once
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+                adj[u].append(v)
+                adj[v].append(u)
+        for a in adj:
+            a.sort()
         self.n = n
         self.nbr_mask = nbr
         self.ball1_mask = [nbr[v] | (1 << v) for v in range(n)]
-        self.adj = [tuple(bits(nbr[v])) for v in range(n)]
+        self.adj = list(map(tuple, adj))
         self._rows = [None] * n
         self._ball_masks = [None] * n
         self._wm = None  # weak_modularity(self), once computed
         # connectivity is a constructor guarantee, not a per-op check
-        seen = self.ball_mask(0, n)
-        self._ball_masks[0] = None  # a long thin graph would keep ecc(0) + 2 masks
-        if seen != (1 << n) - 1:
-            missing = next(bits(~seen & ((1 << n) - 1)))
-            raise ValidationError(f"graph is disconnected (vertex {missing} unreachable from 0)")
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for y in adj[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        if not all(seen):
+            raise ValidationError(
+                f"graph is disconnected (vertex {seen.index(False)} unreachable from 0)")
 
     # -- construction helpers -------------------------------------------------
 

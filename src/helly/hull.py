@@ -50,6 +50,11 @@ from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, c
 from .graphs import WM_BLOCK_CELLS, Graph, as_vertices
 
 
+# bytes per block of the hull-distance certificate (_check_hull_distances);
+# at 1 MB the blocks of path_graph(200) ran about twice as slow as at 512 KB
+CERTIFICATE_BYTES = 1 << 19
+
+
 def _form_cap():
     return cap_from_env("HELLY_MAX_FORMS", 50000)
 
@@ -412,24 +417,31 @@ def _check_hull_distances(forms, graph):
     gives graph distance <= S by induction on S.  Conversely, when graph
     distance = S no neighbour is more than one closer, and the first step
     of a shortest path is one closer.  So the edges are exactly the pairs
-    at S = 1, and each pair at S = k >= 2 steps down to k - 1.  The check
-    runs on blocks of columns j of S: the least over the neighbours of each
-    i is one np.minimum.reduceat over the edges sorted by tail (the graph
+    at S = 1, and each pair at S = k >= 2 steps down to k - 1.
+
+    The check runs on blocks of columns j of S, held as rows i x columns j
+    in the smallest signed integer type that holds S and S - 1 >= -1.  The
+    least over the neighbours of each i is one np.minimum.reduceat along
+    the rows of S[heads], the heads of the edges sorted by tail (the graph
     is connected, so each vertex has a neighbour when there are two or
-    more).  A pair i = j always fails, as its least is >= 0, so a block of
-    w columns passes when exactly w pairs fail.
+    more).  A block holds as many columns as fit in CERTIFICATE_BYTES for the
+    differences of every form with the block's forms and for S[heads].  A
+    pair i = j always fails, as its least is >= 0, so a block of w columns
+    passes when exactly w pairs fail.
     """
     count = len(forms)
     if count == 1:
         return
-    degree = [len(a) for a in graph.adj]
+    forms = forms - forms.min()  # same S, and S <= forms.max()
+    forms = forms.astype(np.min_scalar_type(-int(forms.max()) - 1))
     heads = np.array([v for a in graph.adj for v in a])  # sorted by tail
-    starts = np.cumsum([0] + degree[:-1])
-    step = max(1, WM_BLOCK_CELLS // max(count * forms.shape[1], len(heads)))
+    starts = np.cumsum([0] + [len(a) for a in graph.adj][:-1])
+    column = forms.itemsize * (forms.size + len(heads))
+    step = max(1, CERTIFICATE_BYTES // column)
     for lo in range(0, count, step):
-        sup = np.abs(forms[lo:lo + step, None, :] - forms).max(2)  # sup[j - lo, i] = S(i, j)
-        nearest = np.minimum.reduceat(sup[:, heads], starts, axis=1)
-        if np.count_nonzero(nearest != sup - 1) != len(sup):
+        sup = np.abs(forms[:, None, :] - forms[lo:lo + step]).max(2)  # sup[i, j - lo] = S(i, j)
+        nearest = np.minimum.reduceat(sup[heads], starts, axis=0)
+        if np.count_nonzero(nearest != sup - 1) != sup.shape[1]:
             raise InvariantViolation("unit-step graph distance != sup-metric")
 
 

@@ -354,3 +354,81 @@ def test_every_file_subcommand_exits_cleanly_on_arbitrary_input(fuzz_dir, argv, 
 def test_named_subcommands_exit_cleanly_on_arbitrary_names(command, name, params):
     argv = [command, "--", name] + ([str(p) for p in params] if command == "gen" else [])
     assert_clean_exit(*run_cli_to_exit(argv))
+
+
+def run_fresh(argv, code):
+    """Exit code and stdout of `python -c code argv...` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # the same helly package
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env)
+    return proc.returncode, proc.stdout
+
+
+def test_importing_the_cli_loads_no_command_module():
+    # each subcommand imports the modules it runs when it runs
+    code = ("import sys, helly.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('helly', 'numpy')))")
+    assert run_fresh([], code) == (0, "helly helly.cli helly.errors\n")
+
+
+@pytest.fixture(scope="module")
+def command_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("commands")
+    for name, g in (("king", geometry.king_graph(3, 3)), ("p3", geometry.path_graph(3)),
+                    ("grid", geometry.grid_graph(3, 3)), ("k3", geometry.complete_graph(3)),
+                    ("c6", geometry.cycle_graph(6)), ("star", geometry.star_graph(4))):
+        (path / f"{name}.json").write_text(g.to_json())
+    p2 = {"n": 2, "edges": [[0, 1]]}
+    files = {"act": {"perms": [[0, 2, 3, 4, 1]]},
+             "h": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+             "sgp": {"factors": [p2, p2], "pieces": [[None, 0], [0, None], [None, None]]}}
+    for name, data in files.items():
+        (path / f"{name}.json").write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "king.json"], ["hull", "c6.json"], ["bicombing", "king.json", "--pair", "0", "8"],
+    ["bicombing", "king.json", "--fellow-traveler"], ["build", "product", "p3.json", "p3.json"],
+    ["build", "thicken", "grid.json"], ["build", "rips", "p3.json", "--delta", "2"],
+    ["build", "face", "k3.json"], ["build", "nerve", "king.json"], ["build", "sgp", "sgp.json"],
+    ["build", "glue", "k3.json", "k3.json", "--gluings", "[[0,0,1,0]]"],
+    ["gen", "king", "3", "3"], ["hyp", "c6.json"],
+    ["coarse", "c6.json", "--centers", "0", "2", "4", "--radii", "1", "1", "1"],
+    ["fix", "star.json", "act.json"], ["hyper-check", "h.json"], ["repro", "--list"],
+    ["repro", "ncp-figure"],
+])
+def test_every_subcommand_runs_alone_in_a_fresh_interpreter(command_dir, argv):
+    # in-process, every module is loaded already and would hide a missing import
+    argv = [str(command_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert run_fresh(argv, "import sys, helly.cli; sys.exit(helly.cli.main(sys.argv[1:]))") == (
+        code, out)
+
+
+@pytest.mark.parametrize("maker, argv, size", [
+    ("path_graph", ["path", "200000"], 200000),
+    ("path_graph", ["path", "200001"], 200001),
+    ("grid_graph", ["grid", "400", "500"], 200000),
+    ("grid_graph", ["grid", "1", "200001"], 200001),
+    ("hypercube_graph", ["hypercube", "17"], 131072),
+    ("hypercube_graph", ["hypercube", "18"], 262144),
+    ("z3_box", ["z3-box", "28"], 185193),
+    ("z3_box", ["z3-box", "29"], 205379),
+    ("complete_graph", ["complete", "632"], 199396),  # pairs visited, n(n - 1)/2
+    ("complete_graph", ["complete", "633"], 200028),
+    ("random_connected_graph", ["random", "632", "1", "0"], 199396),
+    ("random_connected_graph", ["random", "633", "1", "0"], 200028),
+])
+def test_gen_refuses_a_graph_past_the_size_cap_before_building_it(monkeypatch, maker, argv,
+                                                                   size):
+    built, small = [], geometry.path_graph(2)
+    made = (small, {}) if maker == "z3_box" else small  # z3_box returns (graph, index)
+    monkeypatch.setattr(geometry, maker, lambda *params: built.append(params) or made)
+    code, out, err = run_cli(["gen", *argv])
+    if size <= 200000:
+        assert (code, out, err, len(built)) == (0, small.to_json() + "\n", "", 1)
+    else:
+        assert (code, out, built) == (3, "", [])
+        assert err == f"error: generator {argv[0]!r} size {size} exceeds cap 200000\n"

@@ -730,6 +730,7 @@ def test_hull_distance_certificate_matches_bfs_rows(hg):
 @pytest.mark.parametrize("cells", [1, 200])
 def test_hull_distance_certificate_matches_bfs_rows_across_blocks(monkeypatch, cells):
     monkeypatch.setattr(hull, "WM_BLOCK_CELLS", cells)
+    monkeypatch.setattr(hull, "CERTIFICATE_BYTES", cells * 8)
     hg = hull.hellyfication(geometry.cycle_graph(7))
     forms, edges = np.array(hg.forms), hg.graph.edges()
     extra = next(e for e in combinations(range(len(forms)), 2) if e not in set(edges))
