@@ -1,17 +1,18 @@
 """Named claims of the paper on fixed inputs.  A claim yields (line, ok) rows
 lazily, one per parameter set, so a caller can time each row; `helly repro`
-prints them and the acceptance suite runs them under its time bounds."""
+prints them and the acceptance suite runs them under its time bounds.  Each
+claim imports the modules it runs, so `helly repro --list` loads none."""
 
 from __future__ import annotations
 
 import random
 
-from . import bicombing, constructions, geometry, hull, hypergraphs, recognition
-from .graphs import weak_modularity
-
 
 def classification_table():
     """Helly / 1-Helly / clique-Helly classification of small graphs."""
+    from . import geometry, recognition
+    from .graphs import weak_modularity
+
     def helly(g):
         return recognition.is_helly(g).is_helly
 
@@ -32,6 +33,7 @@ def classification_table():
 
 def zcube_defect():
     """The Z^3 box family has coarse-Helly defect 4n at scale n."""
+    from . import geometry
     for n, expected in ((1, 4), (2, 8)):
         defect = geometry.z3_counterexample(n)["defect"]
         yield f"box scale n={n}: defect {defect} (expected {expected})", defect == expected
@@ -39,6 +41,7 @@ def zcube_defect():
 
 def t3_defect():
     """The T^3 deltoid family has coarse-Helly defect at least n at scale n."""
+    from . import geometry
     for n in (1, 2):
         defect = geometry.t3_counterexample(n)["defect"]
         yield f"deltoid scale n={n}: defect {defect} (>= {n} required)", defect >= n
@@ -46,6 +49,7 @@ def t3_defect():
 
 def fellow_traveler_king5():
     """Normal clique-paths fellow-travel with constant 1, normal paths with 3."""
+    from . import bicombing, geometry
     rep = bicombing.fellow_traveler_check(geometry.king_graph(5, 5))
     yield (f"constants: clique {rep.clique_constant} (<=1), path {rep.path_constant} (<=3)",
            rep.clique_constant <= 1 and rep.path_constant <= 3)
@@ -53,6 +57,7 @@ def fellow_traveler_king5():
 
 def ncp_figure():
     """The nine-vertex figure: its clique-path shape, and y on no normal path."""
+    from . import bicombing, geometry
     g, names = geometry.ncp_figure()
     path = bicombing.normal_clique_path(g, names["t"], names["s"])
     want = [{names[v] for v in c} for c in (["t"], ["x", "y"], ["u", "u'", "w"], ["s"])]
@@ -65,6 +70,7 @@ def ncp_figure():
 
 def grid_correspondence():
     """The l1 and linf grids correspond at scales k = 1, 2."""
+    from . import geometry
     for k in (1, 2):
         ok = geometry.l1_linf_grid_correspondence(k)
         yield f"l1 <-> linf correspondence at k={k}: {ok}", ok
@@ -72,6 +78,7 @@ def grid_correspondence():
 
 def thicken():
     """Thickening the cube Q3 gives K8; thickening the 3x3 grid gives the 3x3 king."""
+    from . import constructions, geometry
     a = constructions.thicken_median(geometry.hypercube_graph(3)) == geometry.complete_graph(8)
     b = constructions.thicken_median(geometry.grid_graph(3, 3)) == geometry.king_graph(3, 3)
     yield f"thicken Q3 = K8: {a}; thicken 3x3 grid = 3x3 king: {b}", a and b
@@ -80,6 +87,7 @@ def thicken():
 def helly_duality():
     """Conformality is dual to the Helly property, and the Berge-Duchet
     Helly test agrees with the subfamily oracle, on two seeded samples."""
+    from . import hypergraphs
     for seed, sample in ((2024, "200 random hypergraphs"), (777, "200 more (seed 777)")):
         rng = random.Random(seed)
         hs = []
@@ -99,6 +107,7 @@ def helly_duality():
 
 def hull_identity():
     """A Helly graph is its own hull, at hull distance profile <= 1."""
+    from . import geometry, hull
     for name, g in [("tree", geometry.random_tree(12, 3)),
                     ("king4x4", geometry.king_graph(4, 4)),
                     ("star", geometry.star_graph(6))]:
@@ -110,6 +119,7 @@ def hull_identity():
 
 def stable_intervals():
     """Intervals of Helly and median graphs are 1-stable."""
+    from . import geometry, recognition
     for name, g in [("king5x5", geometry.king_graph(5, 5)),
                     ("grid4x4", geometry.grid_graph(4, 4)),
                     ("tree", geometry.random_tree(15, 9))]:

@@ -364,11 +364,16 @@ def run_fresh(argv, code):
     return proc.returncode, proc.stdout
 
 
-def test_importing_the_cli_loads_no_command_module():
-    # each subcommand imports the modules it runs when it runs
-    code = ("import sys, helly.cli; "
+@pytest.mark.parametrize("argv, loaded", [
+    ([], "helly helly.cli helly.errors"),
+    (["repro", "--list"], "helly helly.claims helly.cli helly.errors"),
+])
+def test_the_cli_loads_only_the_modules_a_command_runs(argv, loaded):
+    code = ("import sys, helly.cli\n"
+            "if sys.argv[1:]: helly.cli.main(sys.argv[1:])\n"
             "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('helly', 'numpy')))")
-    assert run_fresh([], code) == (0, "helly helly.cli helly.errors\n")
+    code, out = run_fresh(argv, code)
+    assert code == 0 and out.splitlines()[-1] == loaded
 
 
 @pytest.fixture(scope="module")
