@@ -10,8 +10,6 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import numpy as np
-
 from .errors import InvariantViolation, ValidationError
 from .graphs import WM_BLOCK_CELLS, Graph
 
@@ -267,8 +265,9 @@ def hyperbolicity(g, cap=256):
         raise ValidationError(f"hyperbolicity is exhaustive; n={n} exceeds cap {cap}")
     if n < 4:
         return HyperbolicityResult(0, tuple(range(min(n, 4))))
-    rows = [g.dist_row(u) for u in range(n)]
-    d = np.array(rows, dtype=np.min_scalar_type(-6 * max(map(max, rows)) - 1))
+    import numpy as np
+    d = g.distances()
+    d = d.astype(np.min_scalar_type(-6 * int(d.max()) - 1))
     pi, pj = _far_apart(g, d)
     pd = d[pi, pj]
     best, p, total = 0, 0, len(pd)
@@ -283,6 +282,7 @@ def hyperbolicity(g, cap=256):
 
 def _four_point(s1, s2, s3):
     """Four-point values hi - mid of the pair sums s1, s2, s3, elementwise."""
+    import numpy as np
     hi = np.maximum(np.maximum(s1, s2), s3)
     lo = np.minimum(np.minimum(s1, s2), s3)
     return 2 * hi + lo - s1 - s2 - s3
@@ -295,6 +295,7 @@ def _far_apart(g, d):
     M[x] is the elementwise max of the rows d[x'] over the neighbours x' of
     x, taken one neighbour slot at a time with each list padded by x.
     """
+    import numpy as np
     wide = max(map(len, g.adj))
     nbrs = np.array([a + (x,) * (wide - len(a)) for x, a in enumerate(g.adj)])
     m = d.copy()
@@ -316,6 +317,7 @@ def _least_quadruple(d, value):
     order is the least (k, l).  So the first pair (i, j) with a hit gives
     the least quadruple.
     """
+    import numpy as np
     ok = d >= (value + 1) // 2
     upper = np.triu(ok, 1)
     for i in range(len(d)):

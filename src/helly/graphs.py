@@ -3,22 +3,27 @@
 Vertices are dense ids 0..n-1.  Adjacency is kept both as sorted tuples
 (for iteration and serialization) and as per-vertex int bitmasks (for the
 set algebra that dominates every metric predicate in this package).
-Distance rows are computed by BFS on first use, and balls are grown per
-radius as far as a caller asks; both are memoized, so desk-scale graphs pay
-for all-pairs distances only when an operation actually sweeps all pairs.
-The weak-modularity report is memoized too, since both recognition routes
-and the median test ask for it.  The graph is observably immutable: the
-lazy caches are idempotent, so concurrent readers can at worst recompute a
-row, a ball or the report.
+
+Distances come by one of two routes, both memoized.  A sweep over every
+row (weak modularity, hyperbolicity, the metric of a graph) asks for
+`distances()`, the n x n matrix built by one bit-parallel BFS from all
+sources at once on packed numpy rows.  A caller that needs one or two rows
+asks for `dist_row`, which runs a single-source BFS, or reads the row off
+the matrix once it exists, so the two routes never disagree.  Balls are
+grown per radius as far as a caller asks.  The weak-modularity report is
+memoized too, since both recognition routes and the median test ask for
+it.  The graph is observably immutable: the lazy caches are idempotent, so
+concurrent readers can at worst recompute a row, a ball, the matrix or the
+report.  numpy is imported by the functions that use it, so building and
+printing graphs does not load it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError, int_lists, json_object, vertex_count
 
@@ -64,7 +69,8 @@ def maximal_clique_masks(nbr):
 class Graph:
     """Simple, undirected, connected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "nbr_mask", "ball1_mask", "_rows", "_ball_masks", "_wm")
+    __slots__ = ("n", "adj", "nbr_mask", "ball1_mask", "_rows", "_dist", "_ball_masks",
+                 "_wm")
 
     def __init__(self, n, edges):
         if n <= 0:
@@ -89,6 +95,7 @@ class Graph:
         self.ball1_mask = [nbr[v] | (1 << v) for v in range(n)]
         self.adj = list(map(tuple, adj))
         self._rows = [None] * n
+        self._dist = None  # distances(), once computed
         self._ball_masks = [None] * n
         self._wm = None  # weak_modularity(self), once computed
         # connectivity is a constructor guarantee, not a per-op check
@@ -141,27 +148,61 @@ class Graph:
     # -- metric ---------------------------------------------------------------
 
     def dist_row(self, u):
-        """BFS distances from u (memoized)."""
+        """Distances from u as a list of ints (memoized): read off
+        `distances()` once the matrix exists, else by BFS from u."""
         row = self._rows[u]
         if row is None:
-            row = [-1] * self.n
-            row[u] = 0
-            queue = deque([u])
-            while queue:
-                x = queue.popleft()
-                dx = row[x] + 1
-                for y in self.adj[x]:
-                    if row[y] < 0:
-                        row[y] = dx
-                        queue.append(y)
+            if self._dist is not None:
+                row = self._dist[u].tolist()
+            else:
+                row = [-1] * self.n
+                row[u] = 0
+                queue = deque([u])
+                while queue:
+                    x = queue.popleft()
+                    dx = row[x] + 1
+                    for y in self.adj[x]:
+                        if row[y] < 0:
+                            row[y] = dx
+                            queue.append(y)
             self._rows[u] = row
         return row
+
+    def distances(self):
+        """All-pairs distance matrix, n x n in the smallest signed dtype that
+        holds n (memoized, read-only).
+
+        One BFS from every source at once.  Row x of R_r is the ball B_r(x)
+        packed into 64-bit words: R_0 is the identity, and R_{r+1}[x] is R_r[x] or'd
+        with R_r[y] over the neighbours y of x, one np.bitwise_or.reduceat
+        per level over the adjacency lists laid end to end.  d(x, y) is the
+        number of levels r with y outside B_r(x), so the matrix sums the
+        unpacked complements of R_0, R_1, ... and is complete at the first
+        level where every ball is the whole graph, which is connected.
+        """
+        if self._dist is None:
+            import numpy as np
+            n = self.n
+            heads = np.fromiter(chain.from_iterable(self.adj), np.intp)
+            degrees = np.fromiter(map(len, self.adj), np.intp, n)
+            starts = degrees.cumsum() - degrees
+            width = 64 * ((n + 63) // 64)  # rows padded to whole 64-bit words
+            balls = np.packbits(np.eye(n, width, dtype=bool), axis=1,
+                                bitorder="little").view(np.uint64)
+            d = np.zeros((n, n), np.min_scalar_type(-n))
+            while (outside := np.unpackbits((~balls).view(np.uint8), axis=1, count=n,
+                                            bitorder="little")).any():
+                d += outside
+                balls |= np.bitwise_or.reduceat(balls.take(heads, axis=0), starts)
+            d.flags.writeable = False
+            self._dist = d
+        return self._dist
 
     def dist(self, u, v):
         return self.dist_row(u)[v]
 
     def diameter(self):
-        return max(max(self.dist_row(u)) for u in range(self.n))
+        return int(self.distances().max())
 
     def level_masks(self, u):
         """Masks of the spheres around u, indexed by distance."""
@@ -313,6 +354,7 @@ WM_BLOCK_CELLS = 1 << 15
 
 def _bool_rows(masks, n):
     """The int masks as the rows of an n-column boolean matrix."""
+    import numpy as np
     width = (n + 7) // 8
     buf = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     return np.unpackbits(buf.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
@@ -328,6 +370,7 @@ class _WmItems:
     """
 
     def __init__(self, adj, pairs):
+        import numpy as np
         v, w = np.nonzero(np.triu(pairs, 1))
         sizes, members = [], []
         step = max(1, WM_BLOCK_CELLS // len(adj))
@@ -344,11 +387,10 @@ class _WmItems:
 
 
 def _wm_items(g):
-    """TC items (the edges, with their apexes) and QC items (the non-adjacent
-    pairs at distance 2, with their common neighbours)."""
-    far2 = [g.ball_mask(v, 2) & ~g.ball1_mask[v] for v in range(g.n)]
+    """TC items (the edges, with their apexes) and QC items (the pairs at
+    distance 2, with their common neighbours)."""
     adj = _bool_rows(g.nbr_mask, g.n)
-    return _WmItems(adj, adj), _WmItems(adj, _bool_rows(far2, g.n))
+    return _WmItems(adj, adj), _WmItems(adj, g.distances() == 2)
 
 
 def weak_modularity(g):
@@ -357,8 +399,8 @@ def weak_modularity(g):
     The first failing witness (lexicographically smallest) is reported:
     (u, v, w) for TC, (u, z, v, w) for QC.
 
-    Both conditions are tested for a block of sources u at once, on numpy
-    rows D[u] taken from the cached `dist_row`s, against fixed item lists:
+    Both conditions are tested for a block of sources u at once, on the
+    rows D[u] of `g.distances()`, against fixed item lists:
 
     - TC fails at u on the edge v < w iff D[u,v] = D[u,w] = j and no apex
       (common neighbour) of v, w is at distance j - 1.
@@ -372,7 +414,8 @@ def weak_modularity(g):
     source u is a common neighbour at distance 0.  A member c is adjacent
     to v, so |D[u,c] - D[u,v]| <= 1: "at distance j - 1" is D[u,c] < D[u,v]
     and "j + 1" is D[u,c] > D[u,v].  Entries are only compared, never
-    computed, so rows are stored in the least signed dtype that holds n.
+    computed, so the matrix's dtype, the least signed one that holds n,
+    serves as it is.
 
     Witness order.  Sources are scanned in increasing order, so the first
     row with a failure gives u.  TC items are ranked as the edges in lex
@@ -386,16 +429,17 @@ def weak_modularity(g):
     """
     if g._wm is not None:
         return g._wm
+    import numpy as np
     n = g.n
     tc, qc = _wm_items(g)
+    dist = g.distances()
     block = max(1, WM_BLOCK_CELLS // max(n, len(tc.v), len(qc.v)))
-    dtype = np.min_scalar_type(-n)
     tc_witness = qc_witness = None
     tc_open, qc_open = len(tc.v) > 0, len(qc.v) > 0
     for u0 in range(0, n, block):
         if not (tc_open or qc_open):
             break
-        d = np.array([g.dist_row(u) for u in range(u0, min(n, u0 + block))], dtype=dtype)
+        d = dist[u0:u0 + block]
         if tc_open:
             dv = np.take(d, tc.v, axis=1)
             fail = (dv == np.take(d, tc.w, axis=1)) & (dv >= 2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError, int_lists, json_object, vertex_count
-from .graphs import Graph, bits, mask_of, maximal_clique_masks
+from .graphs import WM_BLOCK_CELLS, Graph, bits, mask_of, maximal_clique_masks
 
 
 @dataclass(frozen=True)
@@ -108,36 +108,90 @@ def helly_property(h):
     return ok
 
 
-def triple_criterion(n, pair_cap, near):
-    """Lexicographically least failing triple of a pairwise-cap test, or None.
+def berge_duchet(n, family):
+    """Lexicographically least failing triple of the Berge-Duchet test on
+    `family`, int masks of members over 0..n-1, or None.
 
-    Unchecked mask kernel behind every Berge-Duchet-style test.  A triple
-    x < y < z fails when pair_cap(x, y) & pair_cap(x, z) & pair_cap(y, z)
-    is empty, where pair_cap(x, y) is the intersection of all members of a
-    family that contain both x and y.  Only triangles of `near` are walked
-    (y in near[x], z in near[x] and near[y]); `near[x]` must hold every y
-    that shares a member with x.  This is sound: a pair in no member has the
-    whole ground set as its cap, and the two other caps both contain the
-    vertex their pairs share, so such a triple cannot fail.  Pruned triples
-    never fail, so the first failure met in lexicographic order is the
-    least one.  Caps are computed once, on first use.
+    Unchecked kernel behind every Berge-Duchet-style test.  The cap of a
+    pair x, y is the intersection of the members that hold both (the
+    ground set if none does), and x < y < z fails when its three caps have
+    an empty intersection.  The family has the Helly property iff no triple
+    fails (Berge and Duchet, 1975).
+
+    Pruning.  Only triangles of the 2-section are walked: triples whose
+    three pairs each share a member.  A triple with a pair in no member
+    cannot fail, since that cap is the ground set and the other two both
+    contain the vertex their pairs share.  So every cap that is read is an
+    AND of member rows, taken by np.bitwise_and.reduce over each pair's
+    list of holders (the members holding its first vertex, with those
+    missing the second replaced by a row of ones).
+
+    Order.  The pairs x < y of the 2-section come out of a row-major
+    nonzero of its upper triangle, in lex order, and are taken in blocks of
+    consecutive pairs.  The triples of a block, (x, y, z) with z > y in the
+    2-section of both, come out of a row-major nonzero over the block's
+    pairs and z, so in lex order too.  Since (x, y) < (x', y') implies
+    (x, y, z) < (x', y', z'), the blocks list the walked triples in lex
+    order; the scan stops at the first block with a failure, and its first
+    failing triple is the least failing walked triple, hence the least
+    failing triple.  Grids leave in the first block, at (0, 1, k).
+
+    Caps are kept by the lex rank of their pair and built in that order,
+    in steps, as far as the current block needs: a triple's pairs rank
+    xy < xz < yz, as y < z and x < y, so the block needs the caps up to its
+    largest yz.  Temporaries are bounded through `WM_BLOCK_CELLS`: a block
+    has that many pairs x vertices, a step that many 64-bit words of holder
+    rows.
+
+    Callers pass the unit balls (1-Helly of a graph), the edges (Helly
+    property of a hypergraph), all balls (the ball-hypergraph oracle), and
+    for Gilmore's conformality test the vertex stars S_v = {l : v in e_l}
+    over edge indices.  For the stars, the members holding i and j are the
+    S_v with v in e_i & e_j, so the cap of i, j is the set of edges l with
+    e_i & e_j inside e_l (all edges when e_i and e_j are disjoint), and the
+    three caps of i, j, k meet in the edges containing the union of the
+    three pairwise intersections: the triple fails exactly when Gilmore's
+    condition does.  Two stars meet iff their edges do, so the 2-section is
+    the line graph.
     """
-    caps = {}
-
-    def cap(x, y):
-        key = x * n + y
-        c = caps.get(key)
-        if c is None:
-            c = caps[key] = pair_cap(x, y)
-        return c
-
-    for x in range(n):
-        above_x = near[x] >> (x + 1) << (x + 1)
-        for y in bits(above_x):
-            cxy = cap(x, y)
-            for z in bits(above_x & near[y] >> (y + 1) << (y + 1)):
-                if cxy & cap(x, z) & cap(y, z) == 0:
-                    return (x, y, z)
+    if n < 3:
+        return None
+    import numpy as np
+    words, k = (n + 63) // 64, len(family)
+    # member rows as 64-bit words, then a ones row (k) and a zero row (k + 1)
+    rows = np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in family)
+                         + b"\xff" * (8 * words) + bytes(8 * words), np.uint8)
+    holds = np.unpackbits(rows.reshape(k + 2, -1), axis=1, count=n, bitorder="little").T
+    rows = rows.view(np.uint64).reshape(k + 2, words)
+    # lists[v]: the members holding v, padded with the zero row
+    width = max(1, int(holds[:, :k].sum(axis=1).max(initial=0)))
+    lists = np.partition(np.where(holds[:, :k], np.arange(k), k + 1), width - 1)[:, :width]
+    near = np.bitwise_or.reduce(rows.take(lists, axis=0), axis=1).view(np.uint8)
+    # the 2-section neighbours y of x with y > x: a 1 above a 0 of the lower triangle
+    vertex = np.arange(n)
+    above = np.unpackbits(near, axis=1, count=n, bitorder="little") > (vertex <= vertex[:, None])
+    px, py = above.nonzero()
+    pair = (above.cumsum() - 1).reshape(n, n)  # pair[x, y]: lex rank of the pair x < y
+    caps = np.empty((len(px), words), np.uint64)
+    block, step = max(1, WM_BLOCK_CELLS // n), max(1, WM_BLOCK_CELLS // width // words)
+    built = 0
+    for lo in range(0, len(px), block):
+        x, y = px[lo:lo + block], py[lo:lo + block]
+        t, z = (above.take(x, axis=0) & above.take(y, axis=0)).nonzero()
+        if not len(z):
+            continue
+        x, y = x.take(t), y.take(t)
+        xy, xz, yz = t + lo, pair[x, z], pair[y, z]
+        for at in range(built, int(yz.max()) + 1, step):
+            ids = lists.take(px[at:at + step], axis=0)
+            hold = holds[py[at:at + step, None], ids]
+            caps[at:at + step] = np.bitwise_and.reduce(rows.take(np.where(hold, ids, k), axis=0),
+                                                       axis=1)
+            built = at + step
+        meets = (caps.take(xy, axis=0) & caps.take(xz, axis=0) & caps.take(yz, axis=0)).any(axis=1)
+        if not meets.all():
+            e = meets.argmin()
+            return int(x[e]), int(y[e]), int(z[e])
     return None
 
 
@@ -148,18 +202,7 @@ def helly_property_certified(h):
     pairwise caps (intersections of the edges containing a pair) with an
     empty common part.  Only triangles of the 2-section can fail.
     """
-    masks = h.edge_masks()
-    full = (1 << h.n) - 1
-
-    def pair_cap(x, y):
-        need = (1 << x) | (1 << y)
-        cap = full
-        for m in masks:
-            if m & need == need:
-                cap &= m
-        return cap
-
-    witness = triple_criterion(h.n, pair_cap, two_section_masks(h))
+    witness = berge_duchet(h.n, h.edge_masks())
     return witness is None, witness
 
 
@@ -190,23 +233,17 @@ def is_conformal_certified(h):
     """Gilmore test: (flag, failing edge-index triple or None).
 
     Edges i, j, k fail when no edge contains the union of their pairwise
-    intersections.  This is Berge-Duchet on the dual: the cap of an edge
-    pair is the set of edges containing its intersection, so the test runs
-    on the triple kernel over the triangles of the line graph.  A triple
-    with a disjoint pair is witnessed by its third edge, which contains the
+    intersections.  This is Berge-Duchet on the dual: the kernel runs on
+    the vertex stars over edge indices, whose caps are the sets of edges
+    containing a pairwise intersection (see `berge_duchet`).  A triple with
+    a disjoint pair is witnessed by its third edge, which contains the
     other two intersections.
     """
-    masks = h.edge_masks()
-
-    def pair_cap(i, j):
-        need = masks[i] & masks[j]
-        cap = 0
-        for k, m in enumerate(masks):
-            if m & need == need:
-                cap |= 1 << k
-        return cap
-
-    witness = triple_criterion(len(masks), pair_cap, _line_masks(masks))
+    stars = [0] * h.n
+    for i, e in enumerate(h.edges):
+        for v in e:
+            stars[v] |= 1 << i
+    witness = berge_duchet(len(h.edges), stars)
     return witness is None, witness
 
 

@@ -83,43 +83,21 @@ def is_one_helly(g):
     """Berge-Duchet on the family of unit balls.
 
     Two vertices share a unit ball iff they are within distance 2, so the
-    triple kernel walks only triples that are pairwise within distance 2,
-    that is, within the balls B_2(x).
+    triple kernel walks only triples that are pairwise within distance 2.
     """
-    ball1 = g.ball1_mask
-    full = (1 << g.n) - 1
-    near = [g.ball_mask(x, 2) for x in range(g.n)]
-
-    def pair_cap(x, y):
-        cap = full
-        for v in bits(ball1[x] & ball1[y]):
-            cap &= ball1[v]
-        return cap
-
-    return hypergraphs.triple_criterion(g.n, pair_cap, near) is None
+    return hypergraphs.berge_duchet(g.n, g.ball1_mask) is None
 
 
 def helly_by_ball_hypergraph(g):
     """Berge-Duchet over the family of all balls of all radii.
 
-    For a vertex pair x,y the intersection of all balls containing both is
-    cap over v of B_{max(d(v,x),d(v,y))}(v); triples then reduce to three
-    mask ANDs.  Every pair lies in some ball, so no triple is pruned.
+    The ball of radius diam(g) is the whole graph, so every pair lies in
+    some ball and no triple is pruned.
 
     Oracle: tests check `is_helly` and `is_one_helly` against it.
     """
-    n = g.n
-    rows = [g.dist_row(v) for v in range(n)]
-
-    def pair_cap(x, y):
-        cap = (1 << n) - 1
-        for v in range(n):
-            cap &= g.ball_mask(v, max(rows[v][x], rows[v][y]))
-            if cap == 0:
-                break
-        return cap
-
-    return hypergraphs.triple_criterion(n, pair_cap, [(1 << n) - 1] * n) is None
+    balls = {g.ball_mask(v, r) for v in range(g.n) for r in range(g.diameter() + 1)}
+    return hypergraphs.berge_duchet(g.n, sorted(balls)) is None
 
 
 def helly_by_ball_oracle(g):

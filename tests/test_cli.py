@@ -367,6 +367,8 @@ def run_fresh(argv, code):
 @pytest.mark.parametrize("argv, loaded", [
     ([], "helly helly.cli helly.errors"),
     (["repro", "--list"], "helly helly.claims helly.cli helly.errors"),
+    # no generator uses numpy, and the graph modules import it only where they use it
+    (["gen", "king", "4", "6"], "helly helly.cli helly.errors helly.geometry helly.graphs"),
 ])
 def test_the_cli_loads_only_the_modules_a_command_runs(argv, loaded):
     code = ("import sys, helly.cli\n"

@@ -1,6 +1,8 @@
 """Property tests: the pruned kernels against plain sweeps and oracles."""
 
+import json
 import random
+from collections import deque
 from dataclasses import astuple, replace
 from itertools import combinations, groupby, permutations, product
 
@@ -9,12 +11,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helly import (bicombing, constructions, geometry, graphs as graphs_module, hull,
-                   recognition)
+                   hypergraphs as hypergraphs_module, recognition)
 from helly.bicombing import (_steps, fellow_traveler_check, imprint, is_normal_path,
                              max_distance, min_distance, normal_clique_path, normal_paths)
 from helly.errors import HellyPreconditionError, InvariantViolation, ValidationError
 from helly.graphs import Graph, WeakModularityReport, bits, mask_of, weak_modularity
-from helly.hypergraphs import (Hypergraph, helly_property_certified,
+from helly.hypergraphs import (Hypergraph, berge_duchet, helly_property_certified,
                                helly_property_oracle, is_conformal_certified)
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -159,6 +161,113 @@ def plain_gilmore(h):
         if not any(m & need == need for m in masks):
             return False, (i, j, k)
     return True, None
+
+
+def plain_triple_criterion(n, pair_cap, near):
+    """The triple walk before `hypergraphs.berge_duchet`, kept as an oracle.
+
+    Lexicographically least triple x < y < z of the triangles of `near`
+    whose pair caps pair_cap(x, y) & pair_cap(x, z) & pair_cap(y, z) are
+    empty, with each cap computed once, on first use.
+    """
+    caps = {}
+
+    def cap(x, y):
+        key = x * n + y
+        c = caps.get(key)
+        if c is None:
+            c = caps[key] = pair_cap(x, y)
+        return c
+
+    for x in range(n):
+        above_x = near[x] >> (x + 1) << (x + 1)
+        for y in bits(above_x):
+            cxy = cap(x, y)
+            for z in bits(above_x & near[y] >> (y + 1) << (y + 1)):
+                if cxy & cap(x, z) & cap(y, z) == 0:
+                    return (x, y, z)
+    return None
+
+
+def plain_helly_witness(h):
+    """Berge-Duchet on the edges: caps over the edges holding a pair."""
+    masks, full = h.edge_masks(), (1 << h.n) - 1
+
+    def pair_cap(x, y):
+        need = (1 << x) | (1 << y)
+        cap = full
+        for m in masks:
+            if m & need == need:
+                cap &= m
+        return cap
+
+    return plain_triple_criterion(h.n, pair_cap, hypergraphs_module.two_section_masks(h))
+
+
+def plain_gilmore_witness(h):
+    """Gilmore: the cap of an edge pair is the set of edges containing its
+    intersection, walked over the triangles of the line graph."""
+    masks = h.edge_masks()
+
+    def pair_cap(i, j):
+        need = masks[i] & masks[j]
+        cap = 0
+        for k, m in enumerate(masks):
+            if m & need == need:
+                cap |= 1 << k
+        return cap
+
+    return plain_triple_criterion(len(masks), pair_cap, hypergraphs_module._line_masks(masks))
+
+
+def plain_one_helly_witness(g):
+    """Berge-Duchet on the unit balls, walked over the balls of radius 2."""
+    ball1, full = g.ball1_mask, (1 << g.n) - 1
+
+    def pair_cap(x, y):
+        cap = full
+        for v in bits(ball1[x] & ball1[y]):
+            cap &= ball1[v]
+        return cap
+
+    return plain_triple_criterion(g.n, pair_cap, [g.ball_mask(x, 2) for x in range(g.n)])
+
+
+def plain_all_balls_witness(g):
+    """Berge-Duchet on all balls: the cap of x, y is the intersection over v
+    of the least ball around v holding both; no triple is pruned."""
+    n, rows = g.n, plain_dist_rows(g)
+
+    def pair_cap(x, y):
+        cap = (1 << n) - 1
+        for v in range(n):
+            cap &= g.ball_mask(v, max(rows[v][x], rows[v][y]))
+        return cap
+
+    return plain_triple_criterion(n, pair_cap, [(1 << n) - 1] * n)
+
+
+def all_balls(g):
+    return sorted({g.ball_mask(v, r) for v in range(g.n) for r in range(g.diameter() + 1)})
+
+
+def plain_dist_rows(g):
+    """Distance rows by one deque BFS per source, as `Graph.dist_row` runs
+    before `Graph.distances` exists."""
+    rows = []
+    for u in range(g.n):
+        row = [-1] * g.n
+        row[u] = 0
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            dx = row[x] + 1
+            for y in g.adj[x]:
+                if row[y] < 0:
+                    row[y] = dx
+                    queue.append(y)
+        rows.append(row)
+    return rows
 
 
 def plain_is_median(g):
@@ -338,6 +447,127 @@ def test_one_helly_against_oracles(g):
     helly = recognition.helly_by_ball_oracle(g)
     assert (weak_modularity(g).holds and one) == helly
     assert recognition.helly_by_ball_hypergraph(g) == helly
+
+
+BLOCK_CELLS = st.sampled_from([1, 20, graphs_module.WM_BLOCK_CELLS])
+
+
+@SETTINGS
+@given(hypergraphs(max_edges=12), BLOCK_CELLS)
+def test_berge_duchet_witnesses_match_plain_triple_walk_on_hypergraphs(h, cells):
+    # small budgets split the pairs into many blocks and the caps into many
+    # steps, so caps are built ahead of the block that first needs them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraphs_module, "WM_BLOCK_CELLS", cells)
+        assert helly_property_certified(h)[1] == plain_helly_witness(h)
+        assert is_conformal_certified(h)[1] == plain_gilmore_witness(h)
+        d = hypergraphs_module.dual(h)
+        assert helly_property_certified(d)[1] == plain_helly_witness(d)
+
+
+@SETTINGS
+@given(graphs(max_n=12), BLOCK_CELLS)
+def test_berge_duchet_witnesses_match_plain_triple_walk_on_ball_families(g, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraphs_module, "WM_BLOCK_CELLS", cells)
+        assert berge_duchet(g.n, g.ball1_mask) == plain_one_helly_witness(g)
+        assert berge_duchet(g.n, all_balls(g)) == plain_all_balls_witness(g)
+
+
+def one_helly_families():
+    rng = random.Random(11)
+    yield from (geometry.grid_graph(a, b) for a in range(2, 7) for b in range(a, 9))
+    yield from (geometry.cycle_graph(n) for n in range(3, 30))
+    yield from (geometry.king_graph(a, a + 2) for a in range(1, 6))
+    yield from (geometry.random_connected_graph(rng.randint(10, 40), rng.uniform(0.05, 0.3),
+                                                rng.randrange(1000)) for _ in range(25))
+
+
+@pytest.mark.parametrize("cells", [1, 300, graphs_module.WM_BLOCK_CELLS])
+def test_one_helly_witnesses_match_plain_triple_walk_across_blocks(monkeypatch, cells):
+    monkeypatch.setattr(hypergraphs_module, "WM_BLOCK_CELLS", cells)
+    for g in one_helly_families():
+        assert berge_duchet(g.n, g.ball1_mask) == plain_one_helly_witness(g), g
+
+
+@pytest.mark.parametrize("n, family, witness", [
+    (0, [], None),
+    (1, [0b1], None),
+    (2, [0b11, 0b01, 0b10], None),
+    (3, [], None),
+    (3, [0b011, 0b110, 0b101], (0, 1, 2)),
+    (5, [0b00110, 0b01100, 0b01010], (1, 2, 3)),            # vertices 0 and 4 in no member
+    (3, [0b011, 0b110, 0b011, 0b101, 0b110], (0, 1, 2)),    # repeated members
+    (4, [0b0001, 0b0010, 0b0100, 0b1000], None),            # one-vertex members only
+    (4, [0b0011, 0b0110, 0b0101, 0b0111], (0, 1, 2)),       # a member over the triangle
+    (4, [0b0111, 0b0011, 0b0110], None),                    # nested members
+    (4, [0b0001, 0b0011, 0b0110, 0b0101, 0b1000], (0, 1, 2)),
+])
+def test_berge_duchet_edge_cases(n, family, witness):
+    got = berge_duchet(n, family)
+    assert got == witness
+    assert got is None or all(type(v) is int for v in got)
+    h = Hypergraph.of(n, [list(bits(m)) for m in family if m])
+    assert got == plain_helly_witness(h) == plain_berge_duchet(h)[1]
+
+
+@pytest.mark.parametrize("edges, witness", [
+    ([(0, 1), (2, 3), (4, 5)], None),                       # pairwise disjoint edges
+    ([(0, 1), (1, 2), (2, 3)], None),                       # a disjoint pair, held by the middle edge
+    ([(0, 1), (1, 2), (0, 2), (5, 6)], (0, 1, 2)),
+    ([(5, 6), (0, 1), (1, 2), (0, 2)], (1, 2, 3)),
+    ([(0, 1), (1, 2), (0, 2), (0, 1, 2)], None),
+    ([(0,), (0,), (0, 1)], None),
+])
+def test_gilmore_edge_cases(edges, witness):
+    h = Hypergraph.of(7, edges)
+    assert is_conformal_certified(h) == (witness is None, witness) == plain_gilmore(h)
+    assert plain_gilmore_witness(h) == witness
+
+
+def test_grids_leave_the_one_helly_scan_at_the_first_pair():
+    for a, b in ((3, 3), (8, 8), (10, 10), (4, 20)):
+        assert berge_duchet(a * b, geometry.grid_graph(a, b).ball1_mask) == (0, 1, b)
+
+
+def check_distances(g):
+    d = g.distances()
+    assert d.dtype == np.min_scalar_type(-g.n) and d.shape == (g.n, g.n)
+    assert not d.flags.writeable and d is g.distances()
+    assert d.tolist() == plain_dist_rows(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65])
+def test_distance_matrix_matches_bfs_rows_around_word_boundaries(n):
+    check_distances(geometry.path_graph(n))
+    check_distances(geometry.complete_graph(n))
+    check_distances(geometry.random_connected_graph(n, 0.1, n))
+
+
+@pytest.mark.parametrize("g", [geometry.path_graph(200), geometry.complete_graph(130),
+                               geometry.cycle_graph(129), geometry.king_graph(11, 13),
+                               geometry.random_tree(150, 2)])
+def test_distance_matrix_matches_bfs_rows_on_larger_graphs(g):
+    check_distances(g)
+
+
+@SETTINGS
+@given(st.one_of(graphs(max_n=20), mostly_bipartite_graphs()))
+def test_distance_matrix_matches_bfs_rows(g):
+    rows = [g.dist_row(u) for u in range(0, g.n, 2)]  # half the rows by BFS first
+    check_distances(g)
+    assert [g.dist_row(u) for u in range(0, g.n, 2)] == rows
+
+
+def test_dist_row_after_the_matrix_is_a_list_of_python_ints():
+    # hull forms are JSON-dumped, and numpy integers are not JSON
+    g = geometry.king_graph(3, 4)
+    g.distances()
+    row = g.dist_row(5)
+    assert type(row) is list and all(type(v) is int for v in row)
+    assert row == plain_dist_rows(g)[5] and g.dist_row(5) is row
+    metric = hull.FiniteMetric.of_graph(g)
+    assert json.loads(json.dumps(metric.d)) == plain_dist_rows(g)
 
 
 @SETTINGS
