@@ -164,16 +164,19 @@ def berge_duchet(n, family):
     holds = np.unpackbits(rows.reshape(k + 2, -1), axis=1, count=n, bitorder="little").T
     rows = rows.view(np.uint64).reshape(k + 2, words)
     # lists[v]: the members holding v, padded with the zero row
-    width = max(1, int(holds[:, :k].sum(axis=1).max(initial=0)))
-    lists = np.partition(np.where(holds[:, :k], np.arange(k), k + 1), width - 1)[:, :width]
+    v, m = holds[:, :k].nonzero()
+    counts = np.bincount(v, minlength=n)
+    lists = np.full((n, max(1, counts.max())), k + 1)
+    lists[v, np.arange(len(v)) - (counts.cumsum() - counts).take(v)] = m
     near = np.bitwise_or.reduce(rows.take(lists, axis=0), axis=1).view(np.uint8)
-    # the 2-section neighbours y of x with y > x: a 1 above a 0 of the lower triangle
+    # the 2-section neighbours y of x with y > x
     vertex = np.arange(n)
-    above = np.unpackbits(near, axis=1, count=n, bitorder="little") > (vertex <= vertex[:, None])
-    px, py = above.nonzero()
+    above = (np.unpackbits(near, axis=1, count=n, bitorder="little").view(bool)
+             & (vertex > vertex[:, None]))
+    px, py = (v.astype(np.int32) for v in above.nonzero())
     pair = (above.cumsum() - 1).reshape(n, n)  # pair[x, y]: lex rank of the pair x < y
     caps = np.empty((len(px), words), np.uint64)
-    block, step = max(1, WM_BLOCK_CELLS // n), max(1, WM_BLOCK_CELLS // width // words)
+    block, step = max(1, WM_BLOCK_CELLS // n), max(1, WM_BLOCK_CELLS // (8 * lists.size // n * words))
     built = 0
     for lo in range(0, len(px), block):
         x, y = px[lo:lo + block], py[lo:lo + block]
@@ -181,14 +184,17 @@ def berge_duchet(n, family):
         if not len(z):
             continue
         x, y = x.take(t), y.take(t)
-        xy, xz, yz = t + lo, pair[x, z], pair[y, z]
+        yz = pair[y, z]  # the pairs of a triple rank xy < xz < yz
         for at in range(built, int(yz.max()) + 1, step):
             ids = lists.take(px[at:at + step], axis=0)
             hold = holds[py[at:at + step, None], ids]
             caps[at:at + step] = np.bitwise_and.reduce(rows.take(np.where(hold, ids, k), axis=0),
                                                        axis=1)
             built = at + step
-        meets = (caps.take(xy, axis=0) & caps.take(xz, axis=0) & caps.take(yz, axis=0)).any(axis=1)
+        meets = caps.take(yz, axis=0)
+        meets &= caps.take(pair[x, z], axis=0)
+        meets &= caps.take(t + lo, axis=0)
+        meets = meets.any(axis=1)
         if not meets.all():
             e = meets.argmin()
             return int(x[e]), int(y[e]), int(z[e])
