@@ -5,11 +5,11 @@ Vertices are dense ids 0..n-1.  Adjacency is kept both as sorted tuples
 set algebra that dominates every metric predicate in this package).
 
 Distances come by one of two routes, both memoized.  A sweep over every
-row (weak modularity, hyperbolicity, the metric of a graph) asks for
-`distances()`, the n x n matrix built by one bit-parallel BFS from all
-sources at once on packed numpy rows.  A caller that needs one or two rows
-asks for `dist_row`, which runs a single-source BFS, or reads the row off
-the matrix once it exists, so the two routes never disagree.  Balls are
+row (weak modularity, hyperbolicity, the diameter) asks for `distances()`,
+the n x n matrix built by one bit-parallel BFS from all sources at once on
+packed numpy rows.  A caller that needs a few rows asks for `dist_row`,
+which runs a single-source BFS, or reads the row off the matrix once it
+exists, so the two routes never disagree.  Balls are
 grown per radius as far as a caller asks.  The weak-modularity report is
 memoized too, since both recognition routes and the median test ask for
 it.  The graph is observably immutable: the lazy caches are idempotent, so
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import chain
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ValidationError, int_lists, json_object, vertex_count
 
@@ -173,9 +173,10 @@ class Graph:
         holds n (memoized, read-only).
 
         One BFS from every source at once.  Row x of R_r is the ball B_r(x)
-        packed into 64-bit words: R_0 is the identity, and R_{r+1}[x] is R_r[x] or'd
-        with R_r[y] over the neighbours y of x, one np.bitwise_or.reduceat
-        per level over the adjacency lists laid end to end.  d(x, y) is the
+        packed into 64-bit words: R_0 is the identity, and R_{r+1}[x] is
+        R_r[x] or'd with R_r[y] over the neighbours y of x, one
+        np.bitwise_or.reduceat per level over the adjacency lists laid end
+        to end.  d(x, y) is the
         number of levels r with y outside B_r(x), so the matrix sums the
         unpacked complements of R_0, R_1, ... and is complete at the first
         level where every ball is the whole graph, which is connected.

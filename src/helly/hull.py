@@ -74,7 +74,7 @@ class FiniteMetric:
 
     @classmethod
     def of_graph(cls, g):
-        return cls(g.n, tuple(map(tuple, g.distances().tolist())))
+        return cls(g.n, tuple(tuple(g.dist_row(u)) for u in range(g.n)))
 
     @classmethod
     def from_json(cls, text):

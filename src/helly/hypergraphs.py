@@ -140,8 +140,7 @@ def berge_duchet(n, family):
     in steps, as far as the current block needs: a triple's pairs rank
     xy < xz < yz, as y < z and x < y, so the block needs the caps up to its
     largest yz.  Temporaries are bounded through `WM_BLOCK_CELLS`: a block
-    has that many pairs x vertices, a step that many 64-bit words of holder
-    rows.
+    has that many pairs x vertices, a step that many bytes of holder rows.
 
     Callers pass the unit balls (1-Helly of a graph), the edges (Helly
     property of a hypergraph), all balls (the ball-hypergraph oracle), and
@@ -173,10 +172,11 @@ def berge_duchet(n, family):
     vertex = np.arange(n)
     above = (np.unpackbits(near, axis=1, count=n, bitorder="little").view(bool)
              & (vertex > vertex[:, None]))
-    px, py = (v.astype(np.int32) for v in above.nonzero())
+    px, py = (i.astype(np.int32) for i in above.nonzero())
     pair = (above.cumsum() - 1).reshape(n, n)  # pair[x, y]: lex rank of the pair x < y
     caps = np.empty((len(px), words), np.uint64)
-    block, step = max(1, WM_BLOCK_CELLS // n), max(1, WM_BLOCK_CELLS // (8 * lists.size // n * words))
+    block = max(1, WM_BLOCK_CELLS // n)  # pairs x vertices
+    step = max(1, WM_BLOCK_CELLS // (8 * lists.shape[1] * words))  # bytes of holder rows
     built = 0
     for lo in range(0, len(px), block):
         x, y = px[lo:lo + block], py[lo:lo + block]

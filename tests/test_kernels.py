@@ -513,7 +513,7 @@ def test_berge_duchet_edge_cases(n, family, witness):
 
 @pytest.mark.parametrize("edges, witness", [
     ([(0, 1), (2, 3), (4, 5)], None),                       # pairwise disjoint edges
-    ([(0, 1), (1, 2), (2, 3)], None),                       # a disjoint pair, held by the middle edge
+    ([(0, 1), (1, 2), (2, 3)], None),                       # a disjoint pair
     ([(0, 1), (1, 2), (0, 2), (5, 6)], (0, 1, 2)),
     ([(5, 6), (0, 1), (1, 2), (0, 2)], (1, 2, 3)),
     ([(0, 1), (1, 2), (0, 2), (0, 1, 2)], None),
