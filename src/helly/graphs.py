@@ -9,13 +9,13 @@ row (weak modularity, hyperbolicity, the diameter) asks for `distances()`,
 the n x n matrix built by one bit-parallel BFS from all sources at once on
 packed numpy rows.  A caller that needs a few rows asks for `dist_row`,
 which runs a single-source BFS, or reads the row off the matrix once it
-exists, so the two routes never disagree.  Balls are
-grown per radius as far as a caller asks.  The weak-modularity report is
-memoized too, since both recognition routes and the median test ask for
-it.  The graph is observably immutable: the lazy caches are idempotent, so
-concurrent readers can at worst recompute a row, a ball, the matrix or the
-report.  numpy is imported by the functions that use it, so building and
-printing graphs does not load it.
+exists, so the two routes never disagree.  Balls are grown per radius as
+far as a caller asks.  The weak-modularity report is memoized too, since
+both recognition routes and the median test ask for it.  The graph is
+observably immutable: the lazy caches are idempotent, so concurrent
+readers can at worst recompute a row, a ball, the matrix or the report.
+numpy is imported by the functions that use it, so building and printing
+graphs does not load it.
 """
 
 from __future__ import annotations
@@ -176,10 +176,14 @@ class Graph:
         packed into 64-bit words: R_0 is the identity, and R_{r+1}[x] is
         R_r[x] or'd with R_r[y] over the neighbours y of x, one
         np.bitwise_or.reduceat per level over the adjacency lists laid end
-        to end.  d(x, y) is the
-        number of levels r with y outside B_r(x), so the matrix sums the
-        unpacked complements of R_0, R_1, ... and is complete at the first
-        level where every ball is the whole graph, which is connected.
+        to end.  The bits of R_{r+1} & ~R_r are the pairs at distance r + 1:
+        their nonzero words are kept with the level and unpacked in batches,
+        byte by byte, so each pair is unpacked once (not the whole matrix at
+        every level), and the BFS ends at the first level that adds no bit.
+        Temporaries are bounded through `WM_BLOCK_CELLS`: the neighbour rows
+        gathered at once hold that many words (or one vertex's), a batch
+        waits for WM_BLOCK_CELLS // 64 words, and one unpacking step takes
+        that many nonzero bytes.
         """
         if self._dist is None:
             import numpy as np
@@ -187,14 +191,34 @@ class Graph:
             heads = np.fromiter(chain.from_iterable(self.adj), np.intp)
             degrees = np.fromiter(map(len, self.adj), np.intp, n)
             starts = degrees.cumsum() - degrees
-            width = 64 * ((n + 63) // 64)  # rows padded to whole 64-bit words
-            balls = np.packbits(np.eye(n, width, dtype=bool), axis=1,
+            words = (n + 63) // 64
+            # every vertex has a neighbour when n > 1, so no list is empty
+            spans = [(lo, hi, heads[starts[lo]:starts[hi - 1] + degrees[hi - 1]],
+                      starts[lo:hi] - starts[lo])
+                     for lo, hi in (_spans(degrees * words, WM_BLOCK_CELLS) if n > 1 else ())]
+            balls = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1,
                                 bitorder="little").view(np.uint64)
+            grown = np.empty_like(balls)
             d = np.zeros((n, n), np.min_scalar_type(-n))
-            while (outside := np.unpackbits((~balls).view(np.uint8), axis=1, count=n,
-                                            bitorder="little")).any():
-                d += outside
-                balls |= np.bitwise_or.reduceat(balls.take(heads, axis=0), starts)
+            level, found, pending = 0, [], 0
+            while spans:
+                for lo, hi, nbrs, offsets in spans:
+                    np.bitwise_or.reduceat(balls.take(nbrs, axis=0), offsets, out=grown[lo:hi])
+                grown |= balls
+                balls ^= grown  # the bits new at this level
+                flat = balls.reshape(-1)
+                at = (flat != 0).nonzero()[0]
+                if not len(at):
+                    break
+                level += 1
+                found.append((at, flat[at], level))
+                pending += len(at)
+                if pending > WM_BLOCK_CELLS // 64:
+                    _set_levels(d, found, words, WM_BLOCK_CELLS)
+                    found, pending = [], 0
+                balls, grown = grown, balls
+            if found:
+                _set_levels(d, found, words, WM_BLOCK_CELLS)
             d.flags.writeable = False
             self._dist = d
         return self._dist
@@ -351,6 +375,56 @@ class WeakModularityReport:
 # the scan, and items x vertices per chunk while its item lists are built, so
 # each temporary holds about 32K one-byte entries unless one row alone is wider
 WM_BLOCK_CELLS = 1 << 15
+
+
+def _spans(weights, limit):
+    """Consecutive ranges [lo, hi) of the items, in order, each of total
+    weight at most `limit` or of a single item."""
+    ends = weights.cumsum()
+    lo = 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(ends.searchsorted(limit + (ends[lo - 1] if lo else 0), "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _set_bits(packed, limit):
+    """The set bits of a 2-D uint64 array as (row, column) index arrays, in
+    row-major order, in chunks of at most `limit` bits (or of one word).
+    Only nonzero words are unpacked, at most `limit` of them at a time."""
+    import numpy as np
+    words = packed.shape[1]
+    flat = packed.reshape(-1)
+    nonzero = (flat != 0).nonzero()[0]
+    for lo in range(0, len(nonzero), limit):
+        at = nonzero[lo:lo + limit]
+        bits = np.unpackbits(flat[at].view(np.uint8), bitorder="little").view(bool)
+        row, col = at // words, at % words * 64
+        for a, b in (_spans(bits.reshape(-1, 64).sum(axis=1), limit) if 64 * len(at) > limit
+                     else [(0, len(at))]):
+            bit = bits[64 * a:64 * b].nonzero()[0]
+            yield row[a:b][bit >> 6], col[a:b][bit >> 6] + (bit & 63)
+
+
+def _set_levels(d, found, words, limit):
+    """Write into the n x n matrix `d` the levels of the packed BFS words in
+    `found`: triples of flat word indices into n rows of `words` words, the
+    words, and their level.  Only the nonzero bytes of the words are
+    unpacked, limit // 64 of them at a time."""
+    import numpy as np
+    at, values, levels = zip(*found)
+    levels = np.repeat(levels, [len(a) for a in at])
+    at = np.concatenate(at)
+    base = at // words * len(d) + at % words * 64  # the cell of each word's bit 0
+    octets = np.concatenate(values).view(np.uint8)
+    nonzero = (octets != 0).nonzero()[0]
+    cells = d.reshape(-1)
+    step = max(1, limit // 64)
+    for lo in range(0, len(nonzero), step):
+        byte = nonzero[lo:lo + step]
+        bit = np.unpackbits(octets[byte], bitorder="little").view(bool).nonzero()[0]
+        bit = byte[bit >> 3] * 8 + (bit & 7)  # little-endian: byte j holds bits 8j..8j+7
+        cells[base[bit >> 6] + (bit & 63)] = levels[bit >> 6]
 
 
 def _bool_rows(masks, n):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError, int_lists, json_object, vertex_count
-from .graphs import WM_BLOCK_CELLS, Graph, bits, mask_of, maximal_clique_masks
+from .graphs import (WM_BLOCK_CELLS, Graph, _set_bits, _spans, bits, mask_of,
+                     maximal_clique_masks)
 
 
 @dataclass(frozen=True)
@@ -118,29 +119,33 @@ def berge_duchet(n, family):
     an empty intersection.  The family has the Helly property iff no triple
     fails (Berge and Duchet, 1975).
 
-    Pruning.  Only triangles of the 2-section are walked: triples whose
-    three pairs each share a member.  A triple with a pair in no member
-    cannot fail, since that cap is the ground set and the other two both
-    contain the vertex their pairs share.  So every cap that is read is an
-    AND of member rows, taken by np.bitwise_and.reduce over each pair's
-    list of holders (the members holding its first vertex, with those
-    missing the second replaced by a row of ones).
+    Pruning.  Only triples whose three pairs each share a member are
+    walked, and of those only the ones with z outside the cap of x, y.
+    A triple with a pair in no member cannot fail, since that cap is the
+    ground set and the other two both hold the vertex their pairs share;
+    and if z is in the cap of x, y, it is in all three caps, since every
+    member holding x, z or y, z holds z.  So z ranges over the 2-section
+    neighbours of both x and y minus the cap of x, y.  On a star's unit
+    balls this leaves the triples through the centre alone.
 
-    Order.  The pairs x < y of the 2-section come out of a row-major
-    nonzero of its upper triangle, in lex order, and are taken in blocks of
-    consecutive pairs.  The triples of a block, (x, y, z) with z > y in the
-    2-section of both, come out of a row-major nonzero over the block's
-    pairs and z, so in lex order too.  Since (x, y) < (x', y') implies
-    (x, y, z) < (x', y', z'), the blocks list the walked triples in lex
-    order; the scan stops at the first block with a failure, and its first
-    failing triple is the least failing walked triple, hence the least
-    failing triple.  Grids leave in the first block, at (0, 1, k).
+    Order.  Pairs x < y come out of the packed 2-section rows in row-major
+    order, hence in lex order, and the triples of a run of pairs, (x, y, z)
+    with z > y, come out of the packed candidate rows of those pairs in
+    row-major order, so in lex order too.  Since (x, y) < (x', y') implies
+    (x, y, z) < (x', y', z'), the runs list the walked triples in lex order;
+    the scan stops at the first run with a failure, and its first failing
+    triple is the least failing walked triple, hence the least failing
+    triple.  Grids leave in the first run, at (0, 1, k).
 
-    Caps are kept by the lex rank of their pair and built in that order,
-    in steps, as far as the current block needs: a triple's pairs rank
-    xy < xz < yz, as y < z and x < y, so the block needs the caps up to its
-    largest yz.  Temporaries are bounded through `WM_BLOCK_CELLS`: a block
-    has that many pairs x vertices, a step that many bytes of holder rows.
+    Caps are ANDs of packed member rows: the members holding the end with
+    fewer holders, with those missing the other end replaced by a row of
+    ones, reduced by np.bitwise_and.reduceat.  They are built for each run
+    as it is walked and not kept.  Every temporary is bounded through
+    `WM_BLOCK_CELLS`: a run has at most WM_BLOCK_CELLS // words pairs or
+    triples, each a row of `words` 64-bit words, and so do the holder rows
+    gathered for its caps, unless one vertex alone has more holders.  The
+    state kept across runs is the packed members, their incidences and the
+    packed 2-section rows of the covered vertices.
 
     Callers pass the unit balls (1-Helly of a graph), the edges (Helly
     property of a hypergraph), all balls (the ball-hypergraph oracle), and
@@ -153,51 +158,74 @@ def berge_duchet(n, family):
     condition does.  Two stars meet iff their edges do, so the 2-section is
     the line graph.
     """
-    if n < 3:
+    if n < 3 or not any(family):
         return None
     import numpy as np
     words, k = (n + 63) // 64, len(family)
-    # member rows as 64-bit words, then a ones row (k) and a zero row (k + 1)
-    rows = np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in family)
-                         + b"\xff" * (8 * words) + bytes(8 * words), np.uint8)
-    holds = np.unpackbits(rows.reshape(k + 2, -1), axis=1, count=n, bitorder="little").T
-    rows = rows.view(np.uint64).reshape(k + 2, words)
-    # lists[v]: the members holding v, padded with the zero row
-    v, m = holds[:, :k].nonzero()
-    counts = np.bincount(v, minlength=n)
-    lists = np.full((n, max(1, counts.max())), k + 1)
-    lists[v, np.arange(len(v)) - (counts.cumsum() - counts).take(v)] = m
-    near = np.bitwise_or.reduce(rows.take(lists, axis=0), axis=1).view(np.uint8)
-    # the 2-section neighbours y of x with y > x
-    vertex = np.arange(n)
-    above = (np.unpackbits(near, axis=1, count=n, bitorder="little").view(bool)
-             & (vertex > vertex[:, None]))
-    px, py = (i.astype(np.int32) for i in above.nonzero())
-    pair = (above.cumsum() - 1).reshape(n, n)  # pair[x, y]: lex rank of the pair x < y
-    caps = np.empty((len(px), words), np.uint64)
-    block = max(1, WM_BLOCK_CELLS // n)  # pairs x vertices
-    step = max(1, WM_BLOCK_CELLS // (8 * lists.shape[1] * words))  # bytes of holder rows
-    built = 0
-    for lo in range(0, len(px), block):
-        x, y = px[lo:lo + block], py[lo:lo + block]
-        t, z = (above.take(x, axis=0) & above.take(y, axis=0)).nonzero()
-        if not len(z):
-            continue
-        x, y = x.take(t), y.take(t)
-        yz = pair[y, z]  # the pairs of a triple rank xy < xz < yz
-        for at in range(built, int(yz.max()) + 1, step):
-            ids = lists.take(px[at:at + step], axis=0)
-            hold = holds[py[at:at + step, None], ids]
-            caps[at:at + step] = np.bitwise_and.reduce(rows.take(np.where(hold, ids, k), axis=0),
-                                                       axis=1)
-            built = at + step
-        meets = caps.take(yz, axis=0)
-        meets &= caps.take(pair[x, z], axis=0)
-        meets &= caps.take(t + lo, axis=0)
-        meets = meets.any(axis=1)
-        if not meets.all():
-            e = meets.argmin()
-            return int(x[e]), int(y[e]), int(z[e])
+    step = max(1, WM_BLOCK_CELLS // words)  # rows of `words` words per run
+    # member rows as 64-bit words, then a row of ones (k)
+    rows = np.frombuffer(b"".join([m.to_bytes(8 * words, "little") for m in family])
+                         + b"\xff" * (8 * words), np.uint64).reshape(k + 1, words)
+    # incidences in (vertex, member) order, one block of 64-bit columns at a time
+    wide = max(1, WM_BLOCK_CELLS // (64 * k))
+    blocks = [np.unpackbits(rows[:k, w:w + wide].view(np.uint8), axis=1,
+                            bitorder="little").view(bool).T.nonzero()
+              for w in range(0, words, wide)]
+    hv = np.concatenate([v + 64 * wide * i for i, (v, _) in enumerate(blocks)])
+    hm = np.concatenate([m for _, m in blocks])
+    count = np.bincount(hv, minlength=n)  # holders of each vertex
+    first = count.cumsum() - count  # where they start in hm
+    covered = count.nonzero()[0]
+    at = count.astype(bool).cumsum() - 1  # the row of `near` of a covered vertex
+    near = np.empty((len(covered), words), np.uint64)  # 2-section rows, x included
+    starts = first[covered]  # the holders of the covered vertices tile hm
+    for lo, hi in _spans(count[covered], step):
+        a = starts[lo]
+        near[lo:hi] = np.bitwise_or.reduceat(
+            rows.take(hm[a:starts[hi] if hi < len(starts) else len(hm)], axis=0),
+            starts[lo:hi] - a)
+
+    bit = np.left_shift(1, np.arange(64, dtype=np.uint64), dtype=np.uint64)
+
+    def caps(x, y):
+        # the pairs x[i], y[i] each share a member; x becomes the end with fewer holders
+        few = count[x] <= count[y]
+        x, y = np.where(few, x, y), np.where(few, y, x)
+        c = count[x]
+        out = np.empty((len(x), words), np.uint64)
+        for lo, hi in _spans(c, step):
+            cc = c[lo:hi]
+            ends = cc.cumsum()
+            m = hm[np.arange(ends[-1]) + (first[x[lo:hi]] + cc - ends).repeat(cc)]
+            other = y[lo:hi].repeat(cc)
+            held = rows[m, other >> 6] & bit[other & 63]
+            out[lo:hi] = np.bitwise_and.reduceat(rows.take(np.where(held, m, k), axis=0),
+                                                 ends - cc)
+        return out
+
+    for x0 in range(0, len(covered), step):
+        for px, py in _set_bits(near[x0:x0 + step], step):
+            px = covered[x0 + px]
+            up = py > px
+            px, py = px[up], py[up]
+            if not len(px):
+                continue
+            cxy = caps(px, py)
+            key = px * n + py  # increasing: the run's pairs are in lex order
+            for t, z in _set_bits(near[at[px]] & near[at[py]] & ~cxy, step):
+                up = z > py[t]
+                t, z = t[up], z[up]
+                # the caps of x, z and y, z, read off the run where it has the pair
+                want = np.concatenate((px[t], py[t])) * n + np.concatenate((z, z))
+                i = np.minimum(key.searchsorted(want), len(key) - 1)
+                pair = cxy[i]
+                miss = key[i] != want
+                if miss.any():
+                    pair[miss] = caps(want[miss] // n, want[miss] % n)
+                empty = ((cxy[t] & pair[:len(t)] & pair[len(t):]) == 0).all(axis=1).nonzero()[0]
+                if len(empty):
+                    e = empty[0]
+                    return int(px[t[e]]), int(py[t[e]]), int(z[e])
     return None
 
 

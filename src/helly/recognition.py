@@ -96,7 +96,8 @@ def helly_by_ball_hypergraph(g):
 
     Oracle: tests check `is_helly` and `is_one_helly` against it.
     """
-    balls = {g.ball_mask(v, r) for v in range(g.n) for r in range(g.diameter() + 1)}
+    diam = g.diameter()
+    balls = {g.ball_mask(v, r) for v in range(g.n) for r in range(diam + 1)}
     return hypergraphs.berge_duchet(g.n, sorted(balls)) is None
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from collections import deque
 from dataclasses import astuple, replace
 from itertools import combinations, groupby, permutations, product
@@ -455,8 +456,8 @@ BLOCK_CELLS = st.sampled_from([1, 20, graphs_module.WM_BLOCK_CELLS])
 @SETTINGS
 @given(hypergraphs(max_edges=12), BLOCK_CELLS)
 def test_berge_duchet_witnesses_match_plain_triple_walk_on_hypergraphs(h, cells):
-    # small budgets split the pairs into many blocks and the caps into many
-    # steps, so caps are built ahead of the block that first needs them
+    # small budgets split the pairs and triples into many runs and the caps
+    # into many steps, so caps are read off the run or built past it
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypergraphs_module, "WM_BLOCK_CELLS", cells)
         assert helly_property_certified(h)[1] == plain_helly_witness(h)
@@ -530,6 +531,47 @@ def test_grids_leave_the_one_helly_scan_at_the_first_pair():
         assert berge_duchet(a * b, geometry.grid_graph(a, b).ball1_mask) == (0, 1, b)
 
 
+def hub_graph(n, cycle):
+    """A cycle on 0..cycle-1 with a hub, vertex `cycle`, on vertex 0 and
+    the vertices cycle+1..n-1 as the hub's leaves: the hub is in about n
+    unit balls."""
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)] + [(0, cycle)]
+    return Graph(n, edges + [(cycle, v) for v in range(cycle + 1, n)])
+
+
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        out = f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_berge_duchet_memory_stays_bounded_on_a_star():
+    # the centre is in every unit ball; a gather of each vertex's holder rows
+    # would take 1000 x 1000 x 16 words (128 MB)
+    star = Graph(1000, [(0, v) for v in range(1, 1000)])
+    one, peak = traced_peak(lambda: recognition.is_one_helly(star))
+    assert one and peak < 8 << 20
+
+
+def test_berge_duchet_memory_stays_bounded_past_a_hub():
+    # C6 is not 1-Helly, and its least failing triple comes before the hub's
+    g = hub_graph(2000, 6)
+    witness, peak = traced_peak(lambda: berge_duchet(g.n, g.ball1_mask))
+    assert witness == plain_one_helly_witness(hub_graph(12, 6)) == (0, 2, 4)
+    assert peak < 8 << 20
+
+
+def test_hypergraph_tests_on_one_edge_over_many_vertices_stay_small():
+    # 2-section rows over all 50,000 vertices would take 312 MB
+    h = Hypergraph.of(50000, [[0, 1]])
+    out, peak = traced_peak(lambda: (helly_property_certified(h), is_conformal_certified(h)))
+    assert out == ((True, None), (True, None)) and peak < 4 << 20
+
+
 def check_distances(g):
     d = g.distances()
     assert d.dtype == np.min_scalar_type(-g.n) and d.shape == (g.n, g.n)
@@ -549,6 +591,16 @@ def test_distance_matrix_matches_bfs_rows_around_word_boundaries(n):
                                geometry.random_tree(150, 2)])
 def test_distance_matrix_matches_bfs_rows_on_larger_graphs(g):
     check_distances(g)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 300, graphs_module.WM_BLOCK_CELLS])
+def test_distance_matrix_matches_bfs_rows_across_blocks(monkeypatch, cells):
+    # small budgets split the degree groups into blocks and the level words
+    # into batches; a hub puts one vertex alone in its group
+    monkeypatch.setattr(graphs_module, "WM_BLOCK_CELLS", cells)
+    for g in (geometry.path_graph(70), geometry.cycle_graph(9), geometry.complete_graph(66),
+              hub_graph(80, 5), geometry.king_graph(5, 7), geometry.random_tree(90, 4)):
+        check_distances(Graph(g.n, list(g.edges())))
 
 
 @SETTINGS
