@@ -176,14 +176,13 @@ class Graph:
         packed into 64-bit words: R_0 is the identity, and R_{r+1}[x] is
         R_r[x] or'd with R_r[y] over the neighbours y of x, one
         np.bitwise_or.reduceat per level over the adjacency lists laid end
-        to end.  The bits of R_{r+1} & ~R_r are the pairs at distance r + 1:
-        their nonzero words are kept with the level and unpacked in batches,
-        byte by byte, so each pair is unpacked once (not the whole matrix at
-        every level), and the BFS ends at the first level that adds no bit.
-        Temporaries are bounded through `WM_BLOCK_CELLS`: the neighbour rows
-        gathered at once hold that many words (or one vertex's), a batch
-        waits for WM_BLOCK_CELLS // 64 words, and one unpacking step takes
-        that many nonzero bytes.
+        to end.  The bits of F_r = R_r & ~R_{r-1} are the pairs at distance
+        r, so bit j of the matrix is the OR of the F_r with bit j of r set:
+        each level ors F_r into the packed planes of the bits of r, and the
+        planes are unpacked once, at the end, instead of the whole matrix at
+        every level.  The BFS ends at the first level that adds no bit.
+        The neighbour rows gathered at once are bounded through
+        `WM_BLOCK_CELLS` words, or one vertex's where that needs more.
         """
         if self._dist is None:
             import numpy as np
@@ -199,26 +198,25 @@ class Graph:
             balls = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1,
                                 bitorder="little").view(np.uint64)
             grown = np.empty_like(balls)
-            d = np.zeros((n, n), np.min_scalar_type(-n))
-            level, found, pending = 0, [], 0
+            planes, level = [], 0  # planes[j]: the pairs whose distance has bit j set
             while spans:
                 for lo, hi, nbrs, offsets in spans:
                     np.bitwise_or.reduceat(balls.take(nbrs, axis=0), offsets, out=grown[lo:hi])
                 grown |= balls
-                balls ^= grown  # the bits new at this level
-                flat = balls.reshape(-1)
-                at = (flat != 0).nonzero()[0]
-                if not len(at):
+                balls ^= grown  # F of the next level
+                if not balls.any():
                     break
                 level += 1
-                found.append((at, flat[at], level))
-                pending += len(at)
-                if pending > WM_BLOCK_CELLS // 64:
-                    _set_levels(d, found, words, WM_BLOCK_CELLS)
-                    found, pending = [], 0
+                if level & (level - 1) == 0:  # a power of two: a new top bit
+                    planes.append(np.zeros_like(balls))
+                for j, plane in enumerate(planes):
+                    if level >> j & 1:
+                        plane |= balls
                 balls, grown = grown, balls
-            if found:
-                _set_levels(d, found, words, WM_BLOCK_CELLS)
+            d = np.zeros((n, n), np.min_scalar_type(-n))
+            for plane in reversed(planes):
+                d <<= 1
+                d |= np.unpackbits(plane.view(np.uint8), axis=1, count=n, bitorder="little")
             d.flags.writeable = False
             self._dist = d
         return self._dist
@@ -386,45 +384,6 @@ def _spans(weights, limit):
         hi = max(lo + 1, int(ends.searchsorted(limit + (ends[lo - 1] if lo else 0), "right")))
         yield lo, hi
         lo = hi
-
-
-def _set_bits(packed, limit):
-    """The set bits of a 2-D uint64 array as (row, column) index arrays, in
-    row-major order, in chunks of at most `limit` bits (or of one word).
-    Only nonzero words are unpacked, at most `limit` of them at a time."""
-    import numpy as np
-    words = packed.shape[1]
-    flat = packed.reshape(-1)
-    nonzero = (flat != 0).nonzero()[0]
-    for lo in range(0, len(nonzero), limit):
-        at = nonzero[lo:lo + limit]
-        bits = np.unpackbits(flat[at].view(np.uint8), bitorder="little").view(bool)
-        row, col = at // words, at % words * 64
-        for a, b in (_spans(bits.reshape(-1, 64).sum(axis=1), limit) if 64 * len(at) > limit
-                     else [(0, len(at))]):
-            bit = bits[64 * a:64 * b].nonzero()[0]
-            yield row[a:b][bit >> 6], col[a:b][bit >> 6] + (bit & 63)
-
-
-def _set_levels(d, found, words, limit):
-    """Write into the n x n matrix `d` the levels of the packed BFS words in
-    `found`: triples of flat word indices into n rows of `words` words, the
-    words, and their level.  Only the nonzero bytes of the words are
-    unpacked, limit // 64 of them at a time."""
-    import numpy as np
-    at, values, levels = zip(*found)
-    levels = np.repeat(levels, [len(a) for a in at])
-    at = np.concatenate(at)
-    base = at // words * len(d) + at % words * 64  # the cell of each word's bit 0
-    octets = np.concatenate(values).view(np.uint8)
-    nonzero = (octets != 0).nonzero()[0]
-    cells = d.reshape(-1)
-    step = max(1, limit // 64)
-    for lo in range(0, len(nonzero), step):
-        byte = nonzero[lo:lo + step]
-        bit = np.unpackbits(octets[byte], bitorder="little").view(bool).nonzero()[0]
-        bit = byte[bit >> 3] * 8 + (bit & 7)  # little-endian: byte j holds bits 8j..8j+7
-        cells[base[bit >> 6] + (bit & 63)] = levels[bit >> 6]
 
 
 def _bool_rows(masks, n):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError, int_lists, json_object, vertex_count
-from .graphs import (WM_BLOCK_CELLS, Graph, _set_bits, _spans, bits, mask_of,
-                     maximal_clique_masks)
+from .graphs import WM_BLOCK_CELLS, Graph, _spans, bits, mask_of, maximal_clique_masks
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,24 @@ def helly_property(h):
     return ok
 
 
+def _set_bits(packed, limit):
+    """The set bits of a 2-D uint64 array as (row, column) index arrays, in
+    row-major order, in chunks of at most `limit` bits (or of one word).
+    Only nonzero words are unpacked, at most `limit` of them at a time."""
+    import numpy as np
+    words = packed.shape[1]
+    flat = packed.reshape(-1)
+    nonzero = (flat != 0).nonzero()[0]
+    for lo in range(0, len(nonzero), limit):
+        at = nonzero[lo:lo + limit]
+        bits = np.unpackbits(flat[at].view(np.uint8), bitorder="little").view(bool)
+        for a, b in (_spans(bits.reshape(-1, 64).sum(axis=1), limit) if 64 * len(at) > limit
+                     else [(0, len(at))]):
+            bit = bits[64 * a:64 * b].nonzero()[0]
+            row, col = np.divmod(at[a:b][bit >> 6], words)
+            yield row, col * 64 + (bit & 63)
+
+
 def berge_duchet(n, family):
     """Lexicographically least failing triple of the Berge-Duchet test on
     `family`, int masks of members over 0..n-1, or None.
@@ -171,8 +188,9 @@ def berge_duchet(n, family):
     blocks = [np.unpackbits(rows[:k, w:w + wide].view(np.uint8), axis=1,
                             bitorder="little").view(bool).T.nonzero()
               for w in range(0, words, wide)]
-    hv = np.concatenate([v + 64 * wide * i for i, (v, _) in enumerate(blocks)])
-    hm = np.concatenate([m for _, m in blocks])
+    hv, hm = blocks[0] if len(blocks) == 1 else (
+        np.concatenate([v + 64 * wide * i for i, (v, _) in enumerate(blocks)]),
+        np.concatenate([m for _, m in blocks]))
     count = np.bincount(hv, minlength=n)  # holders of each vertex
     first = count.cumsum() - count  # where they start in hm
     covered = count.nonzero()[0]

@@ -595,8 +595,8 @@ def test_distance_matrix_matches_bfs_rows_on_larger_graphs(g):
 
 @pytest.mark.parametrize("cells", [1, 7, 300, graphs_module.WM_BLOCK_CELLS])
 def test_distance_matrix_matches_bfs_rows_across_blocks(monkeypatch, cells):
-    # small budgets split the degree groups into blocks and the level words
-    # into batches; a hub puts one vertex alone in its group
+    # small budgets split the adjacency lists into many reduceat spans, down
+    # to one vertex each; a hub's list is a span of its own
     monkeypatch.setattr(graphs_module, "WM_BLOCK_CELLS", cells)
     for g in (geometry.path_graph(70), geometry.cycle_graph(9), geometry.complete_graph(66),
               hub_graph(80, 5), geometry.king_graph(5, 7), geometry.random_tree(90, 4)):
