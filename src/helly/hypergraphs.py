@@ -157,12 +157,18 @@ def berge_duchet(n, family):
     Caps are ANDs of packed member rows: the members holding the end with
     fewer holders, with those missing the other end replaced by a row of
     ones, reduced by np.bitwise_and.reduceat.  They are built for each run
-    as it is walked and not kept.  Every temporary is bounded through
-    `WM_BLOCK_CELLS`: a run has at most WM_BLOCK_CELLS // words pairs or
-    triples, each a row of `words` 64-bit words, and so do the holder rows
-    gathered for its caps, unless one vertex alone has more holders.  The
+    as it is walked and not kept: the caps of x, z and y, z a triple needs
+    are read off its run (np.searchsorted on the run's sorted pair keys)
+    or, for a pair past the run, built.  Every temporary is bounded through
+    `WM_BLOCK_CELLS`: a run has at most WM_BLOCK_CELLS // (8 words) pairs
+    or triples, so their cap rows of `words` 64-bit words take at most
+    WM_BLOCK_CELLS bytes, and so do the holder rows gathered for its caps,
+    unless one vertex alone has more holders; the incidences are unpacked
+    about WM_BLOCK_CELLS bytes at a time.  The
     state kept across runs is the packed members, their incidences and the
-    packed 2-section rows of the covered vertices.
+    packed 2-section rows of the covered vertices, so memory stays near the
+    size of the family plus O(n), whatever the largest number of members
+    holding one vertex.
 
     Callers pass the unit balls (1-Helly of a graph), the edges (Helly
     property of a hypergraph), all balls (the ball-hypergraph oracle), and
@@ -179,7 +185,7 @@ def berge_duchet(n, family):
         return None
     import numpy as np
     words, k = (n + 63) // 64, len(family)
-    step = max(1, WM_BLOCK_CELLS // words)  # rows of `words` words per run
+    step = max(1, WM_BLOCK_CELLS // (8 * words))  # rows of `words` words in WM_BLOCK_CELLS bytes
     # member rows as 64-bit words, then a row of ones (k)
     rows = np.frombuffer(b"".join([m.to_bytes(8 * words, "little") for m in family])
                          + b"\xff" * (8 * words), np.uint64).reshape(k + 1, words)

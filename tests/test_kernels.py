@@ -551,10 +551,10 @@ def traced_peak(f):
 
 def test_berge_duchet_memory_stays_bounded_on_a_star():
     # the centre is in every unit ball; a gather of each vertex's holder rows
-    # would take 1000 x 1000 x 16 words (128 MB)
-    star = Graph(1000, [(0, v) for v in range(1, 1000)])
+    # would take 500 x 500 x 8 words (16 MB)
+    star = Graph(500, [(0, v) for v in range(1, 500)])
     one, peak = traced_peak(lambda: recognition.is_one_helly(star))
-    assert one and peak < 8 << 20
+    assert one and peak < 2 << 20
 
 
 def test_berge_duchet_memory_stays_bounded_past_a_hub():
@@ -562,7 +562,7 @@ def test_berge_duchet_memory_stays_bounded_past_a_hub():
     g = hub_graph(2000, 6)
     witness, peak = traced_peak(lambda: berge_duchet(g.n, g.ball1_mask))
     assert witness == plain_one_helly_witness(hub_graph(12, 6)) == (0, 2, 4)
-    assert peak < 8 << 20
+    assert peak < 4 << 20
 
 
 def test_hypergraph_tests_on_one_edge_over_many_vertices_stay_small():
