@@ -40,10 +40,10 @@ def _emit(obj):
 
 
 def _cmd_check(args):
+    from dataclasses import asdict
     from . import recognition
     g = _load_graph(args.graph)
-    report = recognition.is_helly(g)
-    out = report.to_dict()
+    out = asdict(recognition.is_helly(g))
     out["is_median"] = recognition.is_median(g)
     _emit(out)
     return 0
@@ -67,18 +67,12 @@ def _cmd_hull(args):
 
 
 def _cmd_bicombing(args):
+    from dataclasses import asdict
     from . import bicombing
     g = _load_graph(args.graph)
     if args.fellow_traveler:
         budget = args.budget if args.budget else None
-        rep = bicombing.fellow_traveler_check(g, max_tuples=budget, seed=args.seed)
-        _emit({
-            "clique_constant": rep.clique_constant,
-            "path_constant": rep.path_constant,
-            "clique_witness": rep.clique_witness,
-            "path_witness": rep.path_witness,
-            "tuples_checked": rep.tuples_checked,
-        })
+        _emit(asdict(bicombing.fellow_traveler_check(g, max_tuples=budget, seed=args.seed)))
         return 0
     if args.pair is None:
         raise ValidationError("--pair U V or --fellow-traveler required")
@@ -124,8 +118,6 @@ def _cmd_build(args):
         three_piece, _ = constructions.sgp_three_piece(desc)
         _emit({"graph": json.loads(g.to_json()), "three_piece": three_piece})
         return 0
-    else:
-        raise ValidationError(f"unknown build kind {args.kind!r}")
     print(g.to_dot() if args.dot else g.to_json())
     return 0
 

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import prod
 
 from .errors import SIZE_CAP, InvariantViolation, ResourceCapExceeded, ValidationError
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, ball_star_mask, bits, mask_of
 from . import hypergraphs, recognition
 
 
@@ -76,15 +76,16 @@ def face_graph(g, cap=None):
     """Graph on all nonempty cliques; adjacent when the union is a clique.
 
     Returns (graph, cliques) with cliques[i] the vertex set behind id i.
+
+    A | B is a clique iff A lies in the AND of B_1(b) over b in B: the pairs
+    inside A or inside B are adjacent, as both are cliques, and a in A is
+    adjacent or equal to every b in B iff a is in every B_1(b).
     """
     cliques = recognition.all_cliques(g, cap=cap)
     masks = [mask_of(c) for c in cliques]
-    edges = []
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            u = mi | masks[j]
-            if u == mi or u == masks[j] or g.is_clique(tuple(bits(u))):
-                edges.append((i, j))
+    common = [ball_star_mask(g, c, 1) for c in cliques]
+    edges = [(i, j) for i, mi in enumerate(masks)
+             for j in range(i + 1, len(masks)) if mi & ~common[j] == 0]
     return Graph(len(cliques), edges), cliques
 
 
@@ -262,20 +263,20 @@ class GspDescription:
 
 
 def gsp_product_gilmore(desc):
-    """Product-Gilmore condition on a validated realizable GSP."""
+    """Product-Gilmore condition on a validated realizable GSP.
+
+    Each triangle a, b, c of the nerve needs a vertex y, one of a, b, c or
+    adjacent to all three, whose label holds the pairwise label
+    intersections.  Those y are the bits of B_1(a) & B_1(b) & B_1(c).
+    """
     desc.validate()
     nerve = desc.nerve
+    ball = nerve.ball1_mask
     for a, b, c in recognition.triangles(nerve):
         need = ((desc.labels[a] & desc.labels[b])
                 | (desc.labels[b] & desc.labels[c])
                 | (desc.labels[a] & desc.labels[c]))
-        ok = False
-        for y in range(nerve.n):
-            if all(y == x or (nerve.nbr_mask[y] >> x) & 1 for x in (a, b, c)) \
-                    and need <= desc.labels[y]:
-                ok = True
-                break
-        if not ok:
+        if not any(need <= desc.labels[y] for y in bits(ball[a] & ball[b] & ball[c])):
             return False
     return True
 

@@ -25,7 +25,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import ValidationError, int_lists, json_object, vertex_count
+from .errors import (SIZE_CAP, ResourceCapExceeded, ValidationError, int_lists, json_object,
+                     vertex_count)
 
 
 def bits(mask):
@@ -75,6 +76,8 @@ class Graph:
     def __init__(self, n, edges):
         if n <= 0:
             raise ValidationError("graph needs at least one vertex")
+        if n > SIZE_CAP:  # refused before any per-vertex list is built
+            raise ResourceCapExceeded(f"graph of {n} vertices exceeds cap {SIZE_CAP}")
         nbr = [0] * n
         adj = [[] for _ in range(n)]
         for e in edges:
@@ -92,7 +95,6 @@ class Graph:
             a.sort()
         self.n = n
         self.nbr_mask = nbr
-        self.ball1_mask = [nbr[v] | (1 << v) for v in range(n)]
         self.adj = list(map(tuple, adj))
         self._rows = [None] * n
         self._dist = None  # distances(), once computed
@@ -110,6 +112,8 @@ class Graph:
         if not all(seen):
             raise ValidationError(
                 f"graph is disconnected (vertex {seen.index(False)} unreachable from 0)")
+        # about n^2 / 16 bytes, so built once the graph is known to be connected
+        self.ball1_mask = [nbr[v] | (1 << v) for v in range(n)]
 
     # -- construction helpers -------------------------------------------------
 
@@ -135,11 +139,10 @@ class Graph:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges()]},
                           separators=(",", ":"), sort_keys=True)
 
-    def to_dot(self, names=None):
-        label = (lambda v: str(v)) if names is None else (lambda v: str(names[v]))
+    def to_dot(self):
         lines = ["graph G {"]
         for v in range(self.n):
-            lines.append(f'  {v} [label="{label(v)}"];')
+            lines.append(f'  {v} [label="{v}"];')
         for u, v in self.edges():
             lines.append(f"  {u} -- {v};")
         lines.append("}")
@@ -269,8 +272,11 @@ class Graph:
         return m
 
     def is_clique(self, vertices):
+        """S is a clique iff S lies in B_1(v) for every v in S: that says each
+        member is adjacent to every other one, and B_1(v) holds v itself."""
         vs = list(vertices)
-        return all(self.ball1_mask[v] & (1 << w) for v in vs for w in vs if w != v)
+        s = mask_of(vs)
+        return all(s & ~self.ball1_mask[v] == 0 for v in vs)
 
     def induced(self, vertices):
         """Induced subgraph plus the old-id list (position = new id)."""

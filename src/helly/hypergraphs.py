@@ -312,24 +312,17 @@ def is_conformal_via_cliques(h):
 
 
 def is_triangle_free_hypergraph(h):
-    """No length-3 cycle avoids having its three vertices inside one of its edges."""
-    masks = h.edge_masks()
-    for a, b, c in combinations(range(len(masks)), 3):
-        ma, mb, mc = masks[a], masks[b], masks[c]
-        ab, bc, ca = ma & mb, mb & mc, mc & ma
-        if not (ab and bc and ca):
-            continue
-        for x in bits(ca):
-            for y in bits(ab):
-                if y == x:
-                    continue
-                for z in bits(bc):
-                    if z == x or z == y:
-                        continue
-                    t = (1 << x) | (1 << y) | (1 << z)
-                    if not (ma & t == t or mb & t == t or mc & t == t):
-                        return False
-    return True
+    """No length-3 cycle avoids having its three vertices inside one of its edges.
+
+    A 3-cycle on edges a, b, c has distinct vertices x in c & a, y in a & b
+    and z in b & c.  It lies in a iff z is in a, in b iff x is in b, and in
+    c iff y is in c, since each edge holds the two vertices it shares.  So
+    a, b, c fail iff c & a - b, a & b - c and b & c - a are all nonempty:
+    those three sets are pairwise disjoint, so any picks from them are
+    distinct.
+    """
+    return not any(mc & ma & ~mb and ma & mb & ~mc and mb & mc & ~ma
+                   for ma, mb, mc in combinations(h.edge_masks(), 3))
 
 
 def strong_gilmore(h):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env
-from .graphs import as_vertex_set, bits, maximal_clique_masks, weak_modularity
+from .graphs import as_vertex_set, bits, mask_of, maximal_clique_masks, weak_modularity
 from . import hypergraphs
 
 
@@ -198,16 +198,6 @@ class HellyReport:
     weakly_modular: bool    # route B's verdict
     certificate: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "is_helly": self.is_helly,
-            "is_clique_helly": self.is_clique_helly,
-            "is_one_helly": self.is_one_helly,
-            "is_dismantlable": self.is_dismantlable,
-            "weakly_modular": self.weakly_modular,
-            "certificate": self.certificate,
-        }
-
 
 def is_helly(g):
     """Recognize a finite Helly graph; both decision routes must agree."""
@@ -287,15 +277,17 @@ def dominating_clique(g, subset):
     """Smallest clique within distance 1 of every vertex of `subset`, or None.
 
     Maximal cliques are scanned first; the full (size, lex)-ordered clique
-    stream is the fallback, so the returned clique is deterministic.
+    stream is the fallback, so the returned clique is deterministic.  A
+    clique is within distance 1 of every vertex of `subset` iff `subset`
+    lies in the OR of the unit balls B_1(c) of its vertices c.
     """
-    vs = as_vertex_set(g, subset, "subset")
+    need = mask_of(as_vertex_set(g, subset, "subset"))
 
     def dominates(clique):
         cover = 0
         for c in clique:
             cover |= g.ball1_mask[c]
-        return all((cover >> u) & 1 for u in vs)
+        return need & ~cover == 0
 
     # enlarging a clique only shrinks distances, so existence is decided on
     # maximal cliques; the canonical (smallest, lex-least) witness is then

@@ -252,6 +252,9 @@ def test_bicombing_pair_out_of_range(graph_file, pair):
     (["hyp", "{}", "--cap", "10", "--sample", "-3"], '{"n": 12, "edges": %s}'
      % [[i, i + 1] for i in range(11)]),
     (["hyp", "{}", "--cap", "-1"], '{"n": 3, "edges": [[0, 1], [1, 2]]}'),
+    (["hull", "{}"], '{"d": [[0, 1]]}'),  # not square
+    (["hull", "{}"], '{"d": [[0, 1], [2, 0]]}'),  # not symmetric
+    (["hull", "{}"], '{"d": [[0, 0], [0, 0]]}'),  # distinct points at distance 0
 ])
 def test_malformed_input_is_refused(tmp_path, argv, text):
     if text is not None:
@@ -263,6 +266,24 @@ def test_malformed_input_is_refused(tmp_path, argv, text):
         argv = [str(path) if a == "{}" else a for a in argv]
     code, out, err = run_cli(argv)
     assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n, err", [
+    (200000, "error: graph is disconnected (vertex 2 unreachable from 0)\n"),
+    (10 ** 12, "error: graph of 1000000000000 vertices exceeds cap 200000\n"),
+])
+def test_an_oversized_graph_is_refused_before_its_masks_are_built(tmp_path, n, err):
+    # under a 1 GB address-space limit, so that building the n masks fails
+    # fast in the child instead of taking gigabytes in the test process
+    import resource
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "edges": [[0, 1]]}))
+    limit = (1 << 30, 1 << 30)
+    proc = subprocess.run([sys.executable, "-m", "helly.cli", "check", str(path)],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
 
 
 @pytest.mark.parametrize("var, argv", [

@@ -136,13 +136,12 @@ def test_weak_modularity_examples():
 
 
 def test_weak_modularity_memory_stays_under_a_megabyte():
-    # the distance rows are the graph's own cache; what is measured is the
-    # item lists and the per-block numpy temporaries.  On king 20x20 a block
-    # budget four times the module's pushes the peak past the bound.
+    # what is measured is the distance matrix, which the scan builds through
+    # `g.distances()` (320 KB of int16 on king 20x20), the item lists and the
+    # per-block numpy temporaries.  On king 20x20 a block budget four times
+    # the module's pushes the peak past the bound.
     for g in [geometry.king_graph(11, 11), geometry.king_graph(20, 20),
               constructions.strong_product([geometry.path_graph(4)] * 3)[0]]:
-        for u in range(g.n):
-            g.dist_row(u)
         tracemalloc.start()
         try:
             weak_modularity(g)

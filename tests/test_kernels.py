@@ -16,7 +16,8 @@ from helly import (bicombing, constructions, geometry, graphs as graphs_module, 
 from helly.bicombing import (_steps, fellow_traveler_check, imprint, is_normal_path,
                              max_distance, min_distance, normal_clique_path, normal_paths)
 from helly.errors import HellyPreconditionError, InvariantViolation, ValidationError
-from helly.graphs import Graph, WeakModularityReport, bits, mask_of, weak_modularity
+from helly.graphs import (Graph, WeakModularityReport, as_vertex_set, bits, mask_of,
+                          weak_modularity)
 from helly.hypergraphs import (Hypergraph, berge_duchet, helly_property_certified,
                                helly_property_oracle, is_conformal_certified)
 
@@ -640,6 +641,17 @@ def test_hyperbolicity_on_far_apart_pairs_matches_pair_ordered_sweep(g):
     assert geometry.hyperbolicity(g) == plain_hyperbolicity(g)
 
 
+@pytest.mark.parametrize("cells", [1, 50])
+def test_hyperbolicity_matches_pair_ordered_sweep_across_blocks(monkeypatch, cells):
+    # one or a few outer pairs per block; on the random graph of 40 vertices
+    # the cutoff ends the sweep 18 far-apart pairs before the last
+    monkeypatch.setattr(geometry, "WM_BLOCK_CELLS", cells)
+    for g in (geometry.cycle_graph(9), geometry.king_graph(4, 5), geometry.random_tree(30, 1),
+              geometry.random_connected_graph(30, 0.15, 1),
+              geometry.random_connected_graph(40, 0.1, 2)):
+        assert geometry.hyperbolicity(g) == plain_hyperbolicity(g)
+
+
 @pytest.mark.parametrize("g", [geometry.path_graph(2), geometry.path_graph(9),
                                geometry.star_graph(5)]
                          + [geometry.random_tree(n, seed) for n, seed in
@@ -1104,6 +1116,15 @@ def checked(g, budget=None, seed=0):
     return astuple(fellow_traveler_check(g, budget, seed))
 
 
+def plain_checked(g, budget=None, seed=0):
+    """`plain_fellow_traveler`, raising as the check does past clique
+    constant 1 or path constant 3."""
+    report = bicombing.FellowTravelerReport(*plain_fellow_traveler(g, budget, seed))
+    if report.clique_constant > 1 or report.path_constant > 3:
+        raise InvariantViolation(f"fellow traveler constants exceeded: {report}")
+    return astuple(report)
+
+
 def outcome(check, *args):
     """What `check(*args)` returns, or the type and message of what it raises."""
     try:
@@ -1115,17 +1136,21 @@ def outcome(check, *args):
 def test_fellow_traveler_raises_like_plain_loop_on_fixed_non_helly_graphs():
     for g in (geometry.cycle_graph(4), geometry.cycle_graph(6), geometry.grid_graph(3, 3)):
         for budget in (None, 5):
-            expected = outcome(plain_fellow_traveler, g, budget, 1)
+            expected = outcome(plain_checked, g, budget, 1)
             assert expected[0] is HellyPreconditionError
             assert outcome(checked, g, budget, 1) == expected
+    # this sample meets no empty imprint, and its clique constant is 3
+    g = Graph(8, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 7), (3, 5), (5, 6), (6, 7)])
+    expected = outcome(plain_checked, g, 7, 95)
+    assert expected[0] is InvariantViolation
+    assert outcome(checked, g, 7, 95) == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_n=8, min_n=4).filter(lambda g: not recognition.is_helly(g).is_helly),
        st.one_of(st.none(), st.integers(0, 40)), st.integers(0, 99))
 def test_fellow_traveler_raises_like_plain_loop_on_non_helly_graphs(g, budget, seed):
-    assert (outcome(checked, g, budget, seed)
-            == outcome(plain_fellow_traveler, g, budget, seed))
+    assert outcome(checked, g, budget, seed) == outcome(plain_checked, g, budget, seed)
 
 
 def test_fellow_traveler_matches_plain_loop_across_blocks():
@@ -1164,3 +1189,159 @@ def test_normal_paths_are_the_normal_geodesics_and_fill_the_levels(g, data):
     levels = plain_level_sets(g, t, s)
     assert [tuple(bits(m)) for m in _steps(g, t, s)] == levels
     assert [tuple(sorted({p[i] for p in paths})) for i in range(len(levels))] == levels
+
+
+# -- the per-vertex loops that one mask identity each replaced, as oracles ----
+
+
+def plain_is_clique(g, vertices):
+    vs = list(vertices)
+    return all(g.ball1_mask[v] & (1 << w) for v in vs for w in vs if w != v)
+
+
+def plain_is_triangle_free_hypergraph(h):
+    """No length-3 cycle avoids having its three vertices inside one of its edges."""
+    masks = h.edge_masks()
+    for a, b, c in combinations(range(len(masks)), 3):
+        ma, mb, mc = masks[a], masks[b], masks[c]
+        ab, bc, ca = ma & mb, mb & mc, mc & ma
+        if not (ab and bc and ca):
+            continue
+        for x in bits(ca):
+            for y in bits(ab):
+                if y == x:
+                    continue
+                for z in bits(bc):
+                    if z == x or z == y:
+                        continue
+                    t = (1 << x) | (1 << y) | (1 << z)
+                    if not (ma & t == t or mb & t == t or mc & t == t):
+                        return False
+    return True
+
+
+def plain_face_graph(g, cap=None):
+    """`constructions.face_graph` testing each union as a clique, with the
+    pair loop of `plain_is_clique`."""
+    cliques = recognition.all_cliques(g, cap=cap)
+    masks = [mask_of(c) for c in cliques]
+    edges = []
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            u = mi | masks[j]
+            if u == mi or u == masks[j] or plain_is_clique(g, tuple(bits(u))):
+                edges.append((i, j))
+    return Graph(len(cliques), edges), cliques
+
+
+def plain_gsp_product_gilmore(desc):
+    desc.validate()
+    nerve = desc.nerve
+    for a, b, c in recognition.triangles(nerve):
+        need = ((desc.labels[a] & desc.labels[b])
+                | (desc.labels[b] & desc.labels[c])
+                | (desc.labels[a] & desc.labels[c]))
+        ok = False
+        for y in range(nerve.n):
+            if all(y == x or (nerve.nbr_mask[y] >> x) & 1 for x in (a, b, c)) \
+                    and need <= desc.labels[y]:
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
+def plain_dominating_clique(g, subset):
+    vs = as_vertex_set(g, subset, "subset")
+
+    def dominates(clique):
+        cover = 0
+        for c in clique:
+            cover |= g.ball1_mask[c]
+        return all((cover >> u) & 1 for u in vs)
+
+    if not any(dominates(c) for c in recognition.maximal_cliques(g)):
+        return None
+    for c in recognition.all_cliques(g):
+        if dominates(c):
+            return c
+    raise InvariantViolation("maximal-clique prepass and full clique scan disagree")
+
+
+def plain_hull_distance_profile(hg):
+    worst = 0
+    for f in hg.forms:
+        nearest = min(f[x] for x in range(hg.metric.n))  # f(x) = d_inf(f, e(x))
+        worst = max(worst, nearest)
+    return worst
+
+
+@st.composite
+def gsp_descriptions(draw):
+    """GSPs over three or four paths: distinct labels, so no two nerve
+    vertices share one (A2), random pins off each label (A3), and the nerve
+    read off off-label agreement (A4); a disconnected nerve is redrawn.
+    About half hold the labels {0, 1}, {0, 2} and {1, 2}, a triangle that
+    fails unless a common neighbour's label holds {0, 1, 2}."""
+    factors = tuple(geometry.path_graph(draw(st.integers(1, 3)))
+                    for _ in range(draw(st.integers(3, 4))))
+    k = len(factors)
+    labels = draw(st.lists(st.frozensets(st.integers(0, k - 1)), max_size=6, unique=True))
+    if draw(st.booleans()):
+        core = [frozenset(p) for p in combinations(range(3), 2)]
+        labels = core + [lab for lab in labels if lab not in core]
+    assume(labels)
+    pins = [{t: draw(st.integers(0, factors[t].n - 1)) for t in range(k) if t not in lab}
+            for lab in labels]
+    edges = [(u, v) for u, v in combinations(range(len(labels)), 2)
+             if all(pins[u][t] == pins[v][t] for t in set(pins[u]) & set(pins[v]))]
+    try:
+        nerve = Graph(len(labels), edges)
+    except ValidationError:
+        assume(False)
+    return constructions.GspDescription(factors, nerve, tuple(labels), tuple(pins))
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_is_clique_matches_the_pair_loop(g, data):
+    vs = data.draw(st.one_of(st.sampled_from(recognition.all_cliques(g)),
+                             st.lists(st.integers(0, g.n - 1), max_size=g.n + 2)))
+    assert g.is_clique(vs) == plain_is_clique(g, vs)
+
+
+@SETTINGS
+@given(hypergraphs())
+def test_triangle_free_test_matches_the_vertex_loop_on_hypergraphs_and_duals(h):
+    for x in (h, hypergraphs_module.dual(h)):
+        assert (hypergraphs_module.is_triangle_free_hypergraph(x)
+                == plain_is_triangle_free_hypergraph(x))
+
+
+@SETTINGS
+@given(graphs(max_n=7))
+def test_face_graph_matches_the_pairwise_clique_test(g):
+    fg, cliques = constructions.face_graph(g)
+    plain, plain_cliques = plain_face_graph(g)
+    assert (fg.to_json(), cliques) == (plain.to_json(), plain_cliques)
+
+
+@SETTINGS
+@given(gsp_descriptions())
+def test_gsp_product_gilmore_matches_the_nerve_scan(desc):
+    assert constructions.gsp_product_gilmore(desc) == plain_gsp_product_gilmore(desc)
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_dominating_clique_matches_the_vertex_loop(g, data):
+    subset = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    assert recognition.dominating_clique(g, subset) == plain_dominating_clique(g, subset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_metrics(), medium_metrics()))
+def test_hull_distance_profile_matches_the_form_loop(m):
+    hg = hull.hellyfication(m)
+    assert hull.hull_distance_profile(hg) == plain_hull_distance_profile(hg)
