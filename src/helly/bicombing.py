@@ -6,24 +6,28 @@ vertex-level normal paths thread through it.  Verification routines check
 the local path conditions, the uniqueness statement, and the fellow
 traveler constants (1 for clique-paths, 3 for vertex paths).
 
-Public functions validate their input once; the builders below them run on
-the unchecked `_imprint`, which takes the max-distance from the step index.
-The fellow-traveler check builds each path once, following one dict of
-linked path tails, and compares the paths of all tuples at once, on numpy
-blocks of padded distance tables.
+Two routes build the paths, and they share no code.  A single pair, as
+`normal_clique_path`, `normal_paths` and `imprint` ask for it, runs on
+the unchecked bigint `_imprint`, which reads balls grown from the
+adjacency masks and the BFS rows from tau, so it never builds the
+distance matrix.  The fellow-traveler check builds the paths of every
+endpoint pair of its sample at once, level by level from the far end, on
+packed rows of 64-bit words read off `g.distances()` (`_normal_rows`);
+the single-pair route is its test oracle.  Public functions validate
+their input once; the builders below them take it unchecked.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
 from .errors import HellyPreconditionError, InvariantViolation, ValidationError
-from .graphs import (WM_BLOCK_CELLS, as_sequence, as_vertex_set, as_vertices, ball_star_mask,
-                     bits, mask_of)
+from .graphs import (WM_BLOCK_CELLS, _spans, as_sequence, as_vertex_set, as_vertices,
+                     ball_star_mask, bits, mask_of)
 
 
 def _check_clique(g, vertices, name):
@@ -94,16 +98,13 @@ class CliquePath:
         return [list(c) for c in self.cliques]
 
 
-def _clique_path(g, tau, sigma, k, links=None):
+def _clique_path(g, tau, sigma, k):
     """Masks of the cliques tau, ..., sigma of the normal clique-path;
     unchecked input.
 
     tau and sigma are sorted cliques at uniform distance k.  The path is
     built from the sigma end: each clique c at distance >= 2 is imprinted
-    toward tau, a clique at uniform distance one less.  `links`, a dict
-    that calls may share, holds each step as a link (tau, c) -> imprint
-    mask.  The tail from c toward tau is the same in every path that
-    reaches c, so a linked clique is followed, not imprinted again.
+    toward tau, a clique at uniform distance one less.
 
     Every step is a clique, in any graph, Helly or not.  Let c be a clique
     at max-distance k >= 2 from tau and reach = B*(tau, k) & B*(c, 1); c
@@ -114,14 +115,9 @@ def _clique_path(g, tau, sigma, k, links=None):
     adjacent to the member of c at distance k.  By induction from the
     validated sigma, every clique of the path is a clique.
     """
-    links = {} if links is None else links
     path = [mask_of(sigma)]
     for i in range(k, 1, -1):  # path[-1] is at max-distance i from tau
-        key = (tau, path[-1])
-        step = links.get(key)
-        if step is None:
-            step = links[key] = _imprint(g, tau, path[-1], i)
-        path.append(step)
+        path.append(_imprint(g, tau, path[-1], i))
     if k:
         path.append(mask_of(tau))
     return path[::-1]
@@ -177,32 +173,23 @@ def verify_normal_clique_path(g, path):
     return True
 
 
-def _steps(g, t, s, links=None):
+def _steps(g, t, s, step=None):
     """Level masks L_0..L_k of the normal (t, s)-paths, from the t end.
 
     L_k = {s} and each lower level is the union of the steps of the level
     above: a member v of L_i steps to its imprint toward t for i >= 2, and
     to {t} for i = 1.  Every level member extends both ways, so the levels
     are exactly the vertices at each position of some normal path.
-    Unchecked input.  `links`, a dict that calls may share, holds the step
-    of each member v as the link ((t,), {v}) of `_clique_path`, and each
-    level as a link (t, L_i) -> L_(i-1), so a level already linked is
-    followed, not stepped again.
+    Unchecked input.  The dict `step`, when given, receives the step mask
+    of each member of L_1..L_k.
     """
-    links = {} if links is None else links
-    tau, levels = (t,), [1 << s]
+    step = {} if step is None else step
+    levels = [1 << s]
     for i in range(g.dist(t, s), 0, -1):
-        key = (t, levels[-1])
-        below = links.get(key)
-        if below is None:
-            below = 0
-            for v in bits(levels[-1]):
-                vkey = (tau, 1 << v)
-                step = links.get(vkey)
-                if step is None:
-                    step = links[vkey] = _imprint(g, tau, 1 << v, i) if i > 1 else 1 << t
-                below |= step
-            links[key] = below
+        below = 0
+        for v in bits(levels[-1]):
+            step[v] = _imprint(g, (t,), 1 << v, i) if i > 1 else 1 << t
+            below |= step[v]
         levels.append(below)
     return levels[::-1]
 
@@ -210,8 +197,8 @@ def _steps(g, t, s, links=None):
 def normal_paths(g, t, s, cap=100000):
     """All normal (t,s)-paths, lexicographically sorted."""
     as_vertices(g, (t, s), "pair")
-    links, tau = {}, (t,)
-    step = {v: links[tau, 1 << v] for level in _steps(g, t, s, links)[1:] for v in bits(level)}
+    step = {}
+    _steps(g, t, s, step)
     paths = [(s,)]
     for _ in range(g.dist(t, s)):
         if sum(step[p[-1]].bit_count() for p in paths) > cap:
@@ -240,6 +227,154 @@ def is_normal_path(g, seq):
     return True
 
 
+def _packed(rows, words):
+    """Boolean rows as rows of `words` 64-bit words: bit v of a row is byte
+    v >> 3, bit v & 7 of the row's bytes, so all masks below are read and
+    written through one uint8 view."""
+    out = np.zeros((len(rows), words), np.uint64)
+    out.view(np.uint8)[:, :(rows.shape[1] + 7) // 8] = np.packbits(rows, axis=1,
+                                                                     bitorder="little")
+    return out
+
+
+def _singletons(vertices, words):
+    """The sets {v} as packed rows."""
+    out = np.zeros((len(vertices), words), np.uint64)
+    out.view(np.uint8)[np.arange(len(vertices)), vertices >> 3] = 1 << (vertices & 7)
+    return out
+
+
+def _members(rows):
+    """(row, vertex) of each set bit of the packed rows, in row-major
+    order; only the nonzero bytes are unpacked."""
+    octets = rows.reshape(-1).view(np.uint8)
+    at = (octets != 0).nonzero()[0]
+    bit = np.unpackbits(octets[at], bitorder="little").view(bool).nonzero()[0]
+    row, byte = np.divmod(at[bit >> 3], rows.shape[1] * 8)
+    return row, byte * 8 + (bit & 7)
+
+
+def _reduce_members(ufunc, table, rows):
+    """Row i: `ufunc` reduced over table[v] for the members v of the packed
+    row rows[i], each row nonempty; the table rows gathered at once are
+    bounded through `WM_BLOCK_CELLS` cells, or one row's where that needs
+    more."""
+    r, v = _members(rows)
+    counts = np.bincount(r, minlength=len(rows))
+    starts = counts.cumsum() - counts
+    out = np.empty((len(rows), table.shape[1]), table.dtype)
+    for lo, hi in _spans(counts * table.shape[1], WM_BLOCK_CELLS):
+        a, b = starts[lo], starts[hi - 1] + counts[hi - 1]
+        ufunc.reduceat(table.take(v[a:b], axis=0), starts[lo:hi] - a, out=out[lo:hi])
+    return out
+
+
+def _imprints(unit, reach, below):
+    """below & the AND of unit[r] over r in reach, row by row; an empty row
+    is an empty imprint."""
+    out = _reduce_members(np.bitwise_and, unit, reach) & below
+    if not out.any(axis=1).all():
+        raise HellyPreconditionError("empty imprint; the graph is not Helly")
+    return out
+
+
+def _distinct(rows):
+    """The distinct packed rows, and the index of each row among them."""
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    fresh = np.ones(len(rows), bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    at = np.empty(len(rows), np.int32)
+    at[order] = fresh.cumsum() - 1
+    return rows[fresh], at
+
+
+def _normal_rows(g, a, b):
+    """Normal clique-paths and normal-path level sets of the endpoint pairs
+    (a[r], b[r]), all at once, as (sets, ids): the distinct sets of both
+    kinds as packed rows, and the tables ids[0] of clique-paths and ids[1]
+    of level sets, where ids[., j, r] is the set at position j of pair r's
+    path, held at its last entry past the end.  Raises
+    HellyPreconditionError on an empty imprint.
+
+    The same steps as `_clique_path(g, (a,), (b,), k)` and `_steps(g, a,
+    b)`, level by level from the far end: at level i = max k, ..., 2, every
+    pair with k = d(a, b) >= i steps its clique C_i and its level L_i,
+    which start as {b} at level k, toward a.  The imprint of a clique c at
+    max-distance i from {a} is B(a, i - 1) & the AND of B_1(r) over r in
+    reach = B(a, i) & the AND of B_1(v) over v in c: two
+    np.bitwise_and.reduceat passes over gathered unit-ball rows.  L_(i-1) is
+    the union, one np.bitwise_or.reduceat, of the imprints of the {v} for v
+    in L_i, whose reach is B(a, i) & B_1(v).  Level 1 steps to {a}.  Unit
+    balls and the balls B(a, i) of the targets come from `g.distances()`,
+    packed one level at a time.  Pairs are swept by decreasing k, in blocks
+    whose two state rows per pair take at most `WM_BLOCK_CELLS` words, so
+    the pairs that step at a level are a prefix of their block.  The sets
+    made are deduplicated in batches as they come (`_distinct`, a lexsort
+    over the words), and the batches once more at the end.
+
+    No reach is empty and the only failure is an empty imprint.  Each
+    member of C_i and of L_i is at distance exactly i from a, by induction
+    from {b}: an imprint lies in B(a, i - 1), and each member is adjacent
+    to all of reach, which holds the members at distance i.  So a member
+    lies in its own reach.  The single-pair route meets the same fact, so
+    there, too, an empty imprint is the only exception a path build raises.
+    """
+    dist = g.distances()
+    words = (g.n + 63) // 64
+    unit = _packed(dist <= 1, words)
+    k = dist[a, b].astype(np.intp)
+    size = (int(k.max()) + 1) * len(k)
+    ids = np.empty(2 * size, np.int32)  # the two tables, cell j * len(k) + r of each
+    found, held = [], []  # the distinct rows of each batch; sets not yet in a batch
+
+    def record(rows, at):
+        """Enter the sets `rows` at the cells `at`, deduplicated in batches of
+        about `WM_BLOCK_CELLS` bytes; with no rows, close the last batch."""
+        held.append((rows, at))
+        if len(rows) and 8 * words * sum(len(r) for r, _ in held) < WM_BLOCK_CELLS:
+            return
+        sets, index = _distinct(np.concatenate([r for r, _ in held]))
+        ids[np.concatenate([c for _, c in held])] = index + sum(map(len, found))
+        found.append(sets)
+        held.clear()
+
+    # by decreasing k, so the pairs that step at a level lead their block
+    order = np.argsort(-k, kind="stable")
+    step = max(1, WM_BLOCK_CELLS // (2 * words))
+    for lo in range(0, len(k), step):
+        pairs = order[lo:lo + step]
+        ta, kb = a[pairs], k[pairs]
+        far = np.count_nonzero(kb)
+        clique = _singletons(b[pairs], words)
+        ends = np.concatenate([clique, _singletons(ta[:far], words)])
+        at = np.concatenate([kb * len(k) + pairs, pairs[:far]])  # {b} at k, {a} at 0
+        record(np.concatenate([ends, ends]), np.concatenate([at, at + size]))
+        # the distance rows of the block's distinct targets, and each pair's
+        targets = np.bincount(ta, minlength=g.n).astype(bool)
+        target = (targets.cumsum() - 1)[ta]
+        rows_of = dist[targets.nonzero()[0]]
+        level = clique.copy()
+        below = _packed(rows_of <= kb[0], words)
+        for i in range(kb[0], 1, -1):
+            above, below = below, _packed(rows_of <= i - 1, words)
+            m = np.count_nonzero(kb >= i)
+            t = target[:m]
+            reach = _reduce_members(np.bitwise_and, unit, clique[:m]) & above[t]
+            clique[:m] = _imprints(unit, reach, below[t])
+            r, v = _members(level[:m])
+            steps = _imprints(unit, unit[v] & above[t[r]], below[t[r]])
+            level[:m] = np.bitwise_or.reduceat(steps, np.searchsorted(r, np.arange(m)))
+            at = (i - 1) * len(k) + pairs[:m]
+            record(np.concatenate([clique[:m], level[:m]]), np.concatenate([at, at + size]))
+    record(clique[:0], pairs[:0])
+    ids = ids.reshape(2, -1, len(k))
+    for j in range(1, ids.shape[1]):  # past its end a path holds its last set
+        np.copyto(ids[:, j], ids[:, j - 1], where=k < j)
+    sets, index = _distinct(np.concatenate(found))
+    return sets, index[ids]
+
+
 @dataclass(frozen=True)
 class FellowTravelerReport:
     clique_constant: int
@@ -260,21 +395,27 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     constant <= 1 and path constant <= 3 and reports the first tuples
     attaining the maxima.
 
-    Paths toward one target a step by imprints toward {a} and share their
-    tails, so all of them follow one dict of links: ((a,), clique) -> its
-    imprint for clique-paths and vertex steps, and (a, level) -> the level
-    below for level sets.  A path imprints only the cliques and levels not
-    yet linked, and is built as masks; each distinct mask becomes a vertex
-    set once.  Each endpoint pair is built once, in the order a per-tuple loop
-    meets it (clique-paths (p,s), (q,t), then levels (p,s), (q,t)), so a
-    non-Helly graph raises the same first exception.  Then each vertex set
-    becomes a row of its members, padded by repeating the first, and each
-    path a row of set ids, padded by repeating the last.  Both paddings are
-    exact: a repeated member leaves a min or max unchanged, and past the end
-    of the longer path both sides sit at their last entries, a pair already
-    counted.  Blocks of tuples, at most `WM_BLOCK_CELLS` cells each, read
-    D[members_A, members_B] from the cached `dist_row`s and reduce it by min
-    or max, then take the max over positions.
+    The paths of every endpoint pair (p, s) and (q, t) of the tuples are
+    built at once by `_normal_rows`.  On a non-Helly graph the check raises
+    what a loop over the tuples, building each path in turn, would raise
+    first: the HellyPreconditionError of an empty imprint if any path build
+    meets one, else the report's InvariantViolation.  Every pair is built
+    by that loop, and an empty imprint is the only exception a build can
+    raise (see `_normal_rows`), so which pair fails first, and at which
+    level, does not change the exception; the batch raises at the first
+    empty imprint of its sweep and builds no further.
+
+    Gaps.  For each distinct set A, R[A] is the row of the least
+    (clique-paths) or greatest (level sets) distance from a member of A to
+    each vertex, one reduceat over the rows of D = `g.distances()`.  Then
+    min-distance(A, B) is the least of R[A] over the members of B, and
+    max-distance the greatest.  Each set becomes a row of its members,
+    padded by repeating the last, and each path a row of set ids, padded
+    by repeating the last.  Both paddings are exact: a repeated member
+    leaves a min or max unchanged, and past the end of the longer path both
+    sides sit at their last entries, a pair already counted.  Blocks of
+    tuples, at most `WM_BLOCK_CELLS` cells each, gather R[A, members of B],
+    reduce it by min or max, then take the max over positions.
     """
     if max_tuples is not None and max_tuples < 0:
         raise ValidationError(f"max_tuples must be nonnegative, got {max_tuples}")
@@ -290,41 +431,26 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
         return FellowTravelerReport(0, 0, None, None, 0)
     # endpoint pairs (p, s) and (q, t) of each tuple as p * g.n + s, q * g.n + t
     ends = np.array(close, dtype=np.min_scalar_type(g.n * g.n))
-    pairs, first, pair_of = np.unique(ends[indices // n] * g.n + ends[indices % n],
-                                      return_index=True, return_inverse=True)
-    links = {}
-    builders = (lambda a, b: _clique_path(g, (a,), (b,), g.dist(a, b), links),
-                lambda a, b: _steps(g, a, b, links))
-    set_id, paths = {}, ([None] * len(pairs), [None] * len(pairs))
-    # pairs by first use; positions 2i and 2i + 1 of the keys are tuple i's
-    order = np.argsort(first).tolist()
-    for _, fresh in groupby(order, key=lambda r: first[r] // 2):
-        fresh = [(r, *divmod(int(pairs[r]), g.n)) for r in fresh]
-        for build, rows in zip(builders, paths):
-            for r, a, b in fresh:
-                rows[r] = [set_id.setdefault(c, len(set_id)) for c in build(a, b)]
-    links.clear()  # about one entry per step built; freed before the numpy blocks
-    sets = [tuple(bits(c)) for c in set_id]
-    sizes = np.array([len(c) for c in sets])
-    wide = sizes.max()
-    members = np.array([c + c[:1] * (wide - len(c)) for c in sets], dtype=np.int32)
-    # not np.unique, whose first plain call imports numpy.ma (about 1 MB)
-    used = np.flatnonzero(np.bincount(members.ravel(), minlength=g.n))
-    dist = np.array([g.dist_row(v) for v in used.tolist()], dtype=np.min_scalar_type(g.n))
-    length = max(map(len, paths[0]))
+    pairs, pair_of = np.unique(ends[indices // n] * g.n + ends[indices % n],
+                               return_inverse=True)
     pair_of = pair_of.reshape(-1, 2).astype(np.int32)
+    dist = g.distances()
+    sets, ids = _normal_rows(g, pairs // g.n, pairs % g.n)
+    r, v = _members(sets)
+    sizes = np.bincount(r, minlength=len(sets))
+    starts = sizes.cumsum() - sizes
+    # members lead, so each reduction below runs over whole rows
+    cols = v.astype(np.int32)[starts + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)]
     found = []
-    for rows, reduce in zip(paths, (np.min, np.max)):
-        table = np.array([r + r[-1:] * (length - len(r)) for r in rows], dtype=np.int32)
+    for table, reduce in zip(ids, (np.minimum, np.maximum)):
+        near = _reduce_members(reduce, dist, sets)  # R
         width = int(sizes[table].max())
-        cols = members[:, :width]
-        at = np.searchsorted(used, cols)  # row of each member in `dist`
-        step = max(1, WM_BLOCK_CELLS // (length * width * width))
-        gaps = np.empty(len(indices), dtype=dist.dtype)
+        step = max(1, WM_BLOCK_CELLS // (len(table) * width))
+        gaps = np.empty(len(indices), dist.dtype)
         for i in range(0, len(indices), step):
-            ids = table[pair_of[i:i + step]]
-            d = dist[at[ids[:, 0]][..., :, None], cols[ids[:, 1]][..., None, :]]
-            gaps[i:i + step] = reduce(d, axis=(2, 3)).max(axis=1)
+            left, right = table[:, pair_of[i:i + step, 0]], table[:, pair_of[i:i + step, 1]]
+            cells = near.take(left * g.n + cols[:width, right])
+            gaps[i:i + step] = reduce.reduce(cells, axis=0).max(axis=0)
         i = int(gaps.argmax())  # the first tuple attaining the maximum
         found.append((int(gaps[i]), close[indices[i] // n] + close[indices[i] % n])
                      if gaps[i] else (0, None))

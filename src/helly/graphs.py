@@ -185,7 +185,10 @@ class Graph:
         planes are unpacked once, at the end, instead of the whole matrix at
         every level.  The BFS ends at the first level that adds no bit.
         The neighbour rows gathered at once are bounded through
-        `WM_BLOCK_CELLS` words, or one vertex's where that needs more.
+        `WM_BLOCK_CELLS` words, or one vertex's where that needs more, and the
+        planes are unpacked in blocks of rows of at most `WM_BLOCK_CELLS`
+        cells, after the BFS rows are freed, so the peak is about the matrix
+        and its planes.
         """
         if self._dist is None:
             import numpy as np
@@ -216,10 +219,15 @@ class Graph:
                     if level >> j & 1:
                         plane |= balls
                 balls, grown = grown, balls
+            del balls, grown
             d = np.zeros((n, n), np.min_scalar_type(-n))
-            for plane in reversed(planes):
-                d <<= 1
-                d |= np.unpackbits(plane.view(np.uint8), axis=1, count=n, bitorder="little")
+            step = max(1, WM_BLOCK_CELLS // n)
+            for lo in range(0, n, step):
+                rows = d[lo:lo + step]
+                for plane in reversed(planes):
+                    rows <<= 1
+                    rows |= np.unpackbits(plane[lo:lo + step].view(np.uint8), axis=1, count=n,
+                                          bitorder="little")
             d.flags.writeable = False
             self._dist = d
         return self._dist

@@ -101,10 +101,13 @@ def test_normal_clique_path_examples():
 
 def test_normal_clique_path_reads_unit_balls_without_distance_rows():
     # the imprints need distances from tau only; the unit balls around the
-    # sigma end come from the adjacency masks, not from BFS rows
+    # sigma end come from the adjacency masks, not from BFS rows, and the
+    # single-pair route never builds the distance matrix
     king = geometry.king_graph(20, 20)
     normal_clique_path(king, 0, 399)
+    normal_paths(king, 0, 399)
     assert sum(row is not None for row in king._rows) == 1
+    assert king._dist is None
 
 
 def test_normal_clique_path_rejects_non_uniform():

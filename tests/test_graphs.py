@@ -151,6 +151,21 @@ def test_weak_modularity_memory_stays_under_a_megabyte():
         assert peak < 1 << 20, (g, peak)
 
 
+def test_distance_matrix_memory_stays_near_the_matrix():
+    # the int16 matrix takes 320 KB on king 20x20 and 2 MB on C1000; the
+    # packed planes of the distance bits come on top, the BFS rows and the
+    # unpacked blocks of rows hardly at all
+    for g, bound in [(geometry.king_graph(20, 20), 560 << 10),
+                     (geometry.cycle_graph(1000), 3584 << 10)]:
+        tracemalloc.start()
+        try:
+            g.distances()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (g, peak)
+
+
 def test_pseudo_modular_examples():
     assert is_pseudo_modular(geometry.random_tree(12, 9))
     assert not is_pseudo_modular(geometry.cycle_graph(6))

@@ -1051,14 +1051,20 @@ def plain_synchronized_gap(a, b, dist):
     return max(dist(x, short[i] if i <= k else short[k]) for i, x in enumerate(long))
 
 
-def plain_fellow_traveler(g, max_tuples=None, seed=0):
-    """Every 4-tuple listed, then sampled; both gaps rebuilt per tuple."""
+def plain_tuples(g, max_tuples=None, seed=0):
+    """Every 4-tuple listed, then sampled."""
     close = [(u, u) for u in range(g.n)]
     close += [e for u, v in g.edges() for e in ((u, v), (v, u))]
     close.sort()
     tuples = [(p, q, s, t) for p, q in close for s, t in close]
     if max_tuples is not None and len(tuples) > max_tuples:
         tuples = sorted(random.Random(seed).sample(tuples, max_tuples))
+    return tuples
+
+
+def plain_fellow_traveler(g, max_tuples=None, seed=0):
+    """`plain_tuples` with both gaps rebuilt per tuple."""
+    tuples = plain_tuples(g, max_tuples, seed)
     clique = path = (0, None)
     for p, q, s, t in tuples:
         cg = plain_synchronized_gap(normal_clique_path(g, p, s).cliques,
@@ -1178,6 +1184,98 @@ def test_fellow_traveler_matches_plain_loop_in_small_blocks(monkeypatch, cells):
         with pytest.raises(InvariantViolation) as e:
             fellow_traveler_check(g, 10, seed)
         assert str(e.value) == f"fellow traveler constants exceeded: {report}"
+
+
+def packed_masks(rows):
+    """Packed rows as int masks: bit v is bit v & 7 of byte v >> 3."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(helly_graphs(), st.sampled_from([1, 97, graphs_module.WM_BLOCK_CELLS]),
+       st.integers(0, 99))
+def test_batched_paths_match_the_single_pair_route(g, cells, seed):
+    pairs = list(product(range(g.n), repeat=2))
+    random.Random(seed).shuffle(pairs)  # blocks of mixed targets and lengths
+    a, b = (np.array(x) for x in zip(*pairs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bicombing, "WM_BLOCK_CELLS", cells)
+        sets, (clique_ids, level_ids) = bicombing._normal_rows(g, a, b)
+    sets = packed_masks(sets)
+    assert len(set(sets)) == len(sets)
+    assert clique_ids.shape == level_ids.shape == (g.diameter() + 1, len(pairs))
+    for r, (s, t) in enumerate(pairs):
+        k = g.dist(s, t)
+        held = [min(j, k) for j in range(len(clique_ids))]  # past the end, the last set
+        path, steps = bicombing._clique_path(g, (s,), (t,), k), _steps(g, s, t)
+        assert [sets[i] for i in clique_ids[:, r]] == [path[j] for j in held]
+        assert [sets[i] for i in level_ids[:, r]] == [steps[j] for j in held]
+
+
+def single_pair_outcome(g, s, t):
+    """The message of the first exception of the single-pair clique-path
+    and level builds of (s, t), or None."""
+    try:
+        bicombing._clique_path(g, (s,), (t,), g.dist(s, t))
+        _steps(g, s, t)
+    except HellyPreconditionError as e:
+        return str(e)
+    return None
+
+
+@SETTINGS
+@given(graphs(max_n=9), st.sampled_from([1, 97, graphs_module.WM_BLOCK_CELLS]))
+def test_batched_paths_raise_as_the_single_pair_route(g, cells):
+    # any graph: the batch raises iff some pair's single-pair build does, and
+    # an empty imprint is the only exception either route meets
+    pairs = list(product(range(g.n), repeat=2))
+    messages = {single_pair_outcome(g, s, t) for s, t in pairs}
+    assert messages <= {None, "empty imprint; the graph is not Helly"}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bicombing, "WM_BLOCK_CELLS", cells)
+        a, b = (np.array(x) for x in zip(*pairs))
+        try:
+            bicombing._normal_rows(g, a, b)
+            raised = None
+        except HellyPreconditionError as e:
+            raised = str(e)
+    assert raised == max(messages - {None}, default=None)
+
+
+def empty_imprint_level(g, a, b):
+    """The level at which the single-pair builds of the paths from a to b,
+    stepped together from the b end, meet their first empty imprint, or None."""
+    clique = level = 1 << b
+    for i in range(g.dist(a, b), 1, -1):
+        try:
+            clique = bicombing._imprint(g, (a,), clique, i)
+            level = mask_of(w for v in bits(level)
+                            for w in bits(bicombing._imprint(g, (a,), 1 << v, i)))
+        except HellyPreconditionError:
+            return i
+    return None
+
+
+def test_fellow_traveler_raises_like_plain_loop_when_a_later_pair_fails_higher():
+    # the first endpoint pair of the sample in tuple order to fail, (0, 4),
+    # meets its empty imprint at level 2, and a later one, (3, 8), at level
+    # 3, so the top-down sweep meets the later pair first
+    g = geometry.grid_graph(3, 3)
+    levels = [empty_imprint_level(g, *pair) for p, q, s, t in plain_tuples(g, 5, 0)
+              for pair in ((p, s), (q, t))]
+    failed = [level for level in levels if level]
+    assert failed[0] == 2 and max(failed) == 3
+    expected = outcome(plain_checked, g, 5, 0)
+    assert expected == (HellyPreconditionError, "empty imprint; the graph is not Helly")
+    assert outcome(checked, g, 5, 0) == expected
+
+
+def test_fellow_traveler_memory_on_a_sampled_tree():
+    # 1.34 MB before the batched path build, which holds packed rows of the
+    # distinct sets of each level; the distance matrix is built in the window
+    g = geometry.random_tree(100, 1)
+    _, peak = traced_peak(lambda: fellow_traveler_check(g, 800, 0))
+    assert peak < 1 << 20
 
 
 @SETTINGS
