@@ -1271,8 +1271,10 @@ def test_fellow_traveler_raises_like_plain_loop_when_a_later_pair_fails_higher()
 
 
 def test_fellow_traveler_memory_on_a_sampled_tree():
-    # 1.34 MB before the batched path build, which holds packed rows of the
-    # distinct sets of each level; the distance matrix is built in the window
+    # the sets made are deduplicated in batches of about WM_BLOCK_CELLS
+    # bytes as they come, so about a hundred distinct sets are kept, not a
+    # row per position of every path; the distance matrix is built inside
+    # the measured window
     g = geometry.random_tree(100, 1)
     _, peak = traced_peak(lambda: fellow_traveler_check(g, 800, 0))
     assert peak < 1 << 20
