@@ -403,7 +403,8 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     by that loop, and an empty imprint is the only exception a build can
     raise (see `_normal_rows`), so which pair fails first, and at which
     level, does not change the exception; the batch raises at the first
-    empty imprint of its sweep and builds no further.
+    empty imprint of its sweep and builds no further, so no failed row is
+    ever carried to a lower level.
 
     Gaps.  For each distinct set A, R[A] is the row of the least
     (clique-paths) or greatest (level sets) distance from a member of A to
