@@ -12,7 +12,7 @@ the unchecked bigint `_imprint`, which reads balls grown from the
 adjacency masks and the BFS rows from tau, so it never builds the
 distance matrix.  The fellow-traveler check builds the paths of every
 endpoint pair of its sample at once, level by level from the far end, on
-packed rows of 64-bit words read off `g.distances()` (`_normal_rows`);
+packed rows (`graphs`) built from `g.distances()` (`_normal_rows`);
 the single-pair route is its test oracle.  Public functions validate
 their input once; the builders below them take it unchecked.
 """
@@ -26,8 +26,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import HellyPreconditionError, InvariantViolation, ValidationError
-from .graphs import (WM_BLOCK_CELLS, _spans, as_sequence, as_vertex_set, as_vertices,
-                     ball_star_mask, bits, mask_of)
+from .graphs import (WM_BLOCK_CELLS, _mask_rows, _packed, _reduce_segments, _set_bits,
+                     _singletons, as_sequence, as_vertex_set, as_vertices, ball_star_mask,
+                     bits, mask_of)
 
 
 def _check_clique(g, vertices, name):
@@ -227,52 +228,17 @@ def is_normal_path(g, seq):
     return True
 
 
-def _packed(rows, words):
-    """Boolean rows as rows of `words` 64-bit words: bit v of a row is byte
-    v >> 3, bit v & 7 of the row's bytes, so all masks below are read and
-    written through one uint8 view."""
-    out = np.zeros((len(rows), words), np.uint64)
-    out.view(np.uint8)[:, :(rows.shape[1] + 7) // 8] = np.packbits(rows, axis=1,
-                                                                     bitorder="little")
-    return out
-
-
-def _singletons(vertices, words):
-    """The sets {v} as packed rows."""
-    out = np.zeros((len(vertices), words), np.uint64)
-    out.view(np.uint8)[np.arange(len(vertices)), vertices >> 3] = 1 << (vertices & 7)
-    return out
-
-
-def _members(rows):
-    """(row, vertex) of each set bit of the packed rows, in row-major
-    order; only the nonzero bytes are unpacked."""
-    octets = rows.reshape(-1).view(np.uint8)
-    at = (octets != 0).nonzero()[0]
-    bit = np.unpackbits(octets[at], bitorder="little").view(bool).nonzero()[0]
-    row, byte = np.divmod(at[bit >> 3], rows.shape[1] * 8)
-    return row, byte * 8 + (bit & 7)
-
-
-def _reduce_members(ufunc, table, rows):
-    """Row i: `ufunc` reduced over table[v] for the members v of the packed
-    row rows[i], each row nonempty; the table rows gathered at once are
-    bounded through `WM_BLOCK_CELLS` cells, or one row's where that needs
-    more."""
-    r, v = _members(rows)
-    counts = np.bincount(r, minlength=len(rows))
-    starts = counts.cumsum() - counts
-    out = np.empty((len(rows), table.shape[1]), table.dtype)
-    for lo, hi in _spans(counts * table.shape[1], WM_BLOCK_CELLS):
-        a, b = starts[lo], starts[hi - 1] + counts[hi - 1]
-        ufunc.reduceat(table.take(v[a:b], axis=0), starts[lo:hi] - a, out=out[lo:hi])
-    return out
+def _meet(unit, rows):
+    """Row i: the AND of unit[v] over the members v of rows[i], each nonempty."""
+    r, v = next(_set_bits(rows))
+    return _reduce_segments(np.bitwise_and, unit, v, np.bincount(r, minlength=len(rows)),
+                            WM_BLOCK_CELLS)
 
 
 def _imprints(unit, reach, below):
     """below & the AND of unit[r] over r in reach, row by row; an empty row
     is an empty imprint."""
-    out = _reduce_members(np.bitwise_and, unit, reach) & below
+    out = _meet(unit, reach) & below
     if not out.any(axis=1).all():
         raise HellyPreconditionError("empty imprint; the graph is not Helly")
     return out
@@ -302,12 +268,12 @@ def _normal_rows(g, a, b):
     pair with k = d(a, b) >= i steps its clique C_i and its level L_i,
     which start as {b} at level k, toward a.  The imprint of a clique c at
     max-distance i from {a} is B(a, i - 1) & the AND of B_1(r) over r in
-    reach = B(a, i) & the AND of B_1(v) over v in c: two
-    np.bitwise_and.reduceat passes over gathered unit-ball rows.  L_(i-1) is
-    the union, one np.bitwise_or.reduceat, of the imprints of the {v} for v
-    in L_i, whose reach is B(a, i) & B_1(v).  Level 1 steps to {a}.  Unit
-    balls and the balls B(a, i) of the targets come from `g.distances()`,
-    packed one level at a time.  Pairs are swept by decreasing k, in blocks
+    reach = B(a, i) & the AND of B_1(v) over v in c: two segmented ANDs
+    over gathered unit-ball rows (`_meet`).  L_(i-1) is the union, one
+    np.bitwise_or.reduceat, of the imprints of the {v} for v in L_i, whose
+    reach is B(a, i) & B_1(v).  Level 1 steps to {a}.  Unit balls come from
+    `g.ball1_mask`, the balls B(a, i) of the targets from `g.distances()`,
+    one level at a time.  Pairs are swept by decreasing k, in blocks
     whose two state rows per pair take at most `WM_BLOCK_CELLS` words, so
     the pairs that step at a level are a prefix of their block.  The sets
     made are deduplicated in batches as they come (`_distinct`, a lexsort
@@ -322,7 +288,7 @@ def _normal_rows(g, a, b):
     """
     dist = g.distances()
     words = (g.n + 63) // 64
-    unit = _packed(dist <= 1, words)
+    unit = _mask_rows(g.ball1_mask, words)
     k = dist[a, b].astype(np.intp)
     size = (int(k.max()) + 1) * len(k)
     ids = np.empty(2 * size, np.int32)  # the two tables, cell j * len(k) + r of each
@@ -360,9 +326,9 @@ def _normal_rows(g, a, b):
             above, below = below, _packed(rows_of <= i - 1, words)
             m = np.count_nonzero(kb >= i)
             t = target[:m]
-            reach = _reduce_members(np.bitwise_and, unit, clique[:m]) & above[t]
+            reach = _meet(unit, clique[:m]) & above[t]
             clique[:m] = _imprints(unit, reach, below[t])
-            r, v = _members(level[:m])
+            r, v = next(_set_bits(level[:m]))
             steps = _imprints(unit, unit[v] & above[t[r]], below[t[r]])
             level[:m] = np.bitwise_or.reduceat(steps, np.searchsorted(r, np.arange(m)))
             at = (i - 1) * len(k) + pairs[:m]
@@ -408,7 +374,7 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
 
     Gaps.  For each distinct set A, R[A] is the row of the least
     (clique-paths) or greatest (level sets) distance from a member of A to
-    each vertex, one reduceat over the rows of D = `g.distances()`.  Then
+    each vertex, one segmented reduce over the rows of D = `g.distances()`.  Then
     min-distance(A, B) is the least of R[A] over the members of B, and
     max-distance the greatest.  Each set becomes a row of its members,
     padded by repeating the last, and each path a row of set ids, padded
@@ -437,14 +403,14 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     pair_of = pair_of.reshape(-1, 2).astype(np.int32)
     dist = g.distances()
     sets, ids = _normal_rows(g, pairs // g.n, pairs % g.n)
-    r, v = _members(sets)
+    r, v = next(_set_bits(sets))
     sizes = np.bincount(r, minlength=len(sets))
     starts = sizes.cumsum() - sizes
     # members lead, so each reduction below runs over whole rows
     cols = v.astype(np.int32)[starts + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)]
     found = []
     for table, reduce in zip(ids, (np.minimum, np.maximum)):
-        near = _reduce_members(reduce, dist, sets)  # R
+        near = _reduce_segments(reduce, dist, v, sizes, WM_BLOCK_CELLS)  # R
         width = int(sizes[table].max())
         step = max(1, WM_BLOCK_CELLS // (len(table) * width))
         gaps = np.empty(len(indices), dist.dtype)

@@ -15,7 +15,8 @@ both recognition routes and the median test ask for it.  The graph is
 observably immutable: the lazy caches are idempotent, so concurrent
 readers can at worst recompute a row, a ball, the matrix or the report.
 numpy is imported by the functions that use it, so building and printing
-graphs does not load it.
+graphs does not load it.  The packed rows of numpy code and their kernels
+are defined here alone ("packed rows" below).
 """
 
 from __future__ import annotations
@@ -176,38 +177,27 @@ class Graph:
         holds n (memoized, read-only).
 
         One BFS from every source at once.  Row x of R_r is the ball B_r(x)
-        packed into 64-bit words: R_0 is the identity, and R_{r+1}[x] is
-        R_r[x] or'd with R_r[y] over the neighbours y of x, one
-        np.bitwise_or.reduceat per level over the adjacency lists laid end
-        to end.  The bits of F_r = R_r & ~R_{r-1} are the pairs at distance
-        r, so bit j of the matrix is the OR of the F_r with bit j of r set:
-        each level ors F_r into the packed planes of the bits of r, and the
-        planes are unpacked once, at the end, instead of the whole matrix at
-        every level.  The BFS ends at the first level that adds no bit.
-        The neighbour rows gathered at once are bounded through
-        `WM_BLOCK_CELLS` words, or one vertex's where that needs more, and the
-        planes are unpacked in blocks of rows of at most `WM_BLOCK_CELLS`
-        cells, after the BFS rows are freed, so the peak is about the matrix
-        and its planes.
+        as a packed row: R_0 holds the singletons, and R_{r+1}[x] is R_r[x]
+        or'd with R_r[y] over the neighbours y of x, one segmented OR per
+        level over the adjacency lists laid end to end, gathering at most
+        `WM_BLOCK_CELLS` words at once.  The bits of F_r = R_r & ~R_{r-1}
+        are the pairs at distance r, so bit j of the matrix is the OR of the
+        F_r with bit j of r set: each level ors F_r into the packed planes
+        of the bits of r, and the planes are unpacked once, at the end, in
+        blocks of rows of at most `WM_BLOCK_CELLS` cells, after the BFS rows
+        are freed, so the peak is about the matrix and its planes.  The BFS
+        ends at the first level that adds no bit.
         """
         if self._dist is None:
             import numpy as np
             n = self.n
             heads = np.fromiter(chain.from_iterable(self.adj), np.intp)
             degrees = np.fromiter(map(len, self.adj), np.intp, n)
-            starts = degrees.cumsum() - degrees
-            words = (n + 63) // 64
-            # every vertex has a neighbour when n > 1, so no list is empty
-            spans = [(lo, hi, heads[starts[lo]:starts[hi - 1] + degrees[hi - 1]],
-                      starts[lo:hi] - starts[lo])
-                     for lo, hi in (_spans(degrees * words, WM_BLOCK_CELLS) if n > 1 else ())]
-            balls = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1,
-                                bitorder="little").view(np.uint64)
+            balls = _singletons(np.arange(n), (n + 63) // 64)
             grown = np.empty_like(balls)
             planes, level = [], 0  # planes[j]: the pairs whose distance has bit j set
-            while spans:
-                for lo, hi, nbrs, offsets in spans:
-                    np.bitwise_or.reduceat(balls.take(nbrs, axis=0), offsets, out=grown[lo:hi])
+            while n > 1:  # then every vertex has a neighbour, so no list is empty
+                _reduce_segments(np.bitwise_or, balls, heads, degrees, WM_BLOCK_CELLS, grown)
                 grown |= balls
                 balls ^= grown  # F of the next level
                 if not balls.any():
@@ -226,8 +216,7 @@ class Graph:
                 rows = d[lo:lo + step]
                 for plane in reversed(planes):
                     rows <<= 1
-                    rows |= np.unpackbits(plane[lo:lo + step].view(np.uint8), axis=1, count=n,
-                                          bitorder="little")
+                    rows |= _unpacked(plane[lo:lo + step], n)
             d.flags.writeable = False
             self._dist = d
         return self._dist
@@ -400,12 +389,80 @@ def _spans(weights, limit):
         lo = hi
 
 
-def _bool_rows(masks, n):
-    """The int masks as the rows of an n-column boolean matrix."""
+# -- packed rows ---------------------------------------------------------------
+# A packed row is a set of vertices as a row of `words` uint64 words: vertex v
+# is bit v & 7 of byte v >> 3, so on a little-endian host bit v & 63 of word
+# v >> 6.  Only the kernels below read or write that layout; their callers
+# (here, `bicombing`, `hypergraphs`, `hull`) combine whole words with & | ^ ~.
+
+
+def _mask_rows(masks, words):
+    """The int masks as packed rows (read-only)."""
     import numpy as np
-    width = (n + 7) // 8
-    buf = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(buf.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+    return np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks),
+                         np.uint64).reshape(-1, words)
+
+
+def _packed(rows, words):
+    """The rows of a 2-D boolean array as packed rows; column v is vertex v."""
+    import numpy as np
+    padded = np.zeros((len(rows), 64 * words), bool)  # whole words pack fastest
+    padded[:, :rows.shape[1]] = rows
+    return np.packbits(padded.reshape(-1), bitorder="little").view(np.uint64).reshape(-1, words)
+
+
+def _unpacked(rows, n):
+    """The packed rows as an n-column array of 0s and 1s; column v is vertex v."""
+    import numpy as np
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
+def _singletons(vertices, words):
+    """The sets {v} as packed rows."""
+    import numpy as np
+    out = np.zeros((len(vertices), words), np.uint64)
+    out.view(np.uint8)[np.arange(len(vertices)), vertices >> 3] = 1 << (vertices & 7)
+    return out
+
+
+def _set_bits(rows, limit=None):
+    """Yield the set bits of the packed rows as (row, vertex) index arrays in
+    row-major order, in one chunk or in chunks of at most `limit` bits, and
+    at least one chunk; only nonzero bytes are unpacked, `limit` at a time."""
+    import numpy as np
+    octets = rows.reshape(-1).view(np.uint8)
+    at = (octets != 0).nonzero()[0]
+    step = limit or 8 * len(at) or 1  # no limit: one block and one chunk, 8 bits a byte
+    for lo in range(0, max(1, len(at)), step):
+        block = at[lo:lo + step]
+        bit = np.unpackbits(octets[block], bitorder="little").view(bool).nonzero()[0]
+        row, byte = np.divmod(block[bit >> 3], 8 * rows.shape[1])
+        vertex = byte * 8 + (bit & 7)
+        for i in range(0, max(1, len(bit)), step):
+            yield row[i:i + step], vertex[i:i + step]
+
+
+def _holds(rows, r, v):
+    """Whether the packed row rows[r] holds the vertex v, elementwise, as 0 or 1."""
+    return rows.view("u1")[r, v >> 3] >> (v & 7) & 1
+
+
+def _reduce_segments(ufunc, table, index, counts, limit, out=None):
+    """Row i: `ufunc` reduced over the rows table[j] for the j of segment i
+    of `index`, the segments laid end to end, counts[i] >= 1 entries each.
+    The table rows gathered at once take at most `limit` cells, or one
+    segment's where that needs more: one reduceat when all of them fit."""
+    import numpy as np
+    starts = counts.cumsum() - counts
+    if out is None:
+        out = np.empty((len(counts), table.shape[1]), table.dtype)
+    if len(index) * table.shape[1] <= limit:
+        ufunc.reduceat(table.take(index, axis=0), starts, out=out)
+        return out
+    for lo, hi in _spans(counts * table.shape[1], limit):
+        a, b = starts[lo], starts[hi - 1] + counts[hi - 1]
+        ufunc.reduceat(table.take(index[a:b], axis=0), starts[lo:hi] - a, out=out[lo:hi])
+    return out
 
 
 class _WmItems:
@@ -414,18 +471,19 @@ class _WmItems:
     Pairs are stored by decreasing member count, ties in lex order, so the
     pairs with more than k members are a prefix; `order[i]` is the lex rank
     of stored pair i.  `layers[k]` holds the k-th least member of each pair
-    of that prefix.
+    of that prefix.  The members are the set bits of adj[v] & adj[w], on
+    packed adjacency rows, for blocks of pairs of at most WM_BLOCK_CELLS bytes.
     """
 
-    def __init__(self, adj, pairs):
+    def __init__(self, adj, v, w):
         import numpy as np
-        v, w = np.nonzero(np.triu(pairs, 1))
         sizes, members = [], []
-        step = max(1, WM_BLOCK_CELLS // len(adj))
+        step = max(1, WM_BLOCK_CELLS // (8 * adj.shape[1]))
         for i in range(0, max(len(v), 1), step):  # one pass even with no pairs
             common = adj[v[i:i + step]] & adj[w[i:i + step]]
-            sizes.append(np.count_nonzero(common, axis=1))
-            members.append(np.nonzero(common)[1].astype(np.min_scalar_type(len(adj))))
+            r, c = next(_set_bits(common))
+            sizes.append(np.bincount(r, minlength=len(common)))
+            members.append(c.astype(np.min_scalar_type(len(adj))))
         sizes, members = np.concatenate(sizes), np.concatenate(members)
         self.order = np.argsort(-sizes, kind="stable")
         self.v, self.w = v[self.order], w[self.order]
@@ -436,9 +494,17 @@ class _WmItems:
 
 def _wm_items(g):
     """TC items (the edges, with their apexes) and QC items (the pairs at
-    distance 2, with their common neighbours)."""
-    adj = _bool_rows(g.nbr_mask, g.n)
-    return _WmItems(adj, adj), _WmItems(adj, g.distances() == 2)
+    distance 2, with their common neighbours), the pairs read off blocks of
+    rows of `g.distances()` of at most `WM_BLOCK_CELLS` cells."""
+    import numpy as np
+    dist, step = g.distances(), max(1, WM_BLOCK_CELLS // g.n)
+    pairs = {1: [], 2: []}  # blocks of the pairs v < w at each distance
+    for lo in range(0, g.n, step):
+        for j, found in pairs.items():
+            v, w = np.nonzero(dist[lo:lo + step] == j)
+            found.append((v[w > v + lo] + lo, w[w > v + lo]))
+    adj = _mask_rows(g.nbr_mask, (g.n + 63) // 64)
+    return [_WmItems(adj, *map(np.concatenate, zip(*pairs[j]))) for j in (1, 2)]
 
 
 def weak_modularity(g):

@@ -27,7 +27,7 @@ every coordinate of {f = k} can still join P, which it does exactly when a
 slack-0 partner of it joins M (_unit_neighbors).  Each BFS layer is handled
 at once: the search masks of its forms come from numpy blocks of slacks,
 and the search leaves, kept as bitmask pairs, become neighbour vectors
-through one np.unpackbits.
+through one unpack of their packed rows (`graphs`).
 
 The hull edges are read off their definition, the pairs at S = 1, on numpy
 blocks of rows of S.  As an independent cross-check of the search, the
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
                      int_lists, json_object)
-from .graphs import WM_BLOCK_CELLS, Graph, as_vertices
+from .graphs import WM_BLOCK_CELLS, Graph, _mask_rows, _packed, _unpacked, as_vertices
 
 
 # bytes per block of the hull-distance certificate (_check_hull_distances);
@@ -137,13 +137,11 @@ def is_extremal(m, f):
 
 def _bitmasks(b):
     """The rows along the last axis of the boolean array b as int bitmasks, in
-    C order; bit y of a mask is column y.  Each row is packed into 64-bit
-    words, which are joined into one int per row, highest word first."""
+    C order; bit y of a mask is column y.  The packed words of each row are
+    joined into one int per row, highest word first."""
     rows = b.reshape(-1, b.shape[-1])
-    bits = np.zeros((len(rows), -(-rows.shape[1] // 64) * 64), bool)
-    bits[:, :rows.shape[1]] = rows
     out = 0
-    for word in np.packbits(bits, axis=1, bitorder="little").view("<u8").T[::-1]:
+    for word in _packed(rows, -(-rows.shape[1] // 64)).T[::-1]:
         out = out << 64 | word.astype(object)
     return out.tolist()
 
@@ -170,13 +168,12 @@ def _frontier_neighbors(d, frontier, room):
 
     The search masks are built on numpy blocks of at most WM_BLOCK_CELLS
     cells, or of one form where that needs more.  The search leaves (M, P)
-    become g = f - M + P through one np.unpackbits at the end of the
-    layer, or sooner once they outnumber room(), the forms the cap still
-    allows: only then can they take the form count past it.
+    become g = f - M + P through one unpack of their packed rows at the
+    end of the layer, or sooner once they outnumber room(), the forms the
+    cap still allows: only then can they take the form count past it.
     """
     n = d.shape[0]
     forms = np.array(frontier)
-    width = (n + 7) // 8
     step = max(1, WM_BLOCK_CELLS // (n * n))
     done, owner, found = 0, [], []
     for lo in range(0, len(frontier), step):
@@ -186,9 +183,8 @@ def _frontier_neighbors(d, frontier, room):
             found += leaves
             if len(found) <= room() and i + 1 < len(frontier):
                 continue
-            buf = b"".join(mask.to_bytes(width, "little") for leaf in found for mask in leaf)
-            steps = np.unpackbits(np.frombuffer(buf, np.uint8).reshape(-1, width), axis=1,
-                                  count=n, bitorder="little").reshape(-1, 2, n)
+            steps = _unpacked(_mask_rows([mask for leaf in found for mask in leaf],
+                                         (n + 63) // 64), n).reshape(-1, 2, n)
             out = [[] for _ in range(done, i + 1)]
             for j, g in zip(owner, (forms[owner] - steps[:, 0] + steps[:, 1]).tolist()):
                 out[j - done].append(tuple(g))

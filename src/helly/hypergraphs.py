@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError, int_lists, json_object, vertex_count
-from .graphs import WM_BLOCK_CELLS, Graph, _spans, bits, mask_of, maximal_clique_masks
+from .graphs import (WM_BLOCK_CELLS, Graph, _holds, _mask_rows, _reduce_segments, _set_bits,
+                     _spans, bits, mask_of, maximal_clique_masks)
 
 
 @dataclass(frozen=True)
@@ -108,24 +109,6 @@ def helly_property(h):
     return ok
 
 
-def _set_bits(packed, limit):
-    """The set bits of a 2-D uint64 array as (row, column) index arrays, in
-    row-major order, in chunks of at most `limit` bits (or of one word).
-    Only nonzero words are unpacked, at most `limit` of them at a time."""
-    import numpy as np
-    words = packed.shape[1]
-    flat = packed.reshape(-1)
-    nonzero = (flat != 0).nonzero()[0]
-    for lo in range(0, len(nonzero), limit):
-        at = nonzero[lo:lo + limit]
-        bits = np.unpackbits(flat[at].view(np.uint8), bitorder="little").view(bool)
-        for a, b in (_spans(bits.reshape(-1, 64).sum(axis=1), limit) if 64 * len(at) > limit
-                     else [(0, len(at))]):
-            bit = bits[64 * a:64 * b].nonzero()[0]
-            row, col = np.divmod(at[a:b][bit >> 6], words)
-            yield row, col * 64 + (bit & 63)
-
-
 def berge_duchet(n, family):
     """Lexicographically least failing triple of the Berge-Duchet test on
     `family`, int masks of members over 0..n-1, or None.
@@ -154,21 +137,21 @@ def berge_duchet(n, family):
     triple is the least failing walked triple, hence the least failing
     triple.  Grids leave in the first run, at (0, 1, k).
 
-    Caps are ANDs of packed member rows: the members holding the end with
-    fewer holders, with those missing the other end replaced by a row of
-    ones, reduced by np.bitwise_and.reduceat.  They are built for each run
-    as it is walked and not kept: the caps of x, z and y, z a triple needs
-    are read off its run (np.searchsorted on the run's sorted pair keys)
-    or, for a pair past the run, built.  Every temporary is bounded through
-    `WM_BLOCK_CELLS`: a run has at most WM_BLOCK_CELLS // (8 words) pairs
-    or triples, so their cap rows of `words` 64-bit words take at most
-    WM_BLOCK_CELLS bytes, and so do the holder rows gathered for its caps,
-    unless one vertex alone has more holders; the incidences are unpacked
-    about WM_BLOCK_CELLS bytes at a time.  The
-    state kept across runs is the packed members, their incidences and the
-    packed 2-section rows of the covered vertices, so memory stays near the
-    size of the family plus O(n), whatever the largest number of members
-    holding one vertex.
+    Caps are ANDs of packed member rows (`graphs`): the members holding the
+    end with fewer holders, with those missing the other end replaced by a
+    row of ones.  They are built for each run as it is walked and not kept:
+    the caps of x, z and y, z a triple needs are read off its run
+    (np.searchsorted on the run's sorted pair keys) or, for a pair past the
+    run, built.  Every temporary is bounded through `WM_BLOCK_CELLS`: a run
+    has at most WM_BLOCK_CELLS // (8 words) pairs or triples, so their cap
+    rows of `words` 64-bit words take at most WM_BLOCK_CELLS bytes, and so
+    do the holder rows gathered for its caps, unless one vertex alone has
+    more holders; bits are unpacked about that many at a time, and the
+    incidences are the set bits of the members, sorted stably by vertex.
+    The state kept across runs is the packed members, their incidences and
+    the packed 2-section rows of the covered vertices, so memory stays near
+    the size of the family plus O(n), whatever the largest number of
+    members holding one vertex.
 
     Callers pass the unit balls (1-Helly of a graph), the edges (Helly
     property of a hypergraph), all balls (the ball-hypergraph oracle), and
@@ -186,30 +169,15 @@ def berge_duchet(n, family):
     import numpy as np
     words, k = (n + 63) // 64, len(family)
     step = max(1, WM_BLOCK_CELLS // (8 * words))  # rows of `words` words in WM_BLOCK_CELLS bytes
-    # member rows as 64-bit words, then a row of ones (k)
-    rows = np.frombuffer(b"".join([m.to_bytes(8 * words, "little") for m in family])
-                         + b"\xff" * (8 * words), np.uint64).reshape(k + 1, words)
-    # incidences in (vertex, member) order, one block of 64-bit columns at a time
-    wide = max(1, WM_BLOCK_CELLS // (64 * k))
-    blocks = [np.unpackbits(rows[:k, w:w + wide].view(np.uint8), axis=1,
-                            bitorder="little").view(bool).T.nonzero()
-              for w in range(0, words, wide)]
-    hv, hm = blocks[0] if len(blocks) == 1 else (
-        np.concatenate([v + 64 * wide * i for i, (v, _) in enumerate(blocks)]),
-        np.concatenate([m for _, m in blocks]))
-    count = np.bincount(hv, minlength=n)  # holders of each vertex
+    rows = _mask_rows([*family, (1 << 64 * words) - 1], words)  # the members, then ones (k)
+    member, vertex = map(np.concatenate, zip(*_set_bits(rows[:k], step)))
+    hm = member[vertex.argsort(kind="stable")]  # the holders of each vertex in turn
+    count = np.bincount(vertex, minlength=n)
     first = count.cumsum() - count  # where they start in hm
     covered = count.nonzero()[0]
     at = count.astype(bool).cumsum() - 1  # the row of `near` of a covered vertex
-    near = np.empty((len(covered), words), np.uint64)  # 2-section rows, x included
-    starts = first[covered]  # the holders of the covered vertices tile hm
-    for lo, hi in _spans(count[covered], step):
-        a = starts[lo]
-        near[lo:hi] = np.bitwise_or.reduceat(
-            rows.take(hm[a:starts[hi] if hi < len(starts) else len(hm)], axis=0),
-            starts[lo:hi] - a)
-
-    bit = np.left_shift(1, np.arange(64, dtype=np.uint64), dtype=np.uint64)
+    # 2-section rows, x included; the holders of the covered vertices tile hm
+    near = _reduce_segments(np.bitwise_or, rows, hm, count[covered], step * words)
 
     def caps(x, y):
         # the pairs x[i], y[i] each share a member; x becomes the end with fewer holders
@@ -217,14 +185,13 @@ def berge_duchet(n, family):
         x, y = np.where(few, x, y), np.where(few, y, x)
         c = count[x]
         out = np.empty((len(x), words), np.uint64)
-        for lo, hi in _spans(c, step):
+        for lo, hi in _spans(c, step):  # bounds the holder lists built at once
             cc = c[lo:hi]
             ends = cc.cumsum()
             m = hm[np.arange(ends[-1]) + (first[x[lo:hi]] + cc - ends).repeat(cc)]
-            other = y[lo:hi].repeat(cc)
-            held = rows[m, other >> 6] & bit[other & 63]
-            out[lo:hi] = np.bitwise_and.reduceat(rows.take(np.where(held, m, k), axis=0),
-                                                 ends - cc)
+            held = _holds(rows, m, y[lo:hi].repeat(cc))
+            _reduce_segments(np.bitwise_and, rows, np.where(held, m, k), cc, step * words,
+                             out[lo:hi])
         return out
 
     for x0 in range(0, len(covered), step):
@@ -239,6 +206,8 @@ def berge_duchet(n, family):
             for t, z in _set_bits(near[at[px]] & near[at[py]] & ~cxy, step):
                 up = z > py[t]
                 t, z = t[up], z[up]
+                if not len(t):
+                    continue
                 # the caps of x, z and y, z, read off the run where it has the pair
                 want = np.concatenate((px[t], py[t])) * n + np.concatenate((z, z))
                 i = np.minimum(key.searchsorted(want), len(key) - 1)

@@ -151,6 +151,19 @@ def test_weak_modularity_memory_stays_under_a_megabyte():
         assert peak < 1 << 20, (g, peak)
 
 
+def test_weak_modularity_items_stay_on_packed_rows():
+    # the items come from packed adjacency rows and from blocks of rows of
+    # the distance matrix: no n x n boolean matrix is held next to it
+    g = geometry.king_graph(20, 20)
+    tracemalloc.start()
+    try:
+        weak_modularity(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 << 10, peak
+
+
 def test_distance_matrix_memory_stays_near_the_matrix():
     # the int16 matrix takes 320 KB on king 20x20 and 2 MB on C1000; the
     # packed planes of the distance bits come on top, the BFS rows and the

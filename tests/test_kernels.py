@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from collections import deque
+from functools import reduce
 from dataclasses import astuple, replace
 from itertools import combinations, groupby, permutations, product
 
@@ -1190,6 +1191,72 @@ def packed_masks(rows):
     """Packed rows as int masks: bit v is bit v & 7 of byte v >> 3."""
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
+
+
+# -- the packed-row kernels of `graphs` ----------------------------------------
+
+
+@st.composite
+def mask_lists(draw):
+    """A width of 1 to 200 bits and int masks over it, empty and full ones among them."""
+    width = draw(st.integers(1, 200))
+    full = (1 << width) - 1
+    return width, draw(st.lists(st.one_of(st.just(0), st.just(full), st.integers(0, full)),
+                                max_size=12))
+
+
+@SETTINGS
+@given(mask_lists(), st.integers(0, 2))
+def test_mask_rows_and_packed_rows_round_trip(drawn, extra):
+    width, masks = drawn
+    words = (width + 63) // 64 + extra
+    rows = graphs_module._mask_rows(masks, words)
+    assert rows.dtype == np.uint64 and rows.shape == (len(masks), words)
+    assert packed_masks(rows) == masks
+    table = np.array([[m >> v & 1 for v in range(width)] for m in masks], bool)
+    assert packed_masks(graphs_module._packed(table.reshape(-1, width), words)) == masks
+    assert [mask_of(np.flatnonzero(row).tolist()) for row in table] == masks
+    vertices = [v for m in masks for v in bits(m)]
+    singletons = graphs_module._singletons(np.array(vertices, np.intp), words)
+    assert packed_masks(singletons) == [1 << v for v in vertices]
+    r, v = np.divmod(np.arange(len(masks) * width), width)
+    assert (graphs_module._holds(rows, r, v).tolist()
+            == [m >> x & 1 for m in masks for x in range(width)])
+
+
+@SETTINGS
+@given(mask_lists(), st.one_of(st.none(), st.integers(1, 70)))
+def test_set_bits_walk_the_rows_in_row_major_order(drawn, limit):
+    # a bound below one row's bits splits rows across chunks
+    width, masks = drawn
+    rows = graphs_module._mask_rows(masks, (width + 63) // 64)
+    chunks = list(graphs_module._set_bits(rows, limit))
+    got = [(int(r), int(v)) for row, vertex in chunks for r, v in zip(row, vertex)]
+    assert got == [(i, v) for i, m in enumerate(masks) for v in bits(m)]
+    assert len(chunks) == 1 or all(len(row) for row, _ in chunks)
+    if limit is None:
+        assert len(chunks) == 1
+    else:
+        assert all(len(row) <= limit for row, _ in chunks)
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=6), max_size=10),
+       st.integers(1, 3), st.integers(1, 12),
+       st.sampled_from([np.bitwise_and, np.bitwise_or, np.minimum, np.maximum]),
+       st.randoms(use_true_random=False))
+def test_segmented_reduce_matches_a_reduce_per_segment(segments, width, limit, ufunc, rng):
+    # a budget of a few cells puts one or a few segments in each span
+    table = np.array([[rng.randrange(256) for _ in range(width)] for _ in range(8)], np.uint64)
+    index = np.array([j for s in segments for j in s], np.intp)
+    counts = np.array(list(map(len, segments)), np.intp)
+    out = graphs_module._reduce_segments(ufunc, table, index, counts, limit)
+    assert out.dtype == table.dtype and out.shape == (len(segments), width)
+    assert out.tolist() == [reduce(ufunc, table[s]).tolist() for s in segments]
+    given_out = np.zeros_like(out)
+    assert graphs_module._reduce_segments(ufunc, table, index, counts, limit,
+                                          given_out) is given_out
+    assert (given_out == out).all()
 
 @settings(max_examples=60, deadline=None)
 @given(helly_graphs(), st.sampled_from([1, 97, graphs_module.WM_BLOCK_CELLS]),

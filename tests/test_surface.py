@@ -124,3 +124,21 @@ def test_every_public_name_has_a_caller_or_is_listed():
     found, listed = unreferenced(), ORACLES | PAPER_STATEMENTS | CORPUS
     assert not found - listed, f"public names with no caller: {sorted(found - listed)}"
     assert not listed - found, f"listed names with a caller, or gone: {sorted(listed - found)}"
+
+
+# the calls that read or write the packed-row layout; only `graphs` may make them
+FORMAT_CALLS = {"packbits", "unpackbits", "to_bytes"}
+
+
+def format_calls(tree):
+    """The names of FORMAT_CALLS that `tree` mentions, as an attribute, a
+    name or an import."""
+    names = {getattr(n, "attr", None) or getattr(n, "id", None) or getattr(n, "name", None)
+             for n in ast.walk(tree) if isinstance(n, (ast.Attribute, ast.Name, ast.alias))}
+    return names & FORMAT_CALLS
+
+
+def test_only_graphs_reads_and_writes_packed_rows():
+    found = {f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "helly").glob("*.py"))
+             if path.stem != "graphs" for name in format_calls(ast.parse(path.read_text()))}
+    assert not found, f"packed-row layout outside graphs: {sorted(found)}"
