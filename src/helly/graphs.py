@@ -399,7 +399,7 @@ def _spans(weights, limit):
 def _mask_rows(masks, words):
     """The int masks as packed rows (read-only)."""
     import numpy as np
-    return np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks),
+    return np.frombuffer(b"".join([m.to_bytes(8 * words, "little") for m in masks]),
                          np.uint64).reshape(-1, words)
 
 
@@ -433,12 +433,12 @@ def _set_bits(rows, limit=None):
     octets = rows.reshape(-1).view(np.uint8)
     at = (octets != 0).nonzero()[0]
     step = limit or 8 * len(at) or 1  # no limit: one block and one chunk, 8 bits a byte
-    for lo in range(0, max(1, len(at)), step):
+    for lo in range(0, len(at) or 1, step):
         block = at[lo:lo + step]
         bit = np.unpackbits(octets[block], bitorder="little").view(bool).nonzero()[0]
         row, byte = np.divmod(block[bit >> 3], 8 * rows.shape[1])
         vertex = byte * 8 + (bit & 7)
-        for i in range(0, max(1, len(bit)), step):
+        for i in range(0, len(bit) or 1, step):
             yield row[i:i + step], vertex[i:i + step]
 
 
@@ -502,7 +502,8 @@ def _wm_items(g):
     for lo in range(0, g.n, step):
         for j, found in pairs.items():
             v, w = np.nonzero(dist[lo:lo + step] == j)
-            found.append((v[w > v + lo] + lo, w[w > v + lo]))
+            up = w > v + lo
+            found.append((v[up] + lo, w[up]))
     adj = _mask_rows(g.nbr_mask, (g.n + 63) // 64)
     return [_WmItems(adj, *map(np.concatenate, zip(*pairs[j]))) for j in (1, 2)]
 
