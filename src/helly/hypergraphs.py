@@ -146,8 +146,9 @@ def berge_duchet(n, family):
     has at most WM_BLOCK_CELLS // (8 words) pairs or triples, so their cap
     rows of `words` 64-bit words take at most WM_BLOCK_CELLS bytes, and so
     do the holder rows gathered for its caps, unless one vertex alone has
-    more holders; bits are unpacked about that many at a time, and the
-    incidences are the set bits of the members, sorted stably by vertex.
+    more holders; the set-bits kernel unpacks at most that many nonzero
+    bytes at a time, and the incidences are the set bits of the members,
+    sorted stably by vertex.
     The state kept across runs is the packed members, their incidences and
     the packed 2-section rows of the covered vertices, so memory stays near
     the size of the family plus O(n), whatever the largest number of
