@@ -26,9 +26,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import HellyPreconditionError, InvariantViolation, ValidationError
-from .graphs import (WM_BLOCK_CELLS, _mask_rows, _packed, _reduce_segments, _set_bits,
-                     _singletons, as_sequence, as_vertex_set, as_vertices, ball_star_mask,
-                     bits, mask_of)
+from .graphs import (WM_BLOCK_CELLS, _mask_rows, _packed, _padded, _reduce_segments,
+                     _set_bits, _singletons, as_sequence, as_vertex_set, as_vertices,
+                     ball_star_mask, bits, mask_of)
 
 
 def _check_clique(g, vertices, name):
@@ -231,7 +231,7 @@ def is_normal_path(g, seq):
 def _meet(unit, rows):
     """Row i: the AND of unit[v] over the members v of rows[i], each nonempty."""
     r, v = next(_set_bits(rows))
-    return _reduce_segments(np.bitwise_and, unit, v, np.bincount(r, minlength=len(rows)),
+    return _reduce_segments(np.bitwise_and, unit, v, r.searchsorted(np.arange(len(rows) + 1)),
                             WM_BLOCK_CELLS)
 
 
@@ -270,7 +270,7 @@ def _normal_rows(g, a, b):
     max-distance i from {a} is B(a, i - 1) & the AND of B_1(r) over r in
     reach = B(a, i) & the AND of B_1(v) over v in c: two segmented ANDs
     over gathered unit-ball rows (`_meet`).  L_(i-1) is the union, one
-    np.bitwise_or.reduceat, of the imprints of the {v} for v in L_i, whose
+    segmented OR, of the imprints of the {v} for v in L_i, whose
     reach is B(a, i) & B_1(v).  Level 1 steps to {a}.  Unit balls come from
     `g.ball1_mask`, the balls B(a, i) of the targets from `g.distances()`,
     one level at a time.  Pairs are swept by decreasing k, in blocks
@@ -330,7 +330,8 @@ def _normal_rows(g, a, b):
             clique[:m] = _imprints(unit, reach, below[t])
             r, v = next(_set_bits(level[:m]))
             steps = _imprints(unit, unit[v] & above[t[r]], below[t[r]])
-            level[:m] = np.bitwise_or.reduceat(steps, np.searchsorted(r, np.arange(m)))
+            _reduce_segments(np.bitwise_or, steps, np.arange(len(r)),
+                             r.searchsorted(np.arange(m + 1)), WM_BLOCK_CELLS, level[:m])
             at = (i - 1) * len(k) + pairs[:m]
             record(np.concatenate([clique[:m], level[:m]]), np.concatenate([at, at + size]))
     record(clique[:0], pairs[:0])
@@ -374,15 +375,15 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
 
     Gaps.  For each distinct set A, R[A] is the row of the least
     (clique-paths) or greatest (level sets) distance from a member of A to
-    each vertex, one segmented reduce over the rows of D = `g.distances()`.  Then
-    min-distance(A, B) is the least of R[A] over the members of B, and
-    max-distance the greatest.  Each set becomes a row of its members,
-    padded by repeating the last, and each path a row of set ids, padded
-    by repeating the last.  Both paddings are exact: a repeated member
-    leaves a min or max unchanged, and past the end of the longer path both
-    sides sit at their last entries, a pair already counted.  Blocks of
-    tuples, at most `WM_BLOCK_CELLS` cells each, gather R[A, members of B],
-    reduce it by min or max, then take the max over positions.
+    each vertex, one segmented reduce over the rows of D = `g.distances()`.
+    Then min-distance(A, B) is the least of R[A] over the members of B, and
+    max-distance the greatest.  Each set becomes a column of its members
+    (`_padded`) and each path a row of set ids, both padded by repeating
+    the last.  Both paddings are exact: a repeated member leaves a min or
+    max unchanged, and past the end of the longer path both sides sit at
+    their last entries, a pair already counted.  Blocks of tuples, at most
+    `WM_BLOCK_CELLS` cells each, gather R[A, members of B], reduce it by min
+    or max, then take the max over positions.
     """
     if max_tuples is not None and max_tuples < 0:
         raise ValidationError(f"max_tuples must be nonnegative, got {max_tuples}")
@@ -404,14 +405,13 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     dist = g.distances()
     sets, ids = _normal_rows(g, pairs // g.n, pairs % g.n)
     r, v = next(_set_bits(sets))
-    sizes = np.bincount(r, minlength=len(sets))
-    starts = sizes.cumsum() - sizes
+    offsets = r.searchsorted(np.arange(len(sets) + 1))
     # members lead, so each reduction below runs over whole rows
-    cols = v.astype(np.int32)[starts + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)]
+    cols = _padded(v.astype(np.int32), offsets)
     found = []
     for table, reduce in zip(ids, (np.minimum, np.maximum)):
-        near = _reduce_segments(reduce, dist, v, sizes, WM_BLOCK_CELLS)  # R
-        width = int(sizes[table].max())
+        near = _reduce_segments(reduce, dist, v, offsets, WM_BLOCK_CELLS)  # R
+        width = int(np.diff(offsets)[table].max())
         step = max(1, WM_BLOCK_CELLS // (len(table) * width))
         gaps = np.empty(len(indices), dist.dtype)
         for i in range(0, len(indices), step):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import InvariantViolation, ValidationError
-from .graphs import WM_BLOCK_CELLS, Graph
+from .graphs import WM_BLOCK_CELLS, Graph, _padded
 
 
 # -- elementary generators -----------------------------------------------------
@@ -238,8 +238,7 @@ def hyperbolicity(g, cap=256):
     value does not drop.  As d(a,b) grows, repeating this ends with (a,b),
     and likewise (c,d), far-apart; for 2*delta > 0 no step repeats a vertex,
     since that would give value 0.  With M[x] the elementwise max of the
-    rows D[x'] over the neighbours x' of x, padded with x itself (harmless,
-    as D[x,y] <= D[x,y]), the far-apart mask is (M <= D) & (M.T <= D).
+    rows D[x'] over x and its neighbours, far-apart is (M <= D) & (M.T <= D).
 
     Sweep.  The far-apart pairs are sorted by decreasing distance, and the
     pair at position p, as the outer pair, is scored against the inner pairs
@@ -292,14 +291,12 @@ def _far_apart(g, d):
     """Far-apart pairs i < j of g by decreasing distance, as two index
     arrays; d is the distance table.
 
-    M[x] is the elementwise max of the rows d[x'] over the neighbours x' of
-    x, taken one neighbour slot at a time with each list padded by x.
+    M[x] is the elementwise max of the rows d[x'] over x and its neighbours,
+    these taken one slot of the `_padded` `g.csr()` lists at a time.
     """
     import numpy as np
-    wide = max(map(len, g.adj))
-    nbrs = np.array([a + (x,) * (wide - len(a)) for x, a in enumerate(g.adj)])
     m = d.copy()
-    for col in nbrs.T:
+    for col in _padded(*g.csr()):
         np.maximum(m, d[col], out=m)
     pi, pj = np.nonzero(np.triu((m <= d) & (m.T <= d), 1))
     order = np.argsort(-d[pi, pj], kind="stable")

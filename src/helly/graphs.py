@@ -1,8 +1,8 @@
 """Finite connected graphs with cached metric structure.
 
-Vertices are dense ids 0..n-1.  Adjacency is kept both as sorted tuples
-(for iteration and serialization) and as per-vertex int bitmasks (for the
-set algebra that dominates every metric predicate in this package).
+Vertices are dense ids 0..n-1.  Adjacency is kept as sorted tuples (for
+iteration and serialization), as per-vertex int bitmasks (for the set
+algebra of the metric predicates) and, for numpy code, as one lazy CSR.
 
 Distances come by one of two routes, both memoized.  A sweep over every
 row (weak modularity, hyperbolicity, the diameter) asks for `distances()`,
@@ -12,8 +12,8 @@ which runs a single-source BFS, or reads the row off the matrix once it
 exists, so the two routes never disagree.  Balls are grown per radius as
 far as a caller asks.  The weak-modularity report is memoized too, since
 both recognition routes and the median test ask for it.  The graph is
-observably immutable: the lazy caches are idempotent, so concurrent
-readers can at worst recompute a row, a ball, the matrix or the report.
+observably immutable: the lazy caches (the CSR, rows, balls, matrix and
+report) are idempotent, so concurrent readers can at worst recompute one.
 numpy is imported by the functions that use it, so building and printing
 graphs does not load it.  The packed rows of numpy code and their kernels
 are defined here alone ("packed rows" below).
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import (SIZE_CAP, ResourceCapExceeded, ValidationError, int_lists, json_object,
                      vertex_count)
@@ -71,7 +71,7 @@ def maximal_clique_masks(nbr):
 class Graph:
     """Simple, undirected, connected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "nbr_mask", "ball1_mask", "_rows", "_dist", "_ball_masks",
+    __slots__ = ("n", "adj", "nbr_mask", "ball1_mask", "_csr", "_rows", "_dist", "_ball_masks",
                  "_wm")
 
     def __init__(self, n, edges):
@@ -97,6 +97,7 @@ class Graph:
         self.n = n
         self.nbr_mask = nbr
         self.adj = list(map(tuple, adj))
+        self._csr = None  # csr(), once asked for
         self._rows = [None] * n
         self._dist = None  # distances(), once computed
         self._ball_masks = [None] * n
@@ -151,6 +152,17 @@ class Graph:
 
     # -- metric ---------------------------------------------------------------
 
+    def csr(self):
+        """(heads, offsets), read-only intp arrays (memoized): the sorted lists
+        laid end to end and their starts; v's are heads[offsets[v]:offsets[v + 1]]."""
+        if self._csr is None:
+            import numpy as np
+            offsets = np.fromiter(accumulate(map(len, self.adj), initial=0), np.intp, self.n + 1)
+            heads = np.fromiter(chain.from_iterable(self.adj), np.intp, offsets[-1])
+            heads.flags.writeable = offsets.flags.writeable = False
+            self._csr = heads, offsets
+        return self._csr
+
     def dist_row(self, u):
         """Distances from u as a list of ints (memoized): read off
         `distances()` once the matrix exists, else by BFS from u."""
@@ -179,7 +191,7 @@ class Graph:
         One BFS from every source at once.  Row x of R_r is the ball B_r(x)
         as a packed row: R_0 holds the singletons, and R_{r+1}[x] is R_r[x]
         or'd with R_r[y] over the neighbours y of x, one segmented OR per
-        level over the adjacency lists laid end to end, gathering at most
+        level over the lists of `csr()`, gathering at most
         `WM_BLOCK_CELLS` words at once.  The bits of F_r = R_r & ~R_{r-1}
         are the pairs at distance r, so bit j of the matrix is the OR of the
         F_r with bit j of r set: each level ors F_r into the packed planes
@@ -191,13 +203,12 @@ class Graph:
         if self._dist is None:
             import numpy as np
             n = self.n
-            heads = np.fromiter(chain.from_iterable(self.adj), np.intp)
-            degrees = np.fromiter(map(len, self.adj), np.intp, n)
+            heads, offsets = self.csr()
             balls = _singletons(np.arange(n), (n + 63) // 64)
             grown = np.empty_like(balls)
             planes, level = [], 0  # planes[j]: the pairs whose distance has bit j set
             while n > 1:  # then every vertex has a neighbour, so no list is empty
-                _reduce_segments(np.bitwise_or, balls, heads, degrees, WM_BLOCK_CELLS, grown)
+                _reduce_segments(np.bitwise_or, balls, heads, offsets, WM_BLOCK_CELLS, grown)
                 grown |= balls
                 balls ^= grown  # F of the next level
                 if not balls.any():
@@ -378,13 +389,12 @@ class WeakModularityReport:
 WM_BLOCK_CELLS = 1 << 15
 
 
-def _spans(weights, limit):
-    """Consecutive ranges [lo, hi) of the items, in order, each of total
-    weight at most `limit` or of a single item."""
-    ends = weights.cumsum()
+def _spans(offsets, limit):
+    """Consecutive ranges [lo, hi) of the segments offsets[i]:offsets[i + 1],
+    in order, each of at most `limit` entries in all or of a single segment."""
     lo = 0
-    while lo < len(ends):
-        hi = max(lo + 1, int(ends.searchsorted(limit + (ends[lo - 1] if lo else 0), "right")))
+    while lo < len(offsets) - 1:
+        hi = max(lo + 1, int(offsets.searchsorted(offsets[lo] + limit, "right")) - 1)
         yield lo, hi
         lo = hi
 
@@ -447,22 +457,29 @@ def _holds(rows, r, v):
     return rows.view("u1")[r, v >> 3] >> (v & 7) & 1
 
 
-def _reduce_segments(ufunc, table, index, counts, limit, out=None):
-    """Row i: `ufunc` reduced over the rows table[j] for the j of segment i
-    of `index`, the segments laid end to end, counts[i] >= 1 entries each.
+def _reduce_segments(ufunc, table, index, offsets, limit, out=None):
+    """Row i: `ufunc` reduced over the rows table[j] for the j of segment i,
+    index[offsets[i]:offsets[i + 1]], nonempty; the segments tile index.
     The table rows gathered at once take at most `limit` cells, or one
     segment's where that needs more: one reduceat when all of them fit."""
     import numpy as np
-    starts = counts.cumsum() - counts
     if out is None:
-        out = np.empty((len(counts), table.shape[1]), table.dtype)
+        out = np.empty((len(offsets) - 1, table.shape[1]), table.dtype)
     if len(index) * table.shape[1] <= limit:
-        ufunc.reduceat(table.take(index, axis=0), starts, out=out)
+        ufunc.reduceat(table.take(index, axis=0), offsets[:-1], out=out)
         return out
-    for lo, hi in _spans(counts * table.shape[1], limit):
-        a, b = starts[lo], starts[hi - 1] + counts[hi - 1]
-        ufunc.reduceat(table.take(index[a:b], axis=0), starts[lo:hi] - a, out=out[lo:hi])
+    for lo, hi in _spans(offsets, limit // table.shape[1]):
+        a, b = offsets[lo], offsets[hi]
+        ufunc.reduceat(table.take(index[a:b], axis=0), offsets[lo:hi] - a, out=out[lo:hi])
     return out
+
+
+def _padded(index, offsets):
+    """Column i: segment i, index[offsets[i]:offsets[i + 1]], padded to the
+    longest by repeating its last entry; row k holds entry k of each."""
+    import numpy as np
+    sizes = np.diff(offsets)
+    return index[offsets[:-1] + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)]
 
 
 class _WmItems:

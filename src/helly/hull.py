@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
                      int_lists, json_object)
-from .graphs import WM_BLOCK_CELLS, Graph, _mask_rows, _packed, _unpacked, as_vertices
+from .graphs import (WM_BLOCK_CELLS, Graph, _mask_rows, _packed, _reduce_segments, _unpacked,
+                     as_vertices)
 
 
 # bytes per block of the hull-distance certificate (_check_hull_distances);
@@ -417,11 +418,11 @@ def _check_hull_distances(forms, graph):
 
     The check runs on blocks of columns j of S, held as rows i x columns j
     in the smallest signed integer type that holds S and S - 1 >= -1.  The
-    least over the neighbours of each i is one np.minimum.reduceat along
-    the rows of S[heads], the heads of the edges sorted by tail (the graph
-    is connected, so each vertex has a neighbour when there are two or
+    least over the neighbours of each i is one segmented min, a single
+    reduceat, over the rows of S gathered along the `graph.csr()` lists (the
+    graph is connected, so each vertex has a neighbour when there are two or
     more).  A block holds as many columns as fit in CERTIFICATE_BYTES for the
-    differences of every form with the block's forms and for S[heads].  A
+    differences of every form with the block's forms and for those rows.  A
     pair i = j always fails, as its least is >= 0, so a block of w columns
     passes when exactly w pairs fail.
     """
@@ -430,13 +431,12 @@ def _check_hull_distances(forms, graph):
         return
     forms = forms - forms.min()  # same S, and S <= forms.max()
     forms = forms.astype(np.min_scalar_type(-int(forms.max()) - 1))
-    heads = np.array([v for a in graph.adj for v in a])  # sorted by tail
-    starts = np.cumsum([0] + [len(a) for a in graph.adj][:-1])
+    heads, offsets = graph.csr()
     column = forms.itemsize * (forms.size + len(heads))
     step = max(1, CERTIFICATE_BYTES // column)
     for lo in range(0, count, step):
         sup = np.abs(forms[:, None, :] - forms[lo:lo + step]).max(2)  # sup[i, j - lo] = S(i, j)
-        nearest = np.minimum.reduceat(sup[heads], starts, axis=0)
+        nearest = _reduce_segments(np.minimum, sup, heads, offsets, len(heads) * step)
         if np.count_nonzero(nearest != sup - 1) != sup.shape[1]:
             raise InvariantViolation("unit-step graph distance != sup-metric")
 

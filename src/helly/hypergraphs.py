@@ -174,25 +174,25 @@ def berge_duchet(n, family):
     member, vertex = map(np.concatenate, zip(*_set_bits(rows[:k], step)))
     hm = member[vertex.argsort(kind="stable")]  # the holders of each vertex in turn
     count = np.bincount(vertex, minlength=n)
-    first = count.cumsum() - count  # where they start in hm
+    first = np.concatenate(([0], count.cumsum()))  # the holders of v are hm[first[v]:first[v + 1]]
     covered = count.nonzero()[0]
     at = count.astype(bool).cumsum() - 1  # the row of `near` of a covered vertex
     # 2-section rows, x included; the holders of the covered vertices tile hm
-    near = _reduce_segments(np.bitwise_or, rows, hm, count[covered], step * words)
+    near = _reduce_segments(np.bitwise_or, rows, hm, first[np.concatenate((covered, [n]))],
+                            step * words)
 
     def caps(x, y):
         # the pairs x[i], y[i] each share a member; x becomes the end with fewer holders
         few = count[x] <= count[y]
         x, y = np.where(few, x, y), np.where(few, y, x)
         c = count[x]
+        ends = np.concatenate(([0], c.cumsum()))  # the holder lists of x laid end to end
         out = np.empty((len(x), words), np.uint64)
-        for lo, hi in _spans(c, step):  # bounds the holder lists built at once
-            cc = c[lo:hi]
-            ends = cc.cumsum()
-            m = hm[np.arange(ends[-1]) + (first[x[lo:hi]] + cc - ends).repeat(cc)]
-            held = _holds(rows, m, y[lo:hi].repeat(cc))
-            _reduce_segments(np.bitwise_and, rows, np.where(held, m, k), cc, step * words,
-                             out[lo:hi])
+        for lo, hi in _spans(ends, step):  # bounds the holder lists built at once
+            m = hm[np.arange(ends[lo], ends[hi]) + (first[x[lo:hi]] - ends[lo:hi]).repeat(c[lo:hi])]
+            held = _holds(rows, m, y[lo:hi].repeat(c[lo:hi]))
+            _reduce_segments(np.bitwise_and, rows, np.where(held, m, k),
+                             ends[lo:hi + 1] - ends[lo], step * words, out[lo:hi])
         return out
 
     for x0 in range(0, len(covered), step):

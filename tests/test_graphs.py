@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -133,6 +133,20 @@ def test_weak_modularity_examples():
     assert not rep.tc_holds and rep.tc_witness == (0, 2, 3)
     assert weak_modularity(geometry.cycle_graph(4)).holds
     assert weak_modularity(geometry.sun3()).holds
+
+
+def test_csr_is_the_adjacency_laid_end_to_end_and_built_once_when_asked():
+    for g in (geometry.path_graph(1), geometry.star_graph(6), geometry.king_graph(3, 4),
+              geometry.random_tree(20, 3)):
+        assert g._csr is None
+        heads, offsets = g.csr()
+        assert heads.tolist() == list(chain(*g.adj))
+        assert offsets[-1] == 2 * len(g.edges())
+        assert [heads[offsets[v]:offsets[v + 1]].tolist() for v in range(g.n)] == \
+            [list(a) for a in g.adj]
+        assert not (heads.flags.writeable or offsets.flags.writeable)
+        again = g.csr()
+        assert again[0] is heads and again[1] is offsets
 
 
 def test_weak_modularity_memory_stays_under_a_megabyte():

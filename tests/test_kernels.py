@@ -666,6 +666,31 @@ def test_far_apart_pairs_of_a_tree_are_its_leaf_pairs(g):
                                                       reverse=True)
 
 
+def check_far_apart(g):
+    # far-apart: no neighbour of x is farther from y, and none of y from x;
+    # the pairs i < j by decreasing distance, ties in lex order
+    d = plain_dist_rows(g)
+    plain = sorted(((x, y) for x, y in combinations(range(g.n), 2)
+                    if all(d[z][y] <= d[x][y] for z in g.adj[x])
+                    and all(d[x][z] <= d[x][y] for z in g.adj[y])),
+                   key=lambda p: -d[p[0]][p[1]])
+    pairs = geometry._far_apart(g, np.array(d))
+    assert list(zip(*(a.tolist() for a in pairs))) == plain
+
+
+@SETTINGS
+@given(st.one_of(graphs(min_n=2, max_n=30), mostly_bipartite_graphs()))
+def test_far_apart_pairs_match_the_definition(g):
+    check_far_apart(g)
+
+
+@pytest.mark.parametrize("g", [geometry.star_graph(40), geometry.wheel_graph(30),
+                               geometry.complete_graph(25), geometry.king_graph(7, 9),
+                               geometry.king_graph(1, 12)])
+def test_far_apart_pairs_match_the_definition_on_uneven_degrees(g):
+    check_far_apart(g)
+
+
 @SETTINGS
 @given(mostly_bipartite_graphs())
 def test_is_median_matches_plain_sweep(g):
@@ -1249,14 +1274,24 @@ def test_segmented_reduce_matches_a_reduce_per_segment(segments, width, limit, u
     # a budget of a few cells puts one or a few segments in each span
     table = np.array([[rng.randrange(256) for _ in range(width)] for _ in range(8)], np.uint64)
     index = np.array([j for s in segments for j in s], np.intp)
-    counts = np.array(list(map(len, segments)), np.intp)
-    out = graphs_module._reduce_segments(ufunc, table, index, counts, limit)
+    offsets = np.cumsum([0] + list(map(len, segments)))
+    out = graphs_module._reduce_segments(ufunc, table, index, offsets, limit)
     assert out.dtype == table.dtype and out.shape == (len(segments), width)
     assert out.tolist() == [reduce(ufunc, table[s]).tolist() for s in segments]
     given_out = np.zeros_like(out)
-    assert graphs_module._reduce_segments(ufunc, table, index, counts, limit,
+    assert graphs_module._reduce_segments(ufunc, table, index, offsets, limit,
                                           given_out) is given_out
     assert (given_out == out).all()
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(0, 99), min_size=1, max_size=6), min_size=1, max_size=10))
+def test_padded_segments_repeat_their_last_entry(segments):
+    index = np.array([j for s in segments for j in s], np.intp)
+    table = graphs_module._padded(index, np.cumsum([0] + list(map(len, segments))))
+    wide = max(map(len, segments))
+    assert table.T.tolist() == [s + s[-1:] * (wide - len(s)) for s in segments]
+
 
 @settings(max_examples=60, deadline=None)
 @given(helly_graphs(), st.sampled_from([1, 97, graphs_module.WM_BLOCK_CELLS]),

@@ -126,8 +126,9 @@ def test_every_public_name_has_a_caller_or_is_listed():
     assert not listed - found, f"listed names with a caller, or gone: {sorted(listed - found)}"
 
 
-# the calls that read or write the packed-row layout; only `graphs` may make them
-FORMAT_CALLS = {"packbits", "unpackbits", "to_bytes"}
+# the calls that read or write the packed-row layout, and the segmented
+# reduce over gathered rows; only `graphs` may make them
+FORMAT_CALLS = {"packbits", "unpackbits", "to_bytes", "reduceat"}
 
 
 def format_calls(tree):
