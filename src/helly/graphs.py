@@ -403,7 +403,8 @@ def _spans(offsets, limit):
 # A packed row is a set of vertices as a row of `words` uint64 words: vertex v
 # is bit v & 7 of byte v >> 3, so on a little-endian host bit v & 63 of word
 # v >> 6.  Only the kernels below read or write that layout; their callers
-# (here, `bicombing`, `hypergraphs`, `hull`) combine whole words with & | ^ ~.
+# (here, `bicombing`, `hypergraphs`) combine whole words with & | ^ ~, and
+# `hull` takes its boolean rows to int masks.
 
 
 def _mask_rows(masks, words):
@@ -411,6 +412,18 @@ def _mask_rows(masks, words):
     import numpy as np
     return np.frombuffer(b"".join([m.to_bytes(8 * words, "little") for m in masks]),
                          np.uint64).reshape(-1, words)
+
+
+def _row_masks(b):
+    """The rows along the last axis of the boolean array b as int masks, in C
+    order, the way back from `_mask_rows`: bit y of a mask is column y.  The
+    packed words of each row are joined into one int per row, highest word
+    first."""
+    rows = b.reshape(-1, b.shape[-1])
+    out = 0
+    for word in _packed(rows, -(-rows.shape[1] // 64)).T[::-1]:
+        out = out << 64 | word.astype(object)
+    return out.tolist()
 
 
 def _packed(rows, words):

@@ -24,10 +24,10 @@ The search runs over M alone: a depth-first search on bitmasks with an
 explicit stack, with no 3^n sweep and no bound from the recursion limit.
 It keeps only the branches where every coordinate can still be tight and
 every coordinate of {f = k} can still join P, which it does exactly when a
-slack-0 partner of it joins M (_unit_neighbors).  Each BFS layer is handled
-at once: the search masks of its forms come from numpy blocks of slacks,
-and the search leaves, kept as bitmask pairs, become neighbour vectors
-through one unpack of their packed rows (`graphs`).
+slack-0 partner of it joins M (_unit_neighbors).  The search masks of a
+layer's forms come from numpy blocks of slacks, the only numpy step of the
+search; each search leaf, a bitmask pair, becomes its neighbour vector on
+its bits as soon as its form's search ends.
 
 The hull edges are read off their definition, the pairs at S = 1, on numpy
 blocks of rows of S.  As an independent cross-check of the search, the
@@ -47,8 +47,7 @@ import numpy as np
 
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
                      int_lists, json_object)
-from .graphs import (WM_BLOCK_CELLS, Graph, _mask_rows, _packed, _reduce_segments, _unpacked,
-                     as_vertices)
+from .graphs import WM_BLOCK_CELLS, Graph, _reduce_segments, _row_masks, as_vertices, bits
 
 
 # bytes per block of the hull-distance certificate (_check_hull_distances);
@@ -136,61 +135,45 @@ def is_extremal(m, f):
     return True
 
 
-def _bitmasks(b):
-    """The rows along the last axis of the boolean array b as int bitmasks, in
-    C order; bit y of a mask is column y.  The packed words of each row are
-    joined into one int per row, highest word first."""
-    rows = b.reshape(-1, b.shape[-1])
-    out = 0
-    for word in _packed(rows, -(-rows.shape[1] // 64)).T[::-1]:
-        out = out << 64 | word.astype(object)
-    return out.tolist()
-
-
 def _partner_masks(d, f):
     """The search masks of each form of the block f (k x n), as k tuples
     (t0, t1, open, need): t0 and t1 are lists of n bitmasks, T0(x) the y
     with f(x) + f(y) - d(x, y) = 0 and T1(x) those at 1, open is
     {f >= min f + 2} and need is {f = min f}.  All of them come from one
-    _bitmasks call, 2n + 2 rows per form."""
+    _row_masks call, 2n + 2 rows per form."""
     n = d.shape[0]
     s = f[:, :, None] + f[:, None, :] - d
     low = f.min(1, keepdims=True)
-    masks = _bitmasks(np.concatenate((s == 0, s == 1, (f >= low + 2)[:, None],
-                                      (f == low)[:, None]), axis=1))
+    masks = _row_masks(np.concatenate((s == 0, s == 1, (f >= low + 2)[:, None],
+                                       (f == low)[:, None]), axis=1))
     rows = 2 * n + 2
     return [(masks[i:i + n], masks[i + n:i + 2 * n], masks[i + 2 * n], masks[i + 2 * n + 1])
             for i in range(0, len(masks), rows)]
 
 
-def _frontier_neighbors(d, frontier, room):
-    """Yield the upward neighbours of each form f of a BFS layer, in order:
-    the extremal forms g at sup-distance 1 with min g = min f + 1.
+def _frontier_neighbors(d, frontier):
+    """Yield the upward neighbours of each form f of a BFS layer, in order, as
+    a list of tuples: the extremal forms g at sup-distance 1 with min g =
+    min f + 1.
 
     The search masks are built on numpy blocks of at most WM_BLOCK_CELLS
-    cells, or of one form where that needs more.  The search leaves (M, P)
-    become g = f - M + P through one unpack of their packed rows at the
-    end of the layer, or sooner once they outnumber room(), the forms the
-    cap still allows: only then can they take the form count past it.
+    cells, or of one form where that needs more.  Each search leaf (M, P)
+    becomes g = f - M + P on the bits of M and P, and a form's neighbours
+    are yielded as soon as its search ends.
     """
-    n = d.shape[0]
-    forms = np.array(frontier)
-    step = max(1, WM_BLOCK_CELLS // (n * n))
-    done, owner, found = 0, [], []
+    step = max(1, WM_BLOCK_CELLS // d.size)
     for lo in range(0, len(frontier), step):
-        for i, masks in zip(range(lo, len(frontier)), _partner_masks(d, forms[lo:lo + step])):
-            leaves = _unit_neighbors(*masks)
-            owner += [i] * len(leaves)
-            found += leaves
-            if len(found) <= room() and i + 1 < len(frontier):
-                continue
-            steps = _unpacked(_mask_rows([mask for leaf in found for mask in leaf],
-                                         (n + 63) // 64), n).reshape(-1, 2, n)
-            out = [[] for _ in range(done, i + 1)]
-            for j, g in zip(owner, (forms[owner] - steps[:, 0] + steps[:, 1]).tolist()):
-                out[j - done].append(tuple(g))
-            yield from out
-            done, owner, found = i + 1, [], []
+        block = frontier[lo:lo + step]
+        for f, masks in zip(block, _partner_masks(d, np.array(block))):
+            found = []
+            for mm, pp in _unit_neighbors(*masks):
+                g = list(f)
+                for x in bits(mm):
+                    g[x] -= 1
+                for x in bits(pp):
+                    g[x] += 1
+                found.append(tuple(g))
+            yield found
 
 
 def _unit_neighbors(t0, t1, open0, need):
@@ -321,7 +304,7 @@ def hellyfication(m, cap=None):
     upward = 0  # search leaves, one per pair of consecutive layers at sup-distance 1
     while frontier:
         nxt = []
-        for found in _frontier_neighbors(d, frontier, lambda: cap - len(seen)):
+        for found in _frontier_neighbors(d, frontier):
             upward += len(found)
             for g in found:
                 if g not in seen:

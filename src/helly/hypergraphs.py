@@ -252,11 +252,6 @@ def helly_property_oracle(h):
     return True
 
 
-def is_conformal(h):
-    ok, _ = is_conformal_certified(h)
-    return ok
-
-
 def is_conformal_certified(h):
     """Gilmore test: (flag, failing edge-index triple or None).
 

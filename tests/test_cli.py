@@ -1,6 +1,8 @@
+import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -82,6 +84,63 @@ def test_hull_of_the_empty_metric_is_refused(tmp_path):
     metric = tmp_path / "metric.json"
     metric.write_text(json.dumps({"d": []}))
     assert run_cli(["hull", str(metric)]) == (3, "", "error: graph needs at least one vertex\n")
+
+
+def l1_points(seed):
+    """The l1 metric of 6 distinct seeded points of the 6 x 6 grid, sorted."""
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < 6:
+        points.add((rng.randrange(6), rng.randrange(6)))
+    points = sorted(points)
+    return {"d": [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in points] for a in points]}
+
+
+# SHA-256 of `helly hull` stdout per input, which pins the forms, edges,
+# embedding and distance profile byte for byte
+HULL_DIGESTS = {
+    "cycle5": "35c65ee15626d73e1c46e960801b21db4c35dbd92fcc969c7576491ea2db6c95",
+    "cycle8": "bf6befdb1f273bb967a70ca51b147811694570782f493c9ece27f338b49b3f0d",
+    "cycle9": "4e1078b0cf8acfb4dc5c346afb68072193ae9af37bf64458e82e4568f221a590",
+    "cycle10": "44107c3ab060553d37f2ec3400f7f5593a8f553aaecb12ca3735af11c0152d4a",
+    "cycle11": "03bc9da0c00471edb95c88cf7cc74560df4c025b518836c367c44ebb559a1100",
+    "cycle12": "5b4c6b71b61b09634902ef8c68b7c63af0a1601db3b4add6046b5a09391073ec",
+    "grid4x4": "2a07035b87b0cccc5ac428fbeb4389b02ec14d129097083a0accf374693a4810",
+    "grid4x5": "bf6d170daf376fbf35c6a0d2928d5327fc9d32cfd75d74f507f246148907089f",
+    "grid6x6": "83111b6682dbbde7b75d1c0c4fb687e236657b7f387e083ef3c32f46fb10f762",
+    "l1grid2": "0291809a82203e06a9d54fb159d08f27ad89000955bae96c75eb84472c0f3010",
+    "king5x5": "11df9e937d332678d9be0d5c937be1367b0f6dde9fc86e0617c67cb7c7c8ab0d",
+    "tree30": "7360744b003c0f30f4e8e1ba0bf4b12c0ae17b5f689c874d88140d0e0a3b074a",
+    "points1": "c303b1edc054f230652b31de340ac8172c871920c370d4d2f7eee9c09a1e043b",
+    "points2": "f3b1ee8c33faf68ef59ef847d3a68e4055fe90da9154e111c917b99d634ba5f2",
+    "points3": "26b6884a5b92a7fd0d934548e839ec1b060c297d9121c4817ac03bd0ce26c02e",
+}
+HULL_INPUTS = {
+    **{f"cycle{n}": lambda n=n: geometry.cycle_graph(n).to_json() for n in (5, 8, 9, 10, 11, 12)},
+    "grid4x4": lambda: geometry.grid_graph(4, 4).to_json(),
+    "grid4x5": lambda: geometry.grid_graph(4, 5).to_json(),
+    "grid6x6": lambda: geometry.grid_graph(6, 6).to_json(),
+    "l1grid2": lambda: geometry.l1_grid(2)[0].to_json(),
+    "king5x5": lambda: geometry.king_graph(5, 5).to_json(),
+    "tree30": lambda: geometry.random_tree(30, 1).to_json(),
+    **{f"points{seed}": lambda seed=seed: json.dumps(l1_points(seed)) for seed in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", list(HULL_DIGESTS))
+def test_hull_stdout_is_byte_identical_to_the_recorded_digest(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(HULL_INPUTS[name]())
+    code, out, err = run_cli(["hull", str(path)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HULL_DIGESTS[name]
+
+
+def test_hull_form_cap_refusal_is_unchanged(graph_file, monkeypatch):
+    # C10 has 122 forms
+    monkeypatch.setenv("HELLY_MAX_FORMS", "100")
+    assert run_cli(["hull", graph_file(geometry.cycle_graph(10))]) == (
+        3, "", "error: extremal form count exceeds cap 100\n")
 
 
 def test_bicombing_subcommand(graph_file):

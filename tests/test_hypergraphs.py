@@ -3,18 +3,22 @@ from itertools import chain, combinations
 
 import pytest
 
-from helly import geometry, hypergraphs as hgm, recognition
+from helly import claims, geometry, hypergraphs as hgm, recognition
 from helly.errors import ValidationError
 from helly.hypergraphs import (CellComplex, Hypergraph, check_cell_conditions,
                                conformal_closure, dual, helly_property,
                                helly_property_oracle, hellyfication_hypergraph,
-                               is_conformal, is_conformal_via_cliques,
+                               is_conformal_certified, is_conformal_via_cliques,
                                is_triangle_free_hypergraph, line_graph,
                                simplify, strong_gilmore, two_section_masks)
 
 from conftest import random_hypergraphs
 
 H = Hypergraph.of
+
+
+def is_conformal(h):
+    return is_conformal_certified(h)[0]
 
 
 def clique_hypergraph(g):
@@ -117,6 +121,16 @@ def test_conformal_helly_duality(corpus):
         h = ball_hypergraph(corpus[name])
         if helly_property(h):
             assert is_conformal(dual(h))
+
+
+def test_the_duality_claim_fails_when_berge_duchet_passes_everything(monkeypatch):
+    # with the kernel stubbed, the dual Helly side holds for every sample,
+    # while the clique definition of conformality still refuses some
+    monkeypatch.setattr(hgm, "berge_duchet", lambda n, family: None)
+    lines = [line for line, _ in claims.helly_duality()]
+    assert lines[0::2] == [
+        "conformality <-> dual Helly property on 200 random hypergraphs: FALSIFIED",
+        "conformality <-> dual Helly property on 200 more (seed 777): FALSIFIED"]
 
 
 def test_conformal_gilmore_agrees_with_clique_oracle():

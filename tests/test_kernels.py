@@ -895,14 +895,13 @@ def all_unit_neighbors(m, f):
                   for mm, pp in hull._unit_neighbors(t0, t1, open0, 0))
 
 
-def upward_neighbors(m, forms, room=float("inf")):
+def upward_neighbors(m, forms):
     """The sorted upward neighbours of each form, from one frontier search per
-    layer (the forms of one minimum) whose leaves are unpacked once they
-    outnumber `room`."""
+    layer (the forms of one minimum)."""
     found = {}
     for _, layer in groupby(sorted(forms, key=min), key=min):
         layer = list(layer)
-        neighbors = list(hull._frontier_neighbors(np.array(m.d), layer, lambda: room))
+        neighbors = list(hull._frontier_neighbors(np.array(m.d), layer))
         assert len(neighbors) == len(layer)
         found.update((f, sorted(a)) for f, a in zip(layer, neighbors))
     return [found[f] for f in forms]
@@ -932,17 +931,14 @@ def test_unit_neighbors_match_the_interval_domain_search(m):
 
 
 @pytest.mark.parametrize("cells", [1, 50, 300])
-@pytest.mark.parametrize("room", [0, 30, float("inf")])
-def test_unit_neighbors_match_the_interval_domain_search_across_blocks(monkeypatch, cells,
-                                                                       room):
-    # one form per block, a few, and blocks that end inside a layer; leaves
-    # unpacked after every form, after some, and once at the end
+def test_unit_neighbors_match_the_interval_domain_search_across_blocks(monkeypatch, cells):
+    # one form per block, a few, and blocks that end inside a layer
     monkeypatch.setattr(hull, "WM_BLOCK_CELLS", cells)
     for g in (geometry.cycle_graph(7), geometry.grid_graph(2, 3), geometry.path_graph(4)):
         m = hull.FiniteMetric.of_graph(g)
         forms = hull.enumerate_extremal_forms(m)
         expected = upward(forms, [interval_unit_neighbors(m, f) for f in forms])
-        assert upward_neighbors(m, forms, room) == expected
+        assert upward_neighbors(m, forms) == expected
 
 
 def test_hull_search_that_misses_a_leaf_is_an_invariant_violation(monkeypatch):
@@ -983,7 +979,8 @@ def plain_partner_masks(m, f):
 @given(st.integers(1, 3), st.integers(1, 150), st.randoms(use_true_random=False))
 def test_bitmasks_are_the_rows_as_ints_across_64_bit_words(k, n, rng):
     b = np.array([[[rng.random() < 0.5 for _ in range(n)] for _ in range(2)] for _ in range(k)])
-    assert hull._bitmasks(b) == [mask_of(np.flatnonzero(row).tolist()) for row in b.reshape(-1, n)]
+    assert graphs_module._row_masks(b) == [mask_of(np.flatnonzero(row).tolist())
+                                           for row in b.reshape(-1, n)]
 
 
 @settings(max_examples=100, deadline=None)
