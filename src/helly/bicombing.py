@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import HellyPreconditionError, InvariantViolation, ValidationError
-from .graphs import (WM_BLOCK_CELLS, _mask_rows, _packed, _padded, _reduce_segments,
+from .graphs import (WM_BLOCK_CELLS, _mask_rows, _meet, _packed, _padded, _reduce_segments,
                      _set_bits, _singletons, as_sequence, as_vertex_set, as_vertices,
                      ball_star_mask, bits, mask_of)
 
@@ -226,13 +226,6 @@ def is_normal_path(g, seq):
         except HellyPreconditionError:
             return False
     return True
-
-
-def _meet(unit, rows):
-    """Row i: the AND of unit[v] over the members v of rows[i], each nonempty."""
-    r, v = next(_set_bits(rows))
-    return _reduce_segments(np.bitwise_and, unit, v, r.searchsorted(np.arange(len(rows) + 1)),
-                            WM_BLOCK_CELLS)
 
 
 def _imprints(unit, reach, below):

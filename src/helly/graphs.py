@@ -45,11 +45,13 @@ def mask_of(vertices):
     return m
 
 
-def maximal_clique_masks(nbr):
+def maximal_clique_masks(nbr, cap):
     """Maximal cliques, as masks, of the graph with adjacency masks `nbr`.
 
     Bron-Kerbosch with Tomita pivoting on an explicit stack, so clique size is
-    not bounded by the recursion limit.  The output order is unspecified.
+    not bounded by the recursion limit.  The output order is unspecified.  A
+    cap other than None stops the enumeration at clique cap + 1 with
+    ResourceCapExceeded.
     """
     out = []
     stack = [(0, (1 << len(nbr)) - 1, 0)]
@@ -58,6 +60,8 @@ def maximal_clique_masks(nbr):
         if not p:
             if not x:
                 out.append(r)
+                if cap is not None and len(out) > cap:
+                    raise ResourceCapExceeded(f"maximal clique count exceeds cap {cap}")
             continue
         pivot = max(bits(p | x), key=lambda v: (nbr[v] & p).bit_count())
         for v in bits(p & ~nbr[pivot]):
@@ -463,6 +467,14 @@ def _set_bits(rows, limit=None):
         vertex = byte * 8 + (bit & 7)
         for i in range(0, len(bit) or 1, step):
             yield row[i:i + step], vertex[i:i + step]
+
+
+def _meet(unit, rows):
+    """Row i: the AND of unit[v] over the members v of rows[i], each nonempty."""
+    import numpy as np
+    r, v = next(_set_bits(rows))
+    return _reduce_segments(np.bitwise_and, unit, v, r.searchsorted(np.arange(len(rows) + 1)),
+                            WM_BLOCK_CELLS)
 
 
 def _holds(rows, r, v):

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
                      int_lists, json_object)
-from .graphs import WM_BLOCK_CELLS, Graph, _reduce_segments, _row_masks, as_vertices, bits
+from .graphs import WM_BLOCK_CELLS, Graph, _reduce_segments, _row_masks, as_vertices
 
 
 # bytes per block of the hull-distance certificate (_check_hull_distances);
@@ -168,10 +168,14 @@ def _frontier_neighbors(d, frontier):
             found = []
             for mm, pp in _unit_neighbors(*masks):
                 g = list(f)
-                for x in bits(mm):
-                    g[x] -= 1
-                for x in bits(pp):
-                    g[x] += 1
+                while mm:  # the bit walk of `bits`, inline: leaves are many
+                    low = mm & -mm
+                    g[low.bit_length() - 1] -= 1
+                    mm ^= low
+                while pp:
+                    low = pp & -pp
+                    g[low.bit_length() - 1] += 1
+                    pp ^= low
                 found.append(tuple(g))
             yield found
 

@@ -94,7 +94,7 @@ def _section_cliques(h):
     covered = 0
     for m in h.edge_masks():
         covered |= m
-    return [c for c in maximal_clique_masks(two_section_masks(h)) if c & covered]
+    return [c for c in maximal_clique_masks(two_section_masks(h), None) if c & covered]
 
 
 def line_graph(h):
@@ -345,7 +345,7 @@ def _empty_families(masks):
     share no vertex; a family of one member meets in that member.
     """
     out = []
-    for fam in maximal_clique_masks(_line_masks(masks)):
+    for fam in maximal_clique_masks(_line_masks(masks), None):
         cap = -1
         for i in bits(fam):
             cap &= masks[i]

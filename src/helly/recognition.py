@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env
-from .graphs import as_vertex_set, bits, mask_of, maximal_clique_masks, weak_modularity
+from .graphs import (WM_BLOCK_CELLS, _mask_rows, _meet, _set_bits, as_vertex_set, bits, mask_of,
+                     maximal_clique_masks, weak_modularity)
 from . import hypergraphs
 
 
@@ -22,10 +23,7 @@ def _clique_cap():
 def maximal_cliques(g, cap=None):
     """Inclusion-maximal cliques, each sorted, list sorted lexicographically."""
     cap = _clique_cap() if cap is None else cap
-    out = maximal_clique_masks(g.nbr_mask)
-    if len(out) > cap:
-        raise ResourceCapExceeded(f"{len(out)} maximal cliques exceed cap {cap}")
-    return sorted(tuple(bits(m)) for m in out)
+    return sorted(tuple(bits(m)) for m in maximal_clique_masks(g.nbr_mask, cap))
 
 
 def all_cliques(g, cap=None):
@@ -62,21 +60,57 @@ def is_clique_helly(g):
 
 
 def is_clique_helly_certified(g):
-    """Triangle criterion: every extended triangle has a universal vertex.
+    """Triangle criterion (Dragan 1989; Szwarcfiter, Ars Combin. 1997): g is
+    clique-Helly iff every extended triangle has a universal vertex.
 
-    Returns (flag, failing triangle or None).
+    Returns (flag, lex-least failing triangle (u, v, w), u < v < w, or None).
+
+    Dominator rows.  For an edge uv let I(uv) = B_1(u) & B_1(v), and let
+    D(uv) hold the vertices c with I(uv) in B_1(c).  Adjacency is
+    symmetric, so D(uv) is the AND of B_1(x) over the x in I(uv) (`_meet`).
+    The extended triangle of uvw is I(uv) | I(uw) | I(vw), so c is
+    universal to it iff c is in D(uv) & D(uw) & D(vw).  Dominating I(uv)
+    puts c in it (u and v lie in I(uv), so in B_1(c)), so such a c lies in
+    the extended triangle, as the criterion asks.
+
+    Walk.  A triangle-free graph is answered before any numpy work.  Else
+    the edges u < v are taken in lex order, in blocks, last block first:
+    the edges of a triangle u < v < w come in the order uv < uw < vw, so
+    all three rows D are built when the block of uv is reached.  The
+    triangles of a block are the set bits w of B_1(u) & {neighbours of v
+    above v}, edge by edge, in lex order, so the first failure of the
+    earliest failing block is the lex-least witness.  I(uv) has at most
+    min(deg u, deg v) + 1 members, and w at most as many choices; a block
+    holds at most WM_BLOCK_CELLS // (words + 8) of them in all, or one
+    edge, so the rows it gathers take at most WM_BLOCK_CELLS words and
+    each of its index arrays at most WM_BLOCK_CELLS // 8 entries.
     """
-    for u, v, w in triangles(g):
-        b1u, b1v, b1w = g.ball1_mask[u], g.ball1_mask[v], g.ball1_mask[w]
-        ext = (b1u & b1v) | (b1u & b1w) | (b1v & b1w)
-        ok = False
-        for cand in bits(ext):
-            if ext & ~g.ball1_mask[cand] == 0:
-                ok = True
-                break
-        if not ok:
-            return False, (u, v, w)
-    return True, None
+    nbr = g.nbr_mask
+    if not any(nbr[a] & nbr[b] for a in range(g.n) for b in g.adj[a]):
+        return True, None
+    import numpy as np
+    n, words = g.n, (g.n + 63) // 64
+    unit = _mask_rows(g.ball1_mask, words)
+    upper = _mask_rows([m >> a + 1 << a + 1 for a, m in enumerate(nbr)], words)
+    u, v = next(_set_bits(upper))  # the edges u < v, in lex order
+    deg = np.array([m.bit_count() for m in nbr])
+    step = max(1, WM_BLOCK_CELLS // (words + 8) // int(np.minimum(deg[u], deg[v]).max() + 1))
+    key = u * n + v
+    del u, v  # the keys stand for the edges from here on
+    dom = np.empty((len(key), words), np.uint64)
+    witness = None
+    for lo in reversed(range(0, len(key), step)):
+        bu, bv = np.divmod(key[lo:lo + step], n)
+        dom[lo:lo + step] = _meet(unit, unit[bu] & unit[bv])
+        e, w = next(_set_bits(unit[bu] & upper[bv]))  # the triangles u v w, w > v, in lex order
+        common = dom[e + lo]
+        common &= dom[key.searchsorted(bu[e] * n + w)]
+        common &= dom[key.searchsorted(bv[e] * n + w)]
+        fail = ~common.any(1)
+        if fail.any():
+            i = int(fail.argmax())
+            witness = int(bu[e[i]]), int(bv[e[i]]), int(w[i])
+    return witness is None, witness
 
 
 def is_one_helly(g):
@@ -132,9 +166,10 @@ class DismantlingFailure:
     certified: bool         # True when the verdict needs no confluence argument
 
 
-def _dominated(g, live):
-    """(v, least live dominator of v) for each dominated v of `live`, in order."""
-    for v in bits(live):
+def _dominated(g, live, among):
+    """(v, least live dominator of v) for each dominated v of `among`, a
+    subset of `live`, in order."""
+    for v in bits(among):
         bv = g.ball1_mask[v] & live
         for y in bits(g.nbr_mask[v] & live):
             if bv & ~g.ball1_mask[y] == 0:
@@ -151,11 +186,20 @@ def dismantling_order(g):
     subgraphs are reported as greedy-stuck (the greedy verdict is still
     decisive, by the retract argument for cop-win graphs, but the
     exhaustive certificate is skipped).
+
+    Each step rescans only what a removal can change.  Whether v is
+    dominated, and by which least live neighbour, depends only on
+    N[v] & live and on the unit balls of v's live neighbours: y dominates v
+    iff N[v] & live lies in B_1(y).  So it changes only when a neighbour of
+    v is removed.  `dirty` holds the live vertices not found undominated
+    since then: a step scans it in increasing order, the vertices it passes
+    over leave it, and removing v puts v's live neighbours back.  The first
+    dominated vertex of `dirty` is then the least dominated live vertex.
     """
-    live = (1 << g.n) - 1
+    live = dirty = (1 << g.n) - 1
     order, doms = [], []
-    while live.bit_count() > 1:
-        step = next(_dominated(g, live), None)
+    for _ in range(g.n - 1):
+        step = next(_dominated(g, live, dirty), None)
         if step is None:
             stuck = tuple(bits(live))
             if len(stuck) <= 14:
@@ -168,8 +212,9 @@ def dismantling_order(g):
         v, y = step
         order.append(v)
         doms.append(y)
-        live &= ~(1 << v)
-    order.append(next(bits(live)))
+        live ^= 1 << v
+        dirty = (dirty >> v + 1 << v + 1) | (g.nbr_mask[v] & live)
+    order.append(live.bit_length() - 1)
     doms.append(-1)
     return DismantlingOrder(tuple(order), tuple(doms))
 
@@ -185,7 +230,7 @@ def _backtracking_dismantlable(g, live, _memo=None):
         return True
     if live not in _memo:
         _memo[live] = any(_backtracking_dismantlable(g, live & ~(1 << v), _memo)
-                          for v, _ in _dominated(g, live))
+                          for v, _ in _dominated(g, live, live))
     return _memo[live]
 
 
@@ -260,14 +305,18 @@ def is_median(g):
     gives a triple with no median.  K_{2,3}-free: in a bipartite graph, a
     pair at distance 2 with three common neighbours induces a K_{2,3}, whose
     three degree-2 vertices have two medians.  Weakly modular: in a bipartite
-    graph this is the quadrangle condition, which makes it modular.
+    graph this is the quadrangle condition, which makes it modular.  The
+    K_{2,3} scan reads the sphere S_2(u) off the neighbours' masks: with no
+    odd cycle, N(N(u)) is S_2(u) and u itself.
     """
     nbr = g.nbr_mask
     row0 = g.dist_row(0)
     if any(row0[u] == row0[v] for u, v in g.edges()):
         return False
     for u in range(g.n):
-        two = g.ball_mask(u, 2) & ~g.ball1_mask[u]
+        two = 0  # N(N(u)), which is the sphere S_2(u) and u, the graph being bipartite
+        for x in g.adj[u]:
+            two |= nbr[x]
         if any((nbr[u] & nbr[v]).bit_count() >= 3 for v in bits(two & (-1 << (u + 1)))):
             return False
     return weak_modularity(g).holds

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helly import claims, cli, geometry
+from helly import claims, cli, constructions, geometry
 from helly.graphs import Graph
 
 
@@ -134,6 +134,39 @@ def test_hull_stdout_is_byte_identical_to_the_recorded_digest(tmp_path, name):
     code, out, err = run_cli(["hull", str(path)])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == HULL_DIGESTS[name]
+
+
+# SHA-256 of `helly check` stdout per input, which pins the verdicts of both
+# routes, the dismantling order or stuck set and the failing triangle
+CHECK_DIGESTS = {
+    "king10x10": "b5607efc5811ee925a238b40e3115816ddd6cae736c40e91a7ef2a2c880c52af",
+    "tree120": "539814615c0bf9ddf3251e4218ad4013c75df47335b7b9b857f7f89c9bdf3c0c",
+    "tree3000": "1f0ad61e7b8c1771fc1ce7164488825cbb5c3ab3f2ab8bde43922cfc875024f4",
+    "paths4x4x4": "0b26b29fd2630794fdd1a5438027fa066a834b90e959c55cae1d0ae69223cff8",
+    "cycle80": "b8cfef9b400a8490300c0aefa23727714925884f9b62bc7a723a32af813b55d3",
+    "grid8x8": "339310cae63b2848ae2e16231c5c71219df520baeb157f737e05c3409381a900",
+    "cycle4": "f557b4a2a5ab531fe00e86fb6d257dc127b61e4ce321cd3937048fbd65dc0f93",
+    "sun3": "67ee4f6fc60d827f93c78afd5e4dd943ec2e57c4e8cdbcde081fa728bcb35111",
+    "t3patch4": "b745eba00be068fc8abbaa6bfb88c2f6fb751200936bf3281db8f4582e63b1c2",
+}
+CHECK_INPUTS = {
+    "king10x10": lambda: geometry.king_graph(10, 10),
+    "tree120": lambda: geometry.random_tree(120, 1),
+    "tree3000": lambda: geometry.random_tree(3000, 1),
+    "paths4x4x4": lambda: constructions.strong_product([geometry.path_graph(4)] * 3)[0],
+    "cycle80": lambda: geometry.cycle_graph(80),
+    "grid8x8": lambda: geometry.grid_graph(8, 8),  # stuck, 64 vertices: not certified
+    "cycle4": lambda: geometry.cycle_graph(4),  # stuck and certified
+    "sun3": geometry.sun3,
+    "t3patch4": lambda: geometry.t3_patch(4)[0],  # fails at (1, 6, 7), not the first triangle
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_DIGESTS))
+def test_check_stdout_is_byte_identical_to_the_recorded_digest(graph_file, name):
+    code, out, err = run_cli(["check", graph_file(CHECK_INPUTS[name]())])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[name]
 
 
 def test_hull_form_cap_refusal_is_unchanged(graph_file, monkeypatch):

@@ -691,6 +691,115 @@ def test_far_apart_pairs_match_the_definition_on_uneven_degrees(g):
     check_far_apart(g)
 
 
+# -- route A: dismantling and clique-Helly, against the plain loops -----------
+
+
+def plain_clique_helly_certified(g):
+    """The extended-triangle scan: each triangle in lex order, each vertex of
+    its extended triangle in order, until one is universal to it."""
+    for u, v, w in recognition.triangles(g):
+        b1u, b1v, b1w = g.ball1_mask[u], g.ball1_mask[v], g.ball1_mask[w]
+        ext = (b1u & b1v) | (b1u & b1w) | (b1v & b1w)
+        if not any(ext & ~g.ball1_mask[c] == 0 for c in bits(ext)):
+            return False, (u, v, w)
+    return True, None
+
+
+def plain_dismantling_order(g):
+    """Greedy dismantling that rescans every live vertex after each removal;
+    a stuck subgraph of at most 14 vertices is certified, since greedy
+    elimination is confluent."""
+    live = (1 << g.n) - 1
+    order, doms = [], []
+    while live.bit_count() > 1:
+        step = next(((v, y) for v in bits(live) for y in bits(g.nbr_mask[v] & live)
+                     if g.ball1_mask[v] & live & ~g.ball1_mask[y] == 0), None)
+        if step is None:
+            stuck = tuple(bits(live))
+            return recognition.DismantlingFailure(stuck, certified=len(stuck) <= 14)
+        v, y = step
+        order.append(v)
+        doms.append(y)
+        live &= ~(1 << v)
+    return recognition.DismantlingOrder(tuple(order) + tuple(bits(live)), tuple(doms) + (-1,))
+
+
+@st.composite
+def route_a_graphs(draw):
+    """Kings, complete graphs, wheels, sun3, triangular patches and strong
+    products of paths: dismantlable graphs, clique-Helly or not."""
+    kind = draw(st.sampled_from(["king", "complete", "wheel", "sun", "patch", "product"]))
+    if kind == "king":
+        return geometry.king_graph(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    if kind == "complete":
+        return geometry.complete_graph(draw(st.integers(1, 14)))
+    if kind == "wheel":
+        return geometry.wheel_graph(draw(st.integers(3, 12)))
+    if kind == "sun":
+        return geometry.sun3()
+    if kind == "patch":
+        return geometry.t3_patch(draw(st.integers(1, 3)))[0]
+    factors = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    return constructions.strong_product([geometry.path_graph(k) for k in factors])[0]
+
+
+ROUTE_A_CELLS = st.sampled_from([1, 3, 20, graphs_module.WM_BLOCK_CELLS])
+
+
+def route_a_patched(mp, cells):
+    # the dominator rows are built by `graphs._meet`, which reads graphs' bound
+    mp.setattr(recognition, "WM_BLOCK_CELLS", cells)
+    mp.setattr(graphs_module, "WM_BLOCK_CELLS", cells)
+
+
+@SETTINGS
+@given(st.one_of(graphs(max_n=12), route_a_graphs()), ROUTE_A_CELLS)
+def test_clique_helly_matches_the_extended_triangle_scan(g, cells):
+    # a few words per block: one edge per block, so triangles straddle blocks
+    with pytest.MonkeyPatch.context() as mp:
+        route_a_patched(mp, cells)
+        assert recognition.is_clique_helly_certified(g) == plain_clique_helly_certified(g)
+
+
+@SETTINGS
+@given(st.one_of(graphs(max_n=12), route_a_graphs(), helly_graphs()))
+def test_dismantling_matches_the_full_rescan(g):
+    assert recognition.dismantling_order(g) == plain_dismantling_order(g)
+
+
+def route_a_families():
+    rng = random.Random(11)
+    yield geometry.sun3()
+    yield from (geometry.t3_patch(r)[0] for r in range(1, 5))
+    yield from (geometry.king_graph(a, b) for a in range(1, 7) for b in range(a, 7))
+    yield from (geometry.wheel_graph(k) for k in range(3, 9))
+    yield constructions.strong_product([geometry.path_graph(4)] * 3)[0]
+    yield from (geometry.random_connected_graph(rng.randint(8, 30), rng.uniform(0.1, 0.6),
+                                                rng.randrange(1000)) for _ in range(30))
+
+
+@pytest.mark.parametrize("cells", [1, 50, graphs_module.WM_BLOCK_CELLS])
+def test_route_a_matches_the_plain_loops_across_blocks(monkeypatch, cells):
+    # failing triangles past the first block, several failing blocks, and
+    # the witness in none but the earliest of them
+    route_a_patched(monkeypatch, cells)
+    failing = 0
+    for g in route_a_families():
+        want = plain_clique_helly_certified(g)
+        assert recognition.is_clique_helly_certified(g) == want, g
+        assert recognition.dismantling_order(g) == plain_dismantling_order(g), g
+        failing += not want[0]
+    assert failing >= 10
+
+
+def test_clique_helly_memory_stays_under_a_mebibyte():
+    # the rows D of K_150 take 268 KB; all (triangle, candidate) pairs would
+    # take gigabytes, and the unblocked kernel held 109 MB
+    for g in (geometry.king_graph(20, 20), geometry.complete_graph(150)):
+        out, peak = traced_peak(lambda: recognition.is_clique_helly_certified(g))
+        assert out == (True, None) and peak < 1 << 20, (g, peak)
+
+
 @SETTINGS
 @given(mostly_bipartite_graphs())
 def test_is_median_matches_plain_sweep(g):
@@ -1197,6 +1306,7 @@ def test_fellow_traveler_matches_plain_loop_in_small_blocks(monkeypatch, cells):
     # pairs, so no imprint is empty and the constants are exceeded: the
     # report in the message has its witnesses at tuples 6, 7 and 9.
     monkeypatch.setattr(bicombing, "WM_BLOCK_CELLS", cells)
+    monkeypatch.setattr(graphs_module, "WM_BLOCK_CELLS", cells)  # `_meet`'s gathers
     for a, b, budget, seed in ((3, 4, None, 0), (2, 3, 20, 17), (2, 4, 10, 16)):
         g = geometry.king_graph(a, b)
         assert checked(g, budget, seed) == plain_fellow_traveler(g, budget, seed)
@@ -1299,6 +1409,7 @@ def test_batched_paths_match_the_single_pair_route(g, cells, seed):
     a, b = (np.array(x) for x in zip(*pairs))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bicombing, "WM_BLOCK_CELLS", cells)
+        mp.setattr(graphs_module, "WM_BLOCK_CELLS", cells)  # `_meet`'s gathers
         sets, (clique_ids, level_ids) = bicombing._normal_rows(g, a, b)
     sets = packed_masks(sets)
     assert len(set(sets)) == len(sets)
@@ -1332,6 +1443,7 @@ def test_batched_paths_raise_as_the_single_pair_route(g, cells):
     assert messages <= {None, "empty imprint; the graph is not Helly"}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bicombing, "WM_BLOCK_CELLS", cells)
+        mp.setattr(graphs_module, "WM_BLOCK_CELLS", cells)  # `_meet`'s gathers
         a, b = (np.array(x) for x in zip(*pairs))
         try:
             bicombing._normal_rows(g, a, b)

@@ -1,10 +1,12 @@
 import random
+import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 from helly import geometry, graphs as graphs_module, hypergraphs as hgm
-from helly.errors import ValidationError
+from helly.errors import ResourceCapExceeded, ValidationError
 from helly.graphs import Graph, is_pseudo_modular, weak_modularity
 from helly.recognition import (DismantlingFailure, DismantlingOrder,
                                all_cliques, dismantling_order,
@@ -55,6 +57,21 @@ def test_clique_caps(monkeypatch):
         maximal_cliques(geometry.cycle_graph(5))
 
 
+def test_the_clique_cap_stops_the_enumeration():
+    # the complement of 11 disjoint triangles has 3^11 = 177,147 maximal
+    # cliques; listing them all takes about 7 MB of masks
+    g = Graph(33, [(a, b) for a, b in combinations(range(33), 2) if a // 3 != b // 3])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapExceeded) as e:
+            maximal_cliques(g, cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == "maximal clique count exceeds cap 10"
+    assert peak < 64 << 10
+
+
 def test_clique_helly_examples():
     assert is_clique_helly(geometry.cycle_graph(4))
     assert not is_clique_helly(geometry.sun3())
@@ -80,6 +97,14 @@ def test_dismantling_examples():
     assert fail.stuck_vertices == (0, 1, 2, 3) and fail.certified
     for k in (3, 4, 5):
         assert isinstance(dismantling_order(geometry.king_graph(k, k)), DismantlingOrder)
+
+
+def test_dismantling_a_long_tree_rescans_only_changed_neighbourhoods():
+    # a rescan of every live vertex after each removal takes about 5 s here
+    g = geometry.random_tree(3000, 1)
+    start = time.perf_counter()
+    assert isinstance(dismantling_order(g), DismantlingOrder)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dismantling_order_is_valid():
