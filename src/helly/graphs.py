@@ -407,8 +407,8 @@ def _spans(offsets, limit):
 # A packed row is a set of vertices as a row of `words` uint64 words: vertex v
 # is bit v & 7 of byte v >> 3, so on a little-endian host bit v & 63 of word
 # v >> 6.  Only the kernels below read or write that layout; their callers
-# (here, `bicombing`, `hypergraphs`) combine whole words with & | ^ ~, and
-# `hull` takes its boolean rows to int masks.
+# (here, `bicombing`, `hypergraphs`, `recognition`) combine whole words with
+# & | ^ ~, and `hull` takes its boolean rows to int masks.
 
 
 def _mask_rows(masks, words):
