@@ -253,8 +253,15 @@ def hyperbolicity(g, cap=256):
     kept in the smallest signed dtype that holds 6*diameter, the largest
     intermediate sum (int16 at most under the default cap).  A tree has
     2*delta = 0 and never reaches the cutoff, but its far-apart pairs are
-    only its leaf pairs.  The vertex cap keeps the worst case, dense graphs
-    with 2*delta = 0, at desk scale.
+    only its leaf pairs.
+
+    Block graphs.  A connected graph is 0-hyperbolic iff each of its blocks
+    is a clique (Howorka 1979; Bandelt and Mulder 1986).  Those graphs are
+    the sweep's worst case, since it stops only once 2*d(i,j) <= 0: every
+    pair of a complete graph is far-apart.  So `_blocks_are_cliques` is
+    asked first, and on yes the value is 0 with no far-apart pairs and no
+    sweep.  The vertex cap keeps the remaining worst case, dense graphs
+    with a small 2*delta > 0, at desk scale.
 
     The witness is the lexicographically least quadruple attaining the
     value among all quadruples, see `_least_quadruple`.
@@ -267,6 +274,8 @@ def hyperbolicity(g, cap=256):
     import numpy as np
     d = g.distances()
     d = d.astype(np.min_scalar_type(-6 * int(d.max()) - 1))
+    if _blocks_are_cliques(g):
+        return HyperbolicityResult(0, _least_quadruple(d, 0))
     pi, pj = _far_apart(g, d)
     pd = d[pi, pj]
     best, p, total = 0, 0, len(pd)
@@ -277,6 +286,55 @@ def hyperbolicity(g, cap=256):
         best = max(best, int(_four_point(s1, d[i, k] + d[j, l], d[i, l] + d[j, k]).max()))
         p = q
     return HyperbolicityResult(best, _least_quadruple(d, best))
+
+
+def _blocks_are_cliques(g):
+    """Whether every block (maximal 2-connected subgraph, or bridge) of g is
+    a clique.
+
+    One depth-first search from vertex 0 on an explicit stack, with the low
+    points of Hopcroft and Tarjan (1973).  When the search goes back from u
+    to its parent p with low[u] >= disc[p], the edges met since it went
+    down pu, less those of the blocks already closed below u, make up the
+    block of pu.  Its tree edges span it, so it has one vertex more than
+    tree edges, and it is a clique on k vertices iff it has k(k - 1)/2
+    edges.  Only the two counts are kept, as they stood when the search went
+    down to each vertex.  Each edge is read once from each end: O(n + m).
+    A back edge from u to an ancestor v other than p closes the cycle
+    v ... p u v, which lies in one block, so the answer is no at once when
+    v and p are not adjacent; kings and grids stop at their first back edge.
+    """
+    adj = g.adj
+    disc, low, since = [-1] * g.n, [0] * g.n, [(0, 0)] * g.n
+    tree = edges = 0  # tree edges and edges met, less those of closed blocks
+    disc[0] = 0
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        u, p, rest = stack[-1]
+        for v in rest:
+            if disc[v] < 0:
+                since[v] = tree, edges
+                tree, edges = tree + 1, edges + 1
+                disc[v] = low[v] = tree
+                stack.append((v, u, iter(adj[v])))
+                break
+            if disc[v] < disc[u] and v != p:  # a back edge, read from its lower end
+                if not g.nbr_mask[v] >> p & 1:
+                    return False
+                edges += 1
+                low[u] = min(low[u], disc[v])
+        else:
+            stack.pop()
+            if p < 0:
+                continue
+            low[p] = min(low[p], low[u])
+            if low[u] >= disc[p]:
+                t, e = since[u]
+                k = tree - t + 1
+                if edges - e != k * (k - 1) // 2:
+                    return False
+                tree, edges = t, e
+    return True
 
 
 def _four_point(s1, s2, s3):

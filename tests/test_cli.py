@@ -169,6 +169,81 @@ def test_check_stdout_is_byte_identical_to_the_recorded_digest(graph_file, name)
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[name]
 
 
+def random_hyper(seed, edges, size):
+    """`edges` seeded random edges of 1 to `size` vertices over 12 vertices."""
+    rng = random.Random(seed)
+    return {"n": 12, "edges": [sorted(rng.sample(range(12), rng.randint(1, size)))
+                               for _ in range(edges)]}
+
+
+def unit_balls(g):
+    return {"n": g.n, "edges": [[v for v in range(g.n) if g.ball1_mask[c] >> v & 1]
+                                for c in range(g.n)]}
+
+
+# SHA-256 of `helly hyper-check` stdout per input, which pins all six fields:
+# the Helly and Gilmore verdicts with their witnesses, triangle-freeness and
+# the dual's Helly verdict
+HYPER_CHECK_DIGESTS = {
+    "random1": "90e90ecdcf331e86a5c64505d3f64155175f12091aea9528eaf2c8b64d4cdd8b",
+    "random2": "e579802154b034ae46c29e7ecf6d84a649ad5c6d5d6681aec1acd69afce5900c",
+    "sparse3": "f4b398c2f867e49f006bc4f0d73d40a6592b04879db0f2a83639bbe2ed1fdd83",
+    "balls-tree40": "f4b398c2f867e49f006bc4f0d73d40a6592b04879db0f2a83639bbe2ed1fdd83",
+    "balls-king6x6": "211186cc1d02887de5bc055925e8d00a412a25ed2627fb0af248c32a110367c7",
+    "cliques-king7x7": "f4b398c2f867e49f006bc4f0d73d40a6592b04879db0f2a83639bbe2ed1fdd83",
+    "balls-cycle6": "38f120fe2b563e08362a9e8cb45586f75ee630cb31d70a2a210fb57dd37462ec",
+    "triangle-with-face": "24549892a0059ce14e9047256c102002c976c1616aecac0610fad382ba781400",
+    "triangle-dual": "a9d37a27c865975a493026bf679eb129cdcd19aa204bfe2697b9e8b2857aeef6",
+}
+HYPER_CHECK_INPUTS = {
+    "random1": lambda: random_hyper(1, 10, 5),
+    "random2": lambda: random_hyper(2, 10, 5),
+    "sparse3": lambda: random_hyper(3, 6, 3),
+    "balls-tree40": lambda: unit_balls(geometry.random_tree(40, 1)),
+    "balls-king6x6": lambda: unit_balls(geometry.king_graph(6, 6)),  # not triangle-free
+    "cliques-king7x7": lambda: {"n": 49, "edges": [
+        [v, v + 1, v + 7, v + 8] for v in range(48) if v % 7 < 6 and v < 42]},
+    "balls-cycle6": lambda: unit_balls(geometry.cycle_graph(6)),
+    "triangle-with-face": lambda: {"n": 3, "edges": [[0, 1], [1, 2], [0, 2], [0, 1, 2]]},
+    "triangle-dual": lambda: {"n": 4, "edges": [[0, 2, 3], [0, 1, 3], [1, 2, 3]]},
+}
+
+
+@pytest.mark.parametrize("name", list(HYPER_CHECK_DIGESTS))
+def test_hyper_check_stdout_is_byte_identical_to_the_recorded_digest(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(HYPER_CHECK_INPUTS[name]()))
+    code, out, err = run_cli(["hyper-check", str(path)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HYPER_CHECK_DIGESTS[name]
+
+
+# SHA-256 of `helly hyp` stdout per input: 2*delta and its least witness
+HYP_DIGESTS = {
+    "tree40": "049ae21bb563551cd9263d2b8ffe69fe4c9b9a970519c26dcfe8c7f7aa1093bd",
+    "complete10": "049ae21bb563551cd9263d2b8ffe69fe4c9b9a970519c26dcfe8c7f7aa1093bd",
+    "glued-cliques": "049ae21bb563551cd9263d2b8ffe69fe4c9b9a970519c26dcfe8c7f7aa1093bd",
+    "cycle9": "6dbc18f169ab005f6c165f1fa6cb292c34719359487286c7d00d72bc86223dcb",
+    "king5x5": "6f9f4c039411ddea1bbae647be8eb5070c58b45f49c186675c704bf7b1a581fb",
+}
+HYP_INPUTS = {
+    "tree40": lambda: geometry.random_tree(40, 1),
+    "complete10": lambda: geometry.complete_graph(10),
+    "glued-cliques": lambda: constructions.glue_at_vertices(
+        [geometry.complete_graph(5), geometry.path_graph(4), geometry.complete_graph(3)],
+        [(0, 4, 1, 0), (1, 3, 2, 0)])[0],
+    "cycle9": lambda: geometry.cycle_graph(9),
+    "king5x5": lambda: geometry.king_graph(5, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(HYP_DIGESTS))
+def test_hyp_stdout_is_byte_identical_to_the_recorded_digest(graph_file, name):
+    code, out, err = run_cli(["hyp", graph_file(HYP_INPUTS[name]())])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HYP_DIGESTS[name]
+
+
 def test_hull_form_cap_refusal_is_unchanged(graph_file, monkeypatch):
     # C10 has 122 forms
     monkeypatch.setenv("HELLY_MAX_FORMS", "100")

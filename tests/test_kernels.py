@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 import tracemalloc
 from collections import deque
 from functools import reduce
@@ -651,6 +652,79 @@ def test_hyperbolicity_matches_pair_ordered_sweep_across_blocks(monkeypatch, cel
               geometry.random_connected_graph(30, 0.15, 1),
               geometry.random_connected_graph(40, 0.1, 2)):
         assert geometry.hyperbolicity(g) == plain_hyperbolicity(g)
+
+
+@st.composite
+def block_graphs(draw, spoil=False):
+    """Cliques of 2 to 5 vertices, each glued at one vertex to the graph so
+    far (a tree when all have 2).  With `spoil`, one more edge, which mostly
+    merges the blocks between its ends into one that is not a clique."""
+    n, edges = 1, []
+    for _ in range(draw(st.integers(0, 6))):
+        at, size = draw(st.integers(0, n - 1)), draw(st.integers(1, 4))
+        edges += combinations([at, *range(n, n + size)], 2)
+        n += size
+    if spoil and n > 2:
+        edges.append(tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                         unique=True))))
+    return Graph(n, edges)
+
+
+def plain_blocks_are_cliques(g):
+    """Every two vertices that are not adjacent are cut apart by a third.
+
+    Two vertices of one block of 3 or more vertices stay joined when any
+    one vertex is removed, and two vertices of different blocks are cut
+    apart by a cut vertex between them, so this holds iff every block is a
+    clique."""
+    def joined(u, v, w):
+        seen, stack = {u, w}, [u]
+        while stack:
+            for y in g.adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return v in seen
+
+    return all(any(not joined(u, v, w) for w in range(g.n) if w not in (u, v))
+               for u, v in combinations(range(g.n), 2) if not g.nbr_mask[u] >> v & 1)
+
+
+@SETTINGS
+@given(st.one_of(block_graphs(), block_graphs(spoil=True), graphs(max_n=12)))
+def test_block_graph_test_matches_vertex_cuts_and_zero_hyperbolicity(g):
+    blocks = geometry._blocks_are_cliques(g)
+    assert blocks == plain_blocks_are_cliques(g)
+    if g.n >= 4:  # 0-hyperbolic iff every block is a clique (Howorka)
+        assert blocks == (geometry.hyperbolicity_oracle(g) == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(block_graphs(), block_graphs(spoil=True)))
+def test_hyperbolicity_of_block_graphs_matches_the_sweep(g):
+    res = geometry.hyperbolicity(g)
+    assert res == plain_hyperbolicity(g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_blocks_are_cliques", lambda g: False)
+        assert geometry.hyperbolicity(g) == res
+
+
+@pytest.mark.parametrize("g", [
+    geometry.complete_graph(256), geometry.random_tree(256, 1), geometry.star_graph(255),
+    constructions.glue_at_vertices([geometry.complete_graph(40)] * 6,
+                                   [(i, 39, i + 1, 0) for i in range(5)])[0]])
+def test_block_graphs_skip_the_far_apart_sweep(monkeypatch, g):
+    # the sweep took 8-11 s on K_256 on a 2-core Xeon: every pair is far-apart
+    def sweep(*args):
+        raise AssertionError("far-apart pairs of a block graph")
+    monkeypatch.setattr(geometry, "_far_apart", sweep)
+    assert geometry.hyperbolicity(g) == geometry.HyperbolicityResult(0, (0, 1, 2, 3))
+
+
+def test_block_graph_test_needs_no_recursion():
+    assert geometry._blocks_are_cliques(geometry.path_graph(20000))
+    assert not geometry._blocks_are_cliques(geometry.cycle_graph(20000))
+    assert not geometry._blocks_are_cliques(geometry.king_graph(2, 3))
 
 
 @pytest.mark.parametrize("g", [geometry.path_graph(2), geometry.path_graph(9),
@@ -1622,12 +1696,94 @@ def test_is_clique_matches_the_pair_loop(g, data):
     assert g.is_clique(vs) == plain_is_clique(g, vs)
 
 
+def plain_dual(h):
+    """One edge per covered vertex, its edge indices read off the edge masks."""
+    masks = h.edge_masks()
+    star_edges = []
+    for v in range(h.n):
+        star = tuple(i for i, m in enumerate(masks) if (m >> v) & 1)
+        if star:
+            star_edges.append(star)
+    return Hypergraph(len(h.edges), tuple(star_edges))
+
+
+@st.composite
+def star_hypergraphs(draw):
+    """Edges drawn with repeats from a few sets, singletons among them, over
+    a vertex range with up to two vertices in no edge; often 2 edges or fewer."""
+    n = draw(st.integers(1, 9))
+    pool = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=draw(
+        st.sampled_from([1, 3, n]))), min_size=1, max_size=6))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=draw(st.sampled_from([2, 10]))))
+    return Hypergraph.of(n + draw(st.integers(0, 2)), edges)
+
+
+def graph_hypergraph(g, kind):
+    """The unit balls or the maximal cliques of g, as a hypergraph."""
+    if kind == "balls":
+        return Hypergraph.of(g.n, [list(bits(m)) for m in g.ball1_mask])
+    return Hypergraph.of(g.n, recognition.maximal_cliques(g))
+
+
 @SETTINGS
-@given(hypergraphs())
+@given(st.one_of(star_hypergraphs(), hypergraphs()))
+def test_dual_from_the_star_table_matches_the_mask_scan(h):
+    assert h.stars == tuple(mask_of(i for i, e in enumerate(h.edges) if v in e)
+                            for v in range(h.n))
+    assert hypergraphs_module.dual(h) == plain_dual(h)
+
+
+@SETTINGS
+@given(st.one_of(hypergraphs(), star_hypergraphs()))
 def test_triangle_free_test_matches_the_vertex_loop_on_hypergraphs_and_duals(h):
     for x in (h, hypergraphs_module.dual(h)):
         assert (hypergraphs_module.is_triangle_free_hypergraph(x)
-                == plain_is_triangle_free_hypergraph(x))
+                == plain_is_triangle_free_hypergraph(x) == hypergraphs_module.strong_gilmore(x))
+
+
+@SETTINGS
+@given(st.one_of(graphs(max_n=12), helly_graphs()), st.sampled_from(["balls", "cliques"]))
+def test_triangle_free_pair_walk_matches_the_vertex_loop_on_graph_hypergraphs(g, kind):
+    h = graph_hypergraph(g, kind)
+    assert (hypergraphs_module.is_triangle_free_hypergraph(h)
+            == plain_is_triangle_free_hypergraph(h))
+
+
+def test_triangle_free_pair_walk_gives_both_verdicts_on_graph_hypergraphs():
+    rng = random.Random(24)
+    verdicts = set()
+    for n in range(4, 13):
+        for g in (geometry.random_tree(n, n), geometry.cycle_graph(n),
+                  geometry.random_connected_graph(n, 0.4, rng.randrange(10 ** 6)),
+                  geometry.king_graph(2, n // 2)):
+            for kind in ("balls", "cliques"):
+                h = graph_hypergraph(g, kind)
+                verdict = hypergraphs_module.is_triangle_free_hypergraph(h)
+                assert verdict == plain_is_triangle_free_hypergraph(h)
+                verdicts.add((kind, verdict))
+    assert verdicts == {(kind, v) for kind in ("balls", "cliques") for v in (True, False)}
+
+
+@pytest.mark.parametrize("edges, free", [
+    ([(0, 1), (1, 2), (0, 1, 2)], True),   # c holds a & b: without the ~AND it would fail
+    ([(0, 1), (1, 2), (0,)], True),        # c misses b - a: an OR over a - b alone fails it
+    ([(0, 1), (1, 2), (0, 2)], False),
+    ([(0, 1), (0, 1), (1, 2)], True),      # a repeated edge has no difference to meet
+])
+def test_triangle_free_pair_walk_edge_cases(edges, free):
+    h = Hypergraph.of(3, edges)
+    assert hypergraphs_module.is_triangle_free_hypergraph(h) is free
+    assert plain_is_triangle_free_hypergraph(h) is free
+
+
+def test_triangle_free_pair_walk_on_the_unit_balls_of_a_long_tree():
+    # triangle-free, so the whole walk runs; all C(400, 3) edge triples took
+    # 1.6-2.4 s on a 2-core Xeon
+    g = geometry.random_tree(400, 1)
+    h = graph_hypergraph(g, "balls")
+    start = time.perf_counter()
+    assert hypergraphs_module.is_triangle_free_hypergraph(h)
+    assert time.perf_counter() - start < 0.25
 
 
 @SETTINGS
