@@ -50,11 +50,12 @@ def _cmd_check(args):
 
 def _cmd_hull(args):
     from . import hull
-    text = _read(args.input)
-    if "edges" in json_object(text):
-        metric = hull.FiniteMetric.of_graph(_graph(text))
+    from .graphs import Graph
+    data = json_object(_read(args.input))  # decoded once, as a graph or as a metric
+    if "edges" in data:
+        metric = hull.FiniteMetric.of_graph(Graph.from_object(data))
     else:
-        metric = hull.FiniteMetric.from_json(text)
+        metric = hull.FiniteMetric.from_object(data)
     hg = hull.hellyfication(metric)
     _emit({
         "forms": [list(f) for f in hg.forms],

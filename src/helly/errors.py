@@ -60,7 +60,12 @@ def json_value(text):
 
 def json_object(text, *keys):
     """Decode a JSON object holding `keys`; anything else is bad input."""
-    data = json_value(text)
+    return object_with(json_value(text), *keys)
+
+
+def object_with(data, *keys):
+    """`data`, a decoded JSON value, if it is an object holding `keys`;
+    anything else is bad input."""
     if not isinstance(data, dict) or not all(k in data for k in keys):
         raise ValidationError(f"expected a JSON object with keys {list(keys)}" if keys
                               else "expected a JSON object")

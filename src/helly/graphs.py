@@ -2,7 +2,8 @@
 
 Vertices are dense ids 0..n-1.  Adjacency is kept as sorted tuples (for
 iteration and serialization), as per-vertex int bitmasks (for the set
-algebra of the metric predicates) and, for numpy code, as one lazy CSR.
+algebra of the metric predicates) and, for numpy code, as one CSR, built
+lazily, or first by `_csr_graph`, which makes a graph from its CSR.
 
 Distances come by one of two routes, both memoized.  A sweep over every
 row (weak modularity, hyperbolicity, the diameter) asks for `distances()`,
@@ -26,8 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
-from .errors import (SIZE_CAP, ResourceCapExceeded, ValidationError, int_lists, json_object,
-                     vertex_count)
+from .errors import (SIZE_CAP, ResourceCapExceeded, ValidationError, int_lists, json_value,
+                     object_with, vertex_count)
 
 
 def bits(mask):
@@ -126,7 +127,12 @@ class Graph:
     @classmethod
     def from_json(cls, text):
         """Parse {"n": <int>, "edges": [[u, v], ...]}; bad input is a ValidationError."""
-        data = json_object(text, "n", "edges")
+        return cls.from_object(json_value(text))
+
+    @classmethod
+    def from_object(cls, data):
+        """The graph of the decoded JSON value of `from_json`."""
+        data = object_with(data, "n", "edges")
         edges = int_lists(data["edges"], "edges")
         if not set(map(len, edges)) <= {2}:
             raise ValidationError("every edge must have exactly two ends")
@@ -305,6 +311,39 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={sum(len(a) for a in self.adj) // 2})"
+
+
+def _csr_graph(heads, offsets, nbr_mask):
+    """The graph whose `csr()` is (heads, offsets), with no edge tuples and
+    no per-edge Python loop; only the vertex count is checked, as in the
+    constructor.  Each input guarantees an invariant of the class:
+      - heads and offsets, intp arrays: each segment heads[offsets[v]:
+        offsets[v + 1]] is sorted, without repeats and without v, and u
+        is in v's segment iff v is in u's, so `adj`, its slices of one
+        `tolist()`, holds sorted simple undirected adjacency lists;
+      - nbr_mask: nbr_mask[v] is the mask of v's segment, so the masks
+        agree with `adj`, and `ball1_mask` adds v to it.
+    Connectivity is not checked: the caller proves it before the graph is
+    used, as `hull` does with the descent certificate of
+    `hull._check_hull_distances`, which checks on the CSR that no vertex
+    is isolated and then that the graph distance is the (finite)
+    sup-distance, before `hull.hellyfication` returns the graph.  The
+    arrays are made read-only."""
+    n = len(offsets) - 1
+    if n <= 0:
+        raise ValidationError("graph needs at least one vertex")
+    if n > SIZE_CAP:
+        raise ResourceCapExceeded(f"graph of {n} vertices exceeds cap {SIZE_CAP}")
+    g = Graph.__new__(Graph)
+    flat, ends = heads.tolist(), offsets.tolist()
+    g.n = n
+    g.adj = [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
+    g.nbr_mask = nbr_mask
+    g.ball1_mask = [mask | 1 << v for v, mask in enumerate(nbr_mask)]
+    heads.flags.writeable = offsets.flags.writeable = False
+    g._csr = heads, offsets
+    g._rows, g._dist, g._ball_masks, g._wm = [None] * n, None, [None] * n, None
+    return g
 
 
 def ball_star_mask(g, vertices, r):

@@ -29,29 +29,39 @@ layer's forms come from numpy blocks of slacks, the only numpy step of the
 search; each search leaf, a bitmask pair, becomes its neighbour vector on
 its bits as soon as its form's search ends.
 
-The hull edges are read off their definition, the pairs at S = 1, on numpy
-blocks of rows of S.  As an independent cross-check of the search, the
-pairs between consecutive layers must be as many as the upward neighbours
-it found.  The result is checked against the definition on numpy blocks of
-forms; the hull-graph distance is checked to be S by a descent
-certificate, which is equivalent to it: from each form, the nearest
-neighbour to any other form is one step closer to it.
+After the search everything runs on arrays.  The hull edges are read off
+their definition, the pairs at S = 1, on numpy blocks of whole rows of S in
+the smallest signed type that holds it; the S = 1 entries of the blocks,
+in row-major order, are the sorted neighbour lists, so the hull graph is
+built from them as its CSR (`graphs._csr_graph`), its adjacency masks
+from the same rows, with no edge tuple and no per-edge Python loop.  As an
+independent cross-check of the search, the pairs between consecutive
+layers must be as many as the upward neighbours it found.  The result is
+checked against the definition on numpy blocks of forms, in the smallest
+signed type that holds the checks; the hull-graph distance is checked to
+be S by a descent certificate, which is equivalent to it: from each form,
+the nearest neighbour to any other form is one step closer to it.  The
+certificate also proves the graph connected, which its array constructor
+does not check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
-                     int_lists, json_object)
-from .graphs import WM_BLOCK_CELLS, Graph, _reduce_segments, _row_masks, as_vertices
+                     int_lists, object_with)
+from .graphs import (WM_BLOCK_CELLS, Graph, _csr_graph, _reduce_segments, _row_masks,
+                     as_vertices)
 
 
-# bytes per block of the hull-distance certificate (_check_hull_distances);
-# at 1 MB the blocks of path_graph(200) ran about twice as slow as at 512 KB
+# bytes per block of rows or columns of S, for the hull graph (_unit_graph)
+# and the hull-distance certificate (_check_hull_distances); the certificates
+# of C12 and path_graph(200) ran 1.4x slower at 256 KB and no faster at 1-2 MB
 CERTIFICATE_BYTES = 1 << 19
 
 
@@ -77,9 +87,10 @@ class FiniteMetric:
         return cls(g.n, tuple(tuple(g.dist_row(u)) for u in range(g.n)))
 
     @classmethod
-    def from_json(cls, text):
-        """Parse {"d": [[...], ...]}; bad input is a ValidationError."""
-        return cls.of(json_object(text, "d")["d"])
+    def from_object(cls, data):
+        """The metric of decoded JSON {"d": [[...], ...]}; bad input is a
+        ValidationError."""
+        return cls.of(object_with(data, "d")["d"])
 
     def validate(self):
         n, d = self.n, self.d
@@ -292,12 +303,15 @@ def hellyfication(m, cap=None):
     so searching only upward neighbours makes the sweep complete.  The
     upward neighbours g = f - M + P of a form f of layer k are the unit
     neighbours with M inside {f >= k + 2} and P containing {f = k}, and
-    only those.  The hull edges are then read off their definition, the
-    pairs of forms at sup-distance 1; the pairs between consecutive layers
-    must be as many as the upward neighbours the search found.  The result
-    is validated: every stored form is extremal and 1-Lipschitz, the
-    embedding is isometric, f(x) = sup-distance(f, d(x, .)) for all stored
-    f, x, and the hull-graph distance is the sup-distance.
+    only those.  After the search, the hull graph is built on arrays from
+    its definition, the pairs of forms at sup-distance 1 (`_unit_graph`:
+    its CSR and adjacency masks come straight from numpy blocks of rows of
+    S); the pairs between consecutive layers must be as many as the upward
+    neighbours the search found.  The result is validated before it is
+    returned: every stored form is extremal and 1-Lipschitz, the embedding
+    is isometric, f(x) = sup-distance(f, d(x, .)) for all stored f, x, and
+    the hull-graph distance is the sup-distance (the descent certificate,
+    which also proves the graph connected).
     """
     cap = _form_cap() if cap is None else cap
     if isinstance(m, Graph):
@@ -319,32 +333,52 @@ def hellyfication(m, cap=None):
                             f"extremal form count exceeds cap {cap}")
         frontier = nxt
     forms = tuple(sorted(seen))
-    graph = Graph(len(forms), _unit_edges(np.array(forms), upward))
-    index = {f: i for i, f in enumerate(forms)}
-    embed = tuple(index[row] for row in m.d)
+    graph = _unit_graph(np.array(forms).reshape(len(forms), m.n), upward)
+    embed = tuple(bisect_left(forms, row) for row in m.d)
     hg = HullGraph(m, forms, graph, embed)
     _validate_hull(hg)
     return hg
 
 
-def _unit_edges(forms, upward):
-    """The pairs i < j of rows of forms at sup-distance 1, read off numpy
-    blocks of rows of S of at most WM_BLOCK_CELLS cells, or of one row
-    where that needs more.  The pairs whose forms have different minima must
-    number `upward`, the upward neighbours the search found, or an
-    InvariantViolation is raised."""
-    edges, across = [], 0
-    step = max(1, WM_BLOCK_CELLS // max(1, forms.size))
-    for lo in range(0, len(forms), step):
-        rest = forms[lo:]
-        i, j = np.nonzero(np.triu(np.abs(rest[:step, None, :] - rest).max(2) == 1, 1))
-        low = rest.min(1)
-        across += np.count_nonzero(low[i] != low[j])
-        edges += zip((i + lo).tolist(), (j + lo).tolist())
-    if across != upward:
+def _unit_graph(forms, upward):
+    """The hull graph on the rows of forms, each >= 0: i and j are adjacent
+    iff S(i, j) = 1.  It is read off blocks of whole rows of S (`_sup_table`,
+    in the smallest signed type that holds S) whose differences take at most
+    CERTIFICATE_BYTES bytes, or of one row where that needs more.  The S = 1
+    entries of a block, in row-major order, are its rows' sorted neighbour
+    lists, so they are laid end to end as the CSR of `_csr_graph`, and
+    the block's rows go to `_row_masks` for the adjacency masks; no edge
+    tuple is made.  Each pair is met in both orientations, so the pairs
+    whose forms have different minima number twice `upward`, the upward
+    neighbours the search found, or an InvariantViolation is raised."""
+    count = len(forms)
+    points = np.ascontiguousarray(forms.T, np.min_scalar_type(-int(forms.max(initial=0)) - 1))
+    low = points.min(0, initial=np.iinfo(points.dtype).max)  # an empty metric has no forms
+    step = max(1, CERTIFICATE_BYTES // max(1, points.size * points.itemsize))
+    heads, sizes, masks, across = [], [np.zeros(1, np.intp)], [], 0
+    for lo in range(0, count, step):
+        unit = _sup_table(points[:, lo:lo + step], points) == 1
+        i, j = np.nonzero(unit)
+        across += np.count_nonzero(low[i + lo] != low[j])
+        heads.append(j)
+        sizes.append(np.count_nonzero(unit, 1))
+        masks += _row_masks(unit)
+    if across != 2 * upward:
         raise InvariantViolation(
-            f"hull search found {upward} upward neighbours, sup-distance 1 gives {across}")
-    return edges
+            f"hull search found {upward} upward neighbours, sup-distance 1 gives {across // 2}")
+    return _csr_graph(np.concatenate(heads or [np.zeros(0, np.intp)]),
+                         np.concatenate(sizes).cumsum(), masks)
+
+
+def _sup_table(p, q):
+    """S(p_i, q_j) for the columns p_i of p and q_j of q, a table of
+    len(p[0]) rows and len(q[0]) columns; row x of p and q is coordinate x.
+    With the coordinates first, the differences are n planes of that shape
+    and the max is taken plane by plane, so numpy's inner loops run along
+    the rows of q; with the forms as rows, the max runs one loop of n cells
+    per pair, which is slow when n is small.  Pass the many forms as q."""
+    diff = p[:, :, None] - q[:, None, :]
+    return np.abs(diff, out=diff).max(0)
 
 
 def _validate_hull(hg):
@@ -356,15 +390,21 @@ def _validate_hull(hg):
     checks follow from extremality (f(y) - f(x) <= d(x, y) through a tight
     partner of y, and |f(y) - d(x, y)| <= f(x) with equality at y = x), and
     are kept as independent checks.  The checks run on numpy blocks of at
-    most WM_BLOCK_CELLS cells, or of one form where that needs more; the
-    first failing form gets the message of the first check it fails.  The
+    most WM_BLOCK_CELLS cells, or of one form where that needs more, in the
+    smallest signed type that holds their slacks and differences; the first
+    failing form gets the message of the first check it fails.  The
+    embedding is isometric when it maps each x to e(x) = d(x, .) itself,
+    since S(e(x), e(y)) = d(x, y) by the triangle inequality, with equality
+    at y; only an embedding that does not is checked pair by pair.  The
     hull-graph distance is checked last, by the descent certificate of
     _check_hull_distances, with no BFS.
     """
     m = hg.metric
     n = m.n
-    d = np.array(m.d)
-    forms = np.array(hg.forms)
+    # slacks, differences and f - d lie within +-(2 max|f| + max d)
+    big = 2 * max(max(map(max, hg.forms)), -min(map(min, hg.forms))) + max(map(max, m.d))
+    small = np.min_scalar_type(-big - 1)
+    forms, d = np.array(hg.forms, small), np.array(m.d, small)
     step = max(1, WM_BLOCK_CELLS // (n * n))
     for lo in range(0, len(forms), step):
         f = forms[lo:lo + step]
@@ -382,10 +422,11 @@ def _validate_hull(hg):
                 raise InvariantViolation(f"form {form} is not 1-Lipschitz")
             raise InvariantViolation(f"f(x) != sup-distance(f, e(x)) for {form}")
     embedded = forms[list(hg.embed)]
-    for lo in range(0, n, step):
-        sup = np.abs(embedded[lo:lo + step, None, :] - embedded).max(2)
-        if (sup != d[lo:lo + step]).any():
-            raise InvariantViolation("embedding is not isometric")
+    if (embedded != d).any():
+        for lo in range(0, n, step):
+            sup = np.abs(embedded[lo:lo + step, None, :] - embedded).max(2)
+            if (sup != d[lo:lo + step]).any():
+                raise InvariantViolation("embedding is not isometric")
     _check_hull_distances(forms, hg.graph)
 
 
@@ -401,28 +442,33 @@ def _check_hull_distances(forms, graph):
     gives graph distance <= S by induction on S.  Conversely, when graph
     distance = S no neighbour is more than one closer, and the first step
     of a shortest path is one closer.  So the edges are exactly the pairs
-    at S = 1, and each pair at S = k >= 2 steps down to k - 1.
+    at S = 1, and each pair at S = k >= 2 steps down to k - 1.  A vertex
+    with no neighbour fails at once: S is finite, and its graph distance to
+    any other is not.  So a graph that passes is connected, and the check
+    needs no connectivity from the graph it is given.
 
     The check runs on blocks of columns j of S, held as rows i x columns j
-    in the smallest signed integer type that holds S and S - 1 >= -1.  The
-    least over the neighbours of each i is one segmented min, a single
-    reduceat, over the rows of S gathered along the `graph.csr()` lists (the
-    graph is connected, so each vertex has a neighbour when there are two or
-    more).  A block holds as many columns as fit in CERTIFICATE_BYTES for the
-    differences of every form with the block's forms and for those rows.  A
-    pair i = j always fails, as its least is >= 0, so a block of w columns
-    passes when exactly w pairs fail.
+    in the smallest signed integer type that holds S and S - 1 >= -1; as S
+    is symmetric, a block is the transpose of the `_sup_table` of its rows
+    j.  The least over the neighbours of each i is one segmented min, a
+    single reduceat, over the rows of S gathered along the `graph.csr()`
+    lists.  A block holds as many columns as fit in
+    CERTIFICATE_BYTES for the differences of every form with the block's
+    forms and for those rows.  A pair i = j always fails, as its least is
+    >= 0, so a block of w columns passes when exactly w pairs fail.
     """
     count = len(forms)
     if count == 1:
         return
-    forms = forms - forms.min()  # same S, and S <= forms.max()
-    forms = forms.astype(np.min_scalar_type(-int(forms.max()) - 1))
     heads, offsets = graph.csr()
-    column = forms.itemsize * (forms.size + len(heads))
+    if not np.diff(offsets).all():
+        raise InvariantViolation("unit-step graph distance != sup-metric")
+    forms = forms - forms.min()  # same S, and S <= forms.max()
+    points = np.ascontiguousarray(forms.T, np.min_scalar_type(-int(forms.max()) - 1))
+    column = points.itemsize * (points.size + len(heads))
     step = max(1, CERTIFICATE_BYTES // column)
     for lo in range(0, count, step):
-        sup = np.abs(forms[:, None, :] - forms[lo:lo + step]).max(2)  # sup[i, j - lo] = S(i, j)
+        sup = _sup_table(points[:, lo:lo + step], points).T  # sup[i, j - lo] = S(i, j)
         nearest = _reduce_segments(np.minimum, sup, heads, offsets, len(heads) * step)
         if np.count_nonzero(nearest != sup - 1) != sup.shape[1]:
             raise InvariantViolation("unit-step graph distance != sup-metric")
@@ -433,8 +479,9 @@ def enumerate_extremal_forms(m, cap=None):
 
     Exhaustive depth-first enumeration of integer vectors that are metric
     forms, 1-Lipschitz, and pointwise below max_y d(x,y); extremality is
-    then checked exactly at the leaves.  No search from the embedding is
-    involved.
+    then checked exactly at the leaves.  The search runs on an explicit
+    stack of prefixes, so the number of points is not bounded by the
+    recursion limit.  No search from the embedding is involved.
     """
     cap = _form_cap() if cap is None else cap
     if isinstance(m, Graph):
@@ -442,26 +489,22 @@ def enumerate_extremal_forms(m, cap=None):
     n = m.n
     bound = m.radius_bound()
     out = []
-    f = [0] * n
-
-    def dfs(x):
+    stack = [()]  # prefixes f(0), ..., f(x - 1), popped in lexicographic order
+    while stack:
+        f = stack.pop()
+        x = len(f)
         if x == n:
-            if is_extremal(m, tuple(f)):
-                out.append(tuple(f))
+            if is_extremal(m, f):
+                out.append(f)
                 if len(out) > cap:
                     raise ResourceCapExceeded(f"extremal form count exceeds cap {cap}")
-            return
+            continue
         lo, hi = 0, bound[x]
         dx = m.d[x]
         for y in range(x):
             lo = max(lo, dx[y] - f[y], f[y] - dx[y])
             hi = min(hi, f[y] + dx[y])
-        for val in range(lo, hi + 1):
-            f[x] = val
-            dfs(x + 1)
-        f[x] = 0
-
-    dfs(0)
+        stack.extend(f + (val,) for val in range(hi, lo - 1, -1))
     return sorted(out)
 
 

@@ -116,6 +116,21 @@ def test_hull_memory_stays_under_six_megabytes():
     assert peak < 6 << 20, peak
 
 
+def test_hull_validation_memory_stays_under_three_megabytes():
+    # an identity hull has n forms, so each per-form check is an n x n x n
+    # cube in all; in int64, beside an int64 isometry cube, it peaked at
+    # 6.1 MiB, and in the smallest signed type with no isometry cube (the
+    # forms of the embedding are the rows of d) it stays near 1.9 MiB
+    hg = hellyfication(geometry.path_graph(400))
+    tracemalloc.start()
+    try:
+        _validate_hull(hg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
+
+
 def test_hull_profile_examples():
     assert hull_distance_profile(hellyfication(geometry.path_graph(2))) == 0
     assert hull_distance_profile(hellyfication(geometry.cycle_graph(4))) == 1
@@ -193,6 +208,18 @@ def test_hull_search_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert len(hg.forms) == 60 and len(hg.graph.edges()) == 59
+
+
+def test_form_oracle_is_not_bounded_by_the_recursion_limit():
+    # K60 is its own hull, and the oracle's box holds about 1,900 prefixes of
+    # its forms; an enumeration recursing once per point needs 60 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        forms = enumerate_extremal_forms(geometry.complete_graph(60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert forms == sorted(tuple(int(x != y) for y in range(60)) for x in range(60))
 
 
 def test_random_graph_hulls_match_oracle():

@@ -1141,6 +1141,30 @@ def test_hull_search_that_misses_a_leaf_is_an_invariant_violation(monkeypatch):
         hull.hellyfication(geometry.cycle_graph(6))
 
 
+# the edge-tuple constructor that `hull._unit_graph` replaced
+def plain_hull_graph(forms):
+    """The graph of the pairs of forms at sup-distance 1, from its edge list."""
+    return Graph(len(forms), [(i, j) for i, j in combinations(range(len(forms)), 2)
+                              if hull.sup_distance(forms[i], forms[j]) == 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_metrics(), medium_metrics()), st.sampled_from([None, 1, 200]))
+def test_hull_graph_from_arrays_matches_the_edge_list_constructor(m, cells):
+    # one row of S per block, a few, and the default blocks
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(hull, "WM_BLOCK_CELLS", cells)
+            mp.setattr(hull, "CERTIFICATE_BYTES", cells * 8)
+        hg = hull.hellyfication(m)
+    plain = plain_hull_graph(hg.forms)
+    assert (hg.graph.n, hg.graph.adj, hg.graph.edges()) == (plain.n, plain.adj, plain.edges())
+    assert (hg.graph.nbr_mask, hg.graph.ball1_mask) == (plain.nbr_mask, plain.ball1_mask)
+    for built, expected in zip(hg.graph.csr(), plain.csr()):
+        assert built.dtype == expected.dtype and np.array_equal(built, expected)
+        assert not built.flags.writeable
+
+
 # the n^2 scan per form that `hull._partner_masks` replaced
 def plain_partner_masks(m, f):
     """T0 and T1 of f: bit y of t0[x] (t1[x]) when f(x) + f(y) - d(x, y) is 0 (1);

@@ -139,6 +139,31 @@ def format_calls(tree):
     return names & FORMAT_CALLS
 
 
+def calls(tree, name):
+    """The calls in `tree` of a function named `name`, plain or as an attribute."""
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def test_hull_builds_its_graph_from_arrays():
+    # the hull graph comes from its CSR arrays, not from the edge-tuple
+    # constructor fed by a zip of index lists
+    tree = ast.parse((ROOT / "src" / "helly" / "hull.py").read_text())
+    assert calls(tree, "_csr_graph")
+    assert not calls(tree, "Graph"), "hull calls the edge-tuple constructor"
+    assert not [c for c in calls(tree, "zip") if any(calls(a, "tolist") for a in c.args)], (
+        "hull zips index lists into edge tuples")
+
+
+def test_only_graphs_builds_a_graph_from_arrays():
+    # a Graph made without its constructor, or with its CSR set from outside,
+    # is made by `graphs._csr_graph` alone
+    found = {f"{path.stem}.{n.attr}" for path in sorted((ROOT / "src" / "helly").glob("*.py"))
+             if path.stem != "graphs" for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Attribute) and n.attr in {"__new__", "_csr"}}
+    assert not found, f"a Graph built outside graphs: {sorted(found)}"
+
+
 def test_only_graphs_reads_and_writes_packed_rows():
     found = {f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "helly").glob("*.py"))
              if path.stem != "graphs" for name in format_calls(ast.parse(path.read_text()))}
