@@ -105,6 +105,7 @@ def _cmd_build(args):
             raise ValidationError("each --gluings entry must be [i, vi, j, vj]")
         g, _ = constructions.glue_at_vertices(parts, gluings)
     elif args.kind == "sgp":
+        from .graphs import Graph
         # one JSON file: {"factors": [<graph JSON>...], "pieces": [[null|vertex,...],...]}
         data = json_object(_read(args.inputs[0]), "factors", "pieces")
         factors, pieces = data["factors"], data["pieces"]
@@ -112,7 +113,7 @@ def _cmd_build(args):
                 isinstance(p, list) and all(e is None or type(e) is int for e in p)
                 for p in pieces)):
             raise ValidationError("sgp JSON needs a factor list and pieces of null or int")
-        desc = constructions.SgpDescription(tuple(_graph(json.dumps(f)) for f in factors),
+        desc = constructions.SgpDescription(tuple(Graph.from_object(f) for f in factors),
                                             tuple(tuple(p) for p in pieces))
         g, _, _ = constructions.sgp_build(desc)
         three_piece, _ = constructions.sgp_three_piece(desc)
@@ -214,6 +215,10 @@ def _cmd_hyper_check(args):
     from . import hypergraphs
     h = hypergraphs.Hypergraph.from_json(_read(args.hypergraph))
     helly_ok, helly_witness = hypergraphs.helly_property_certified(h)
+    # H is conformal iff its dual H* has the Helly property (Berge).  Both
+    # tests are one Berge-Duchet run: Gilmore's runs on the stars S_v over
+    # the edge indices, helly_property(dual(h)) on the nonempty stars, and
+    # an empty star holds no index, so it changes neither verdict nor witness
     conf_ok, conf_witness = hypergraphs.is_conformal_certified(h)
     _emit({
         "helly_property": helly_ok,
@@ -221,7 +226,7 @@ def _cmd_hyper_check(args):
         "conformal": conf_ok,
         "gilmore_failing_edge_triple": list(conf_witness) if conf_witness else None,
         "triangle_free": hypergraphs.is_triangle_free_hypergraph(h),
-        "dual_helly_property": hypergraphs.helly_property(hypergraphs.dual(h)),
+        "dual_helly_property": conf_ok,
     })
     return 0
 

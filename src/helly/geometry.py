@@ -302,9 +302,19 @@ def _blocks_are_cliques(g):
     down to each vertex.  Each edge is read once from each end: O(n + m).
     A back edge from u to an ancestor v other than p closes the cycle
     v ... p u v, which lies in one block, so the answer is no at once when
-    v and p are not adjacent; kings and grids stop at their first back edge.
+    v and p are not adjacent; kings stop at their first back edge.
+
+    Pre-test.  A connected graph with m >= n edges has a cycle, and a cycle
+    lies in one block, which so has three or more vertices; if that block is
+    a clique, it has a triangle, so some edge has a common neighbour.  So
+    with m >= n and no edge whose ends share a neighbour, the answer is no
+    before the search: cycles and grids never start it, and kings leave the
+    pre-test at their first edge.
     """
-    adj = g.adj
+    adj, nbr = g.adj, g.nbr_mask
+    if sum(map(len, adj)) >= 2 * g.n and not any(nbr[u] & nbr[v]
+                                                 for u, a in enumerate(adj) for v in a):
+        return False
     disc, low, since = [-1] * g.n, [0] * g.n, [(0, 0)] * g.n
     tree = edges = 0  # tree edges and edges met, less those of closed blocks
     disc[0] = 0
@@ -319,7 +329,7 @@ def _blocks_are_cliques(g):
                 stack.append((v, u, iter(adj[v])))
                 break
             if disc[v] < disc[u] and v != p:  # a back edge, read from its lower end
-                if not g.nbr_mask[v] >> p & 1:
+                if not nbr[v] >> p & 1:
                     return False
                 edges += 1
                 low[u] = min(low[u], disc[v])

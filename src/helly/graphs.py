@@ -491,12 +491,35 @@ def _singletons(vertices, words):
     return out
 
 
+def _after(vertices, words):
+    """The sets {v + 1, v + 2, ...} of the vertices v, as packed rows."""
+    import numpy as np
+    if words == 1:  # one shift a row, 3 against 12 us on 9 rows
+        return (np.uint64(2 ** 64 - 2) << vertices.astype(np.uint64))[:, None]
+    head = vertices >> 3
+    out = -(np.arange(8 * words) > head[:, None]).view(np.uint8)  # 255 past v's byte
+    out[np.arange(len(vertices)), head] = 0x1FE << (vertices & 7)  # truncated to the byte
+    return out.view(np.uint64)
+
+
+# below this many bits, unpacking the zero bytes too costs less than the
+# calls that find the nonzero ones (about 9 against 13 us for 14 sparse rows
+# of one word, 36 against 14 us for 100 rows of two words)
+DENSE_BITS = 2048
+
+
 def _set_bits(rows, limit=None):
     """Yield the set bits of the packed rows as (row, vertex) index arrays in
     row-major order, in one chunk or in chunks of at most `limit` bits, and
-    at least one chunk; only nonzero bytes are unpacked, `limit` at a time."""
+    at least one chunk.  Rows of at most DENSE_BITS bits in all (and at most
+    `limit`) are unpacked whole, zero bytes too, by one unpackbits and one
+    nonzero; otherwise only nonzero bytes are unpacked, `limit` at a time."""
     import numpy as np
     octets = rows.reshape(-1).view(np.uint8)
+    if 8 * len(octets) <= min(limit or DENSE_BITS, DENSE_BITS):
+        yield np.unpackbits(octets.reshape(-1, 8 * rows.shape[1]), axis=1,
+                            bitorder="little").view(bool).nonzero()
+        return
     at = (octets != 0).nonzero()[0]
     step = limit or 8 * len(at) or 1  # no limit: one block and one chunk, 8 bits a byte
     for lo in range(0, len(at) or 1, step):

@@ -15,8 +15,8 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import ValidationError, int_lists, json_object, vertex_count
-from .graphs import (WM_BLOCK_CELLS, Graph, _holds, _mask_rows, _reduce_segments, _set_bits,
-                     _spans, bits, mask_of, maximal_clique_masks)
+from .graphs import (WM_BLOCK_CELLS, Graph, _after, _holds, _mask_rows, _reduce_segments,
+                     _set_bits, _spans, bits, mask_of, maximal_clique_masks)
 
 
 @dataclass(frozen=True)
@@ -132,31 +132,48 @@ def berge_duchet(n, family):
     neighbours of both x and y minus the cap of x, y.  On a star's unit
     balls this leaves the triples through the centre alone.
 
-    Order.  Pairs x < y come out of the packed 2-section rows in row-major
-    order, hence in lex order, and the triples of a run of pairs, (x, y, z)
-    with z > y, come out of the packed candidate rows of those pairs in
-    row-major order, so in lex order too.  Since (x, y) < (x', y') implies
-    (x, y, z) < (x', y', z'), the runs list the walked triples in lex order;
-    the scan stops at the first run with a failure, and its first failing
-    triple is the least failing walked triple, hence the least failing
-    triple.  Grids leave in the first run, at (0, 1, k).
+    Expansions.  An incidence (m, x), x in member m, expands into the
+    pairs (x, y) with y after x in m, one per such y.  The pairs x < y
+    sharing a member are the expansion keys x n + y, and the members
+    holding both x and y are those of the expansions with that key; so one
+    stable sort of a run's keys lists its pairs in lex order, x < y, each
+    once, with its holders next to each other, and one segmented AND of
+    their member rows (`graphs._reduce_segments`) gives every cap of the
+    run.  A run is a range of consecutive covered x whose expansions,
+    `words` cells of member rows each, and slot table, n int32 entries per
+    vertex from its first x to the next covered vertex, take at most
+    WM_BLOCK_CELLS cells, or a single x.  Its pairs are walked in blocks of
+    at most WM_BLOCK_CELLS // words, so there is more than one block only
+    when one x has more pairs.
 
-    Caps are ANDs of packed member rows (`graphs`): the members holding the
-    end with fewer holders, with those missing the other end replaced by a
-    row of ones.  They are built for each run as it is walked and not kept:
-    the caps of x, z and y, z a triple needs are read off its run
-    (np.searchsorted on the run's sorted pair keys) or, for a pair past the
-    run, built.  Every temporary is bounded through `WM_BLOCK_CELLS`: a run
-    has at most WM_BLOCK_CELLS // (8 words) pairs or triples, so their cap
-    rows of `words` 64-bit words take at most WM_BLOCK_CELLS bytes, and so
-    do the holder rows gathered for its caps, unless one vertex alone has
-    more holders; the set-bits kernel unpacks at most that many nonzero
-    bytes at a time, and the incidences are the set bits of the members,
-    sorted stably by vertex.
-    The state kept across runs is the packed members, their incidences and
-    the packed 2-section rows of the covered vertices, so memory stays near
-    the size of the family plus O(n), whatever the largest number of
-    members holding one vertex.
+    Order.  The candidates z of a pair x < y are the set bits of
+    after[x] & after[y] & ~cap(x, y), where after[v] is the packed row of
+    the 2-section neighbours of v after v; after[x] & after[y] holds only
+    z > y, since y > x.  So the candidates are masked to z > y before a
+    bit is extracted, and the bits of a block's candidate rows, taken in
+    row-major order (`graphs._set_bits`), are exactly its walked triples,
+    ordered by pair and then by z: by the lex order of the pairs, that is
+    the lex order of the triples.  Blocks come in the lex order of their
+    pairs, and (x, y) < (x', y') implies (x, y, z) < (x', y', z'), so the
+    blocks list the walked triples in lex order; the scan stops at the
+    first block with a failure, and its first failing triple is the least
+    failing walked triple, hence the least failing triple.  Grids leave in
+    the first block, at (0, 1, k).
+
+    Caps are ANDs of packed member rows (`graphs`) and are not kept past
+    their block.  The caps of x, z and y, z a triple needs are read off its
+    block through the slot table, the index of each of the block's pairs at
+    its key less the block's first key.  A pair past the block, (y, z) with
+    y after the run, has its cap built from the holders of the end with
+    fewer holders, with those missing the other end replaced by a row of
+    ones.  Every temporary is bounded through `WM_BLOCK_CELLS`: a block's
+    member rows, cap rows and slot table as above, the holder rows gathered
+    for caps past it, unless one vertex alone has more holders, and the
+    triples taken at once, WM_BLOCK_CELLS // (8 words), with their cap
+    rows.  The state kept across runs is the packed members, their
+    incidences in both orders and the after rows of the covered vertices,
+    so memory stays near the size of the family plus O(n), whatever the
+    largest number of members holding one vertex.
 
     Callers pass the unit balls (1-Helly of a graph), the edges (Helly
     property of a hypergraph), all balls (the ball-hypergraph oracle), and
@@ -173,17 +190,25 @@ def berge_duchet(n, family):
         return None
     import numpy as np
     words, k = (n + 63) // 64, len(family)
-    step = max(1, WM_BLOCK_CELLS // (8 * words))  # rows of `words` words in WM_BLOCK_CELLS bytes
+    budget = max(1, WM_BLOCK_CELLS // words)  # expansions of a run, pairs of a block
+    step = max(1, budget // 8)  # rows of `words` words in WM_BLOCK_CELLS bytes
     rows = _mask_rows([*family, (1 << 64 * words) - 1], words)  # the members, then ones (k)
-    member, vertex = map(np.concatenate, zip(*_set_bits(rows[:k], step)))
-    hm = member[vertex.argsort(kind="stable")]  # the holders of each vertex in turn
+    member, vertex = next(_set_bits(rows[:k]))  # the incidences, by member and then vertex
+    order = vertex.argsort(kind="stable")
+    hm = member[order]  # the incidences by vertex: the holders of each vertex in turn
     count = np.bincount(vertex, minlength=n)
     first = np.concatenate(([0], count.cumsum()))  # the holders of v are hm[first[v]:first[v + 1]]
     covered = count.nonzero()[0]
-    at = count.astype(bool).cumsum() - 1  # the row of `near` of a covered vertex
-    # 2-section rows, x included; the holders of the covered vertices tile hm
-    near = _reduce_segments(np.bitwise_or, rows, hm, first[np.concatenate((covered, [n]))],
-                            step * words)
+    fence = np.concatenate((covered, [n]))
+    cut = first[fence]  # the holders of the covered vertices tile hm
+    # after[i]: the 2-section neighbours of covered[i] after it
+    after = _reduce_segments(np.bitwise_or, rows, hm, cut, step * words)
+    after &= _after(covered, words)
+    # incidence order[j] expands into the later[j] incidences after it in its member
+    start = order + 1
+    later = member.searchsorted(member, "right")[order] - start
+    spread = np.concatenate(([0], later.cumsum()))  # hm[:j] has spread[j] expansions
+    shift, xn = start - spread[:-1], vertex[order] * n
 
     def caps(x, y):
         # the pairs x[i], y[i] each share a member; x becomes the end with fewer holders
@@ -199,31 +224,48 @@ def berge_duchet(n, family):
                              ends[lo:hi + 1] - ends[lo], step * words, out[lo:hi])
         return out
 
-    for x0 in range(0, len(covered), step):
-        for px, py in _set_bits(near[x0:x0 + step], step):
-            px = covered[x0 + px]
-            up = py > px
-            px, py = px[up], py[up]
-            if not len(px):
-                continue
-            cxy = caps(px, py)
-            key = px * n + py  # increasing: the run's pairs are in lex order
-            for t, z in _set_bits(near[at[px]] & near[at[py]] & ~cxy, step):
-                up = z > py[t]
-                t, z = t[up], z[up]
-                if not len(t):
-                    continue
-                # the caps of x, z and y, z, read off the run where it has the pair
-                want = np.concatenate((px[t], py[t])) * n + np.concatenate((z, z))
-                i = np.minimum(key.searchsorted(want), len(key) - 1)
-                pair = cxy[i]
-                miss = key[i] != want
-                if miss.any():
-                    pair[miss] = caps(want[miss] // n, want[miss] % n)
-                empty = ((cxy[t] & pair[:len(t)] & pair[len(t):]) == 0).all(axis=1).nonzero()[0]
+    # runs of covered vertices: expansions at `words` cells, slot tables at n / 2 a vertex
+    for lo, hi in _spans(spread[cut] * words + fence * (n // 2 + 1), WM_BLOCK_CELLS):
+        a, b = cut[lo], cut[hi]
+        if spread[a] == spread[b]:  # no pairs
+            continue
+        c = later[a:b]
+        # the member-major index of the vertex y of each expansion (x, y) of the run
+        src = np.arange(spread[a], spread[b]) + shift[a:b].repeat(c)
+        key = xn[a:b].repeat(c) + vertex[src]
+        s = key.argsort(kind="stable")
+        key, held = key[s], member[src[s]]
+        new = np.empty(len(key) + 1, bool)
+        new[0] = new[-1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:-1])
+        bounds = new.nonzero()[0]  # the expansions of each pair, and the end
+        for p in range(0, len(bounds) - 1, budget):  # one block unless one x has more pairs
+            seg = bounds[p:p + budget + 1]
+            pair = key[seg[:-1]]  # increasing: the block's pairs in lex order
+            px, py = np.divmod(pair, n)
+            cxy = _reduce_segments(np.bitwise_and, rows, held[seg[0]:seg[-1]], seg - seg[0],
+                                   budget * words)
+            slot = np.empty(pair[-1] - pair[0] + 2, np.int32)  # the block's pairs by key
+            slot.fill(-1)
+            slot[pair - pair[0]] = np.arange(len(pair))
+            cand = after[covered.searchsorted(px)]
+            cand &= after[covered.searchsorted(py)]
+            cand &= ~cxy
+            for t, z in _set_bits(cand, step):
+                y = py[t]
+                # the caps of x, z and y, z, read off the block where it has the pair
+                want = np.concatenate((pair[t] - y + z, y * n + z))
+                i = slot[np.minimum(want - pair[0], len(slot) - 1)]
+                other = cxy[i]
+                miss = (i < 0).nonzero()[0]
+                if len(miss):
+                    other[miss] = caps(*np.divmod(want[miss], n))
+                meet = cxy[t] & other[:len(t)] & other[len(t):]
+                # the ufunc's own reduce: ndarray.all goes through a Python wrapper
+                empty = np.logical_and.reduce(meet == 0, axis=1).nonzero()[0]
                 if len(empty):
                     e = empty[0]
-                    return int(px[t[e]]), int(py[t[e]]), int(z[e])
+                    return int(px[t[e]]), int(y[e]), int(z[e])
     return None
 
 

@@ -7,9 +7,9 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helly import claims, cli, constructions, geometry
+from helly import claims, cli, constructions, geometry, hypergraphs
 from helly.graphs import Graph
 
 
@@ -321,6 +321,40 @@ def test_hyper_check_subcommand(tmp_path):
     assert data["conformal"] is False
     assert data["gilmore_failing_edge_triple"] == [0, 1, 2]
     assert data["dual_helly_property"] is False
+
+
+def test_hyper_check_runs_berge_duchet_twice(tmp_path, monkeypatch):
+    # the Helly test and Gilmore's; the dual's Helly property is Gilmore's verdict
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 6, "edges": [[0, 1, 2], [2, 3], [3, 4, 0], [5]]}))
+    calls = []
+    kernel = hypergraphs.berge_duchet
+    monkeypatch.setattr(hypergraphs, "berge_duchet",
+                        lambda n, family: calls.append(n) or kernel(n, family))
+    code, _, _ = run_cli(["hyper-check", str(path)])
+    assert code == 0 and calls == [6, 4]
+
+
+@st.composite
+def hypergraph_objects(draw):
+    """{"n", "edges"} with repeated edges and vertices in no edge, so with empty stars."""
+    n = draw(st.integers(1, 9))
+    edge = st.sets(st.integers(0, n - 1), min_size=1, max_size=n).map(sorted)
+    return {"n": n, "edges": draw(st.lists(edge, min_size=1, max_size=9))}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hypergraph_objects())
+def test_dual_helly_property_matches_the_dual_and_the_clique_oracle(tmp_path, data):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(["hyper-check", str(path)])
+    h = hypergraphs.Hypergraph.of(data["n"], data["edges"])
+    assert code == 0
+    assert (json.loads(out)["dual_helly_property"]
+            == hypergraphs.helly_property(hypergraphs.dual(h))
+            == hypergraphs.is_conformal_via_cliques(h))
 
 
 def test_hyp_subcommand(graph_file):

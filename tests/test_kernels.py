@@ -725,6 +725,32 @@ def test_block_graph_test_needs_no_recursion():
     assert geometry._blocks_are_cliques(geometry.path_graph(20000))
     assert not geometry._blocks_are_cliques(geometry.cycle_graph(20000))
     assert not geometry._blocks_are_cliques(geometry.king_graph(2, 3))
+    # a triangle at 0 gets past the pre-test, so the search walks the whole cycle
+    chord = Graph(20000, geometry.cycle_graph(20000).edges() + [(0, 2)])
+    assert not geometry._blocks_are_cliques(chord)
+
+
+def networkx_blocks_are_cliques(g):
+    """Oracle: every biconnected component (networkx) is a clique."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return all(h.subgraph(c).number_of_edges() == len(c) * (len(c) - 1) // 2
+               for c in nx.biconnected_components(h))
+
+
+@SETTINGS
+@given(st.one_of(graphs(max_n=14), block_graphs(), block_graphs(spoil=True)))
+def test_block_graph_test_matches_networkx_biconnected_components(g):
+    assert geometry._blocks_are_cliques(g) == networkx_blocks_are_cliques(g)
+
+
+@pytest.mark.parametrize("g", [*map(geometry.cycle_graph, (3, 4, 5, 40)),
+                               geometry.grid_graph(2, 2), geometry.grid_graph(3, 5),
+                               geometry.king_graph(6, 6), geometry.path_graph(5),
+                               geometry.complete_graph(6)])
+def test_block_graph_pre_test_on_cycles_and_grids(g):
+    assert geometry._blocks_are_cliques(g) == networkx_blocks_are_cliques(g)
 
 
 @pytest.mark.parametrize("g", [geometry.path_graph(2), geometry.path_graph(9),
@@ -1449,6 +1475,8 @@ def test_mask_rows_and_packed_rows_round_trip(drawn, extra):
     vertices = [v for m in masks for v in bits(m)]
     singletons = graphs_module._singletons(np.array(vertices, np.intp), words)
     assert packed_masks(singletons) == [1 << v for v in vertices]
+    after = graphs_module._after(np.array(vertices, np.intp), words)
+    assert packed_masks(after) == [(1 << 64 * words) - (2 << v) for v in vertices]
     r, v = np.divmod(np.arange(len(masks) * width), width)
     assert (graphs_module._holds(rows, r, v).tolist()
             == [m >> x & 1 for m in masks for x in range(width)])

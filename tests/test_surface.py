@@ -155,6 +155,13 @@ def test_hull_builds_its_graph_from_arrays():
         "hull zips index lists into edge tuples")
 
 
+def test_cli_never_builds_the_dual_hypergraph():
+    # hyper-check reads the dual's Helly property off Gilmore's run on the
+    # stars (H is conformal iff H* is Helly), not off a run on dual(h)
+    tree = ast.parse((ROOT / "src" / "helly" / "cli.py").read_text())
+    assert not calls(tree, "dual"), "cli calls hypergraphs.dual"
+
+
 def test_only_graphs_builds_a_graph_from_arrays():
     # a Graph made without its constructor, or with its CSR set from outside,
     # is made by `graphs._csr_graph` alone
