@@ -64,13 +64,13 @@ def _imprint(g, tau, c, k):
     k >= 2 from it; unchecked input."""
     reach = ball_star_mask(g, tau, k)
     for v in bits(c):
-        reach &= g.ball1_mask[v]
+        reach &= g.nbr_mask[v] | 1 << v
     if reach == 0:
         raise HellyPreconditionError(
             "empty projection set; the graph is not Helly")
     result = ball_star_mask(g, tau, k - 1)
     for r in bits(reach):
-        result &= g.ball1_mask[r]
+        result &= g.nbr_mask[r] | 1 << r
     if result == 0:
         raise HellyPreconditionError("empty imprint; the graph is not Helly")
     return result
@@ -265,8 +265,8 @@ def _normal_rows(g, a, b):
     over gathered unit-ball rows (`_meet`).  L_(i-1) is the union, one
     segmented OR, of the imprints of the {v} for v in L_i, whose
     reach is B(a, i) & B_1(v).  Level 1 steps to {a}.  Unit balls come from
-    `g.ball1_mask`, the balls B(a, i) of the targets from `g.distances()`,
-    one level at a time.  Pairs are swept by decreasing k, in blocks
+    `g.nbr_mask`, each with its vertex added, the balls B(a, i) of the
+    targets from `g.distances()`, one level at a time.  Pairs are swept by decreasing k, in blocks
     whose two state rows per pair take at most `WM_BLOCK_CELLS` words, so
     the pairs that step at a level are a prefix of their block.  The sets
     made are deduplicated in batches as they come (`_distinct`, a lexsort
@@ -281,7 +281,7 @@ def _normal_rows(g, a, b):
     """
     dist = g.distances()
     words = (g.n + 63) // 64
-    unit = _mask_rows(g.ball1_mask, words)
+    unit = _mask_rows(g.nbr_mask, words) | _singletons(np.arange(g.n), words)
     k = dist[a, b].astype(np.intp)
     size = (int(k.max()) + 1) * len(k)
     ids = np.empty(2 * size, np.int32)  # the two tables, cell j * len(k) + r of each
@@ -380,7 +380,7 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     """
     if max_tuples is not None and max_tuples < 0:
         raise ValidationError(f"max_tuples must be nonnegative, got {max_tuples}")
-    close = [(u, v) for u in range(g.n) for v in bits(g.ball1_mask[u])]
+    close = [(u, v) for u in range(g.n) for v in bits(g.nbr_mask[u] | 1 << u)]
     n = len(close)
     # tuple i is close[i // n] + close[i % n]; sampling indices picks the
     # same tuples as sampling the list of all n * n tuples would

@@ -267,16 +267,18 @@ def gsp_product_gilmore(desc):
 
     Each triangle a, b, c of the nerve needs a vertex y, one of a, b, c or
     adjacent to all three, whose label holds the pairwise label
-    intersections.  Those y are the bits of B_1(a) & B_1(b) & B_1(c).
+    intersections.  Those y are the bits of B_1(a) & B_1(b) & B_1(c), which
+    for a triangle is N(a) & N(b) & N(c) | {a, b, c}.
     """
     desc.validate()
     nerve = desc.nerve
-    ball = nerve.ball1_mask
+    nbr = nerve.nbr_mask
     for a, b, c in recognition.triangles(nerve):
         need = ((desc.labels[a] & desc.labels[b])
                 | (desc.labels[b] & desc.labels[c])
                 | (desc.labels[a] & desc.labels[c]))
-        if not any(need <= desc.labels[y] for y in bits(ball[a] & ball[b] & ball[c])):
+        meet = nbr[a] & nbr[b] & nbr[c] | 1 << a | 1 << b | 1 << c
+        if not any(need <= desc.labels[y] for y in bits(meet)):
             return False
     return True
 

@@ -174,7 +174,10 @@ def z3_box(half_side):
 
 
 def random_connected_graph(n, p, seed):
-    """Erdos-Renyi conditioned on connectivity via a random spanning tree."""
+    """Erdos-Renyi conditioned on connectivity via a random spanning tree;
+    an edge probability p outside [0, 1] is a ValidationError."""
+    if not 0 <= p <= 1:
+        raise ValidationError(f"edge probability {p} is not in [0, 1]")
     rng = random.Random(seed)
     edges = set()
     order = list(range(n))

@@ -76,8 +76,7 @@ def maximal_clique_masks(nbr, cap):
 class Graph:
     """Simple, undirected, connected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "nbr_mask", "ball1_mask", "_csr", "_rows", "_dist", "_ball_masks",
-                 "_wm")
+    __slots__ = ("n", "adj", "nbr_mask", "_csr", "_rows", "_dist", "_ball_masks", "_wm")
 
     def __init__(self, n, edges):
         if n <= 0:
@@ -119,8 +118,6 @@ class Graph:
         if not all(seen):
             raise ValidationError(
                 f"graph is disconnected (vertex {seen.index(False)} unreachable from 0)")
-        # about n^2 / 16 bytes, so built once the graph is known to be connected
-        self.ball1_mask = [nbr[v] | (1 << v) for v in range(n)]
 
     # -- construction helpers -------------------------------------------------
 
@@ -267,7 +264,7 @@ class Graph:
         balls = self._ball_masks[v]
         if balls is None or (r >= len(balls) and balls[-1] != balls[-2]):
             # grown on a copy and stored with one assignment
-            balls = [1 << v, self.ball1_mask[v]] if balls is None else balls[:]
+            balls = [1 << v, self.nbr_mask[v] | 1 << v] if balls is None else balls[:]
             nbr = self.nbr_mask
             while len(balls) <= r and balls[-1] != balls[-2]:
                 ball = balls[-1]
@@ -290,11 +287,13 @@ class Graph:
         return m
 
     def is_clique(self, vertices):
-        """S is a clique iff S lies in B_1(v) for every v in S: that says each
-        member is adjacent to every other one, and B_1(v) holds v itself."""
+        """S is a clique iff S lies in B_1(v) = N(v) | {v} for every v in S:
+        that says each member is adjacent to every other one.  v is in S and
+        not in N(v), so that is S & ~N(v) == {v}."""
         vs = list(vertices)
         s = mask_of(vs)
-        return all(s & ~self.ball1_mask[v] == 0 for v in vs)
+        nbr = self.nbr_mask
+        return all(s & ~nbr[v] == 1 << v for v in vs)
 
     def induced(self, vertices):
         """Induced subgraph plus the old-id list (position = new id)."""
@@ -322,7 +321,7 @@ def _csr_graph(heads, offsets, nbr_mask):
         is in v's segment iff v is in u's, so `adj`, its slices of one
         `tolist()`, holds sorted simple undirected adjacency lists;
       - nbr_mask: nbr_mask[v] is the mask of v's segment, so the masks
-        agree with `adj`, and `ball1_mask` adds v to it.
+        agree with `adj`.
     Connectivity is not checked: the caller proves it before the graph is
     used, as `hull` does with the descent certificate of
     `hull._check_hull_distances`, which checks on the CSR that no vertex
@@ -339,7 +338,6 @@ def _csr_graph(heads, offsets, nbr_mask):
     g.n = n
     g.adj = [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
     g.nbr_mask = nbr_mask
-    g.ball1_mask = [mask | 1 << v for v, mask in enumerate(nbr_mask)]
     heads.flags.writeable = offsets.flags.writeable = False
     g._csr = heads, offsets
     g._rows, g._dist, g._ball_masks, g._wm = [None] * n, None, [None] * n, None

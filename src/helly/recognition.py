@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env
-from .graphs import (WM_BLOCK_CELLS, _mask_rows, _meet, _set_bits, as_vertex_set, bits, mask_of,
-                     maximal_clique_masks, weak_modularity)
+from .graphs import (WM_BLOCK_CELLS, _mask_rows, _meet, _set_bits, _singletons, as_vertex_set,
+                     bits, mask_of, maximal_clique_masks, weak_modularity)
 from . import hypergraphs
 
 
@@ -90,7 +90,7 @@ def is_clique_helly_certified(g):
         return True, None
     import numpy as np
     n, words = g.n, (g.n + 63) // 64
-    unit = _mask_rows(g.ball1_mask, words)
+    unit = _mask_rows(nbr, words) | _singletons(np.arange(n), words)
     upper = _mask_rows([m >> a + 1 << a + 1 for a, m in enumerate(nbr)], words)
     u, v = next(_set_bits(upper))  # the edges u < v, in lex order
     deg = np.array([m.bit_count() for m in nbr])
@@ -119,7 +119,7 @@ def is_one_helly(g):
     Two vertices share a unit ball iff they are within distance 2, so the
     triple kernel walks only triples that are pairwise within distance 2.
     """
-    return hypergraphs.berge_duchet(g.n, g.ball1_mask) is None
+    return hypergraphs.berge_duchet(g.n, [m | 1 << v for v, m in enumerate(g.nbr_mask)]) is None
 
 
 def helly_by_ball_hypergraph(g):
@@ -163,16 +163,18 @@ class DismantlingOrder:
 @dataclass(frozen=True)
 class DismantlingFailure:
     stuck_vertices: tuple   # induced subgraph with no dominated vertex
-    certified: bool         # True when the verdict needs no confluence argument
 
 
 def _dominated(g, live, among):
     """(v, least live dominator of v) for each dominated v of `among`, a
-    subset of `live`, in order."""
+    subset of `live`, in order.  y dominates v iff bv = B_1(v) & live lies
+    in B_1(y) = N(y) | {y}; y is in bv and not in N(y), so that is
+    bv & ~N(y) == {y}."""
+    nbr = g.nbr_mask
     for v in bits(among):
-        bv = g.ball1_mask[v] & live
-        for y in bits(g.nbr_mask[v] & live):
-            if bv & ~g.ball1_mask[y] == 0:
+        bv = (nbr[v] | 1 << v) & live
+        for y in bits(nbr[v] & live):
+            if bv & ~nbr[y] == 1 << y:
                 yield v, y
                 break
 
@@ -180,12 +182,15 @@ def _dominated(g, live, among):
 def dismantling_order(g):
     """Greedy elimination of the smallest-id dominated vertex.
 
-    Returns DismantlingOrder on success.  On a stuck subgraph, graphs with
-    at most 14 live vertices are re-searched by backtracking over all
-    elimination orders before the failure is reported; larger stuck
-    subgraphs are reported as greedy-stuck (the greedy verdict is still
-    decisive, by the retract argument for cop-win graphs, but the
-    exhaustive certificate is skipped).
+    Returns DismantlingOrder on success, else DismantlingFailure with the
+    stuck set S; the greedy verdict is final, with no search over other
+    orders.  If y dominates v, sending v to y and fixing every other vertex
+    maps edges to edges or loops, so G - v is a retract of G; S, reached by
+    such removals, is a retract of G.  A retract of a dismantlable graph is
+    dismantlable (Quilliot 1983; Nowakowski-Winkler 1983).  Greedy stops
+    before the last vertex, so |S| >= 2, and only when no live vertex is
+    dominated (the `dirty` invariant below), so S has no first vertex to
+    remove and is not dismantlable; hence neither is G.
 
     Each step rescans only what a removal can change.  Whether v is
     dominated, and by which least live neighbour, depends only on
@@ -201,14 +206,7 @@ def dismantling_order(g):
     for _ in range(g.n - 1):
         step = next(_dominated(g, live, dirty), None)
         if step is None:
-            stuck = tuple(bits(live))
-            if len(stuck) <= 14:
-                if _backtracking_dismantlable(g, live):
-                    raise InvariantViolation(
-                        "greedy dismantling stuck but backtracking succeeded; "
-                        "confluence of domination elimination is violated")
-                return DismantlingFailure(stuck, certified=True)
-            return DismantlingFailure(stuck, certified=False)
+            return DismantlingFailure(tuple(bits(live)))
         v, y = step
         order.append(v)
         doms.append(y)
@@ -217,21 +215,6 @@ def dismantling_order(g):
     order.append(live.bit_length() - 1)
     doms.append(-1)
     return DismantlingOrder(tuple(order), tuple(doms))
-
-
-def _backtracking_dismantlable(g, live, _memo=None):
-    """Whether some elimination order dismantles `live`.  Each level removes
-    one vertex, so on the at most 14 live vertices that `dismantling_order`
-    passes the recursion is at most 13 levels deep.  Which neighbour
-    dominates v does not matter: removing v leaves the same subgraph."""
-    if _memo is None:
-        _memo = {}
-    if live.bit_count() == 1:
-        return True
-    if live not in _memo:
-        _memo[live] = any(_backtracking_dismantlable(g, live & ~(1 << v), _memo)
-                          for v, _ in _dominated(g, live, live))
-    return _memo[live]
 
 
 @dataclass(frozen=True)
@@ -265,7 +248,7 @@ def is_helly(g):
         cert["dismantling_order"] = list(dis.order)
     else:
         cert["stuck_subgraph"] = list(dis.stuck_vertices)
-        cert["stuck_certified"] = dis.certified
+        cert["stuck_certified"] = True  # by the retract argument of dismantling_order
     if not cl_ok:
         cert["clique_helly_failing_triangle"] = list(cl_witness)
     if not wm.holds:
@@ -335,7 +318,7 @@ def dominating_clique(g, subset):
     def dominates(clique):
         cover = 0
         for c in clique:
-            cover |= g.ball1_mask[c]
+            cover |= g.nbr_mask[c] | 1 << c
         return need & ~cover == 0
 
     # enlarging a clique only shrinks distances, so existence is decided on

@@ -143,8 +143,8 @@ CHECK_DIGESTS = {
     "tree120": "539814615c0bf9ddf3251e4218ad4013c75df47335b7b9b857f7f89c9bdf3c0c",
     "tree3000": "1f0ad61e7b8c1771fc1ce7164488825cbb5c3ab3f2ab8bde43922cfc875024f4",
     "paths4x4x4": "0b26b29fd2630794fdd1a5438027fa066a834b90e959c55cae1d0ae69223cff8",
-    "cycle80": "b8cfef9b400a8490300c0aefa23727714925884f9b62bc7a723a32af813b55d3",
-    "grid8x8": "339310cae63b2848ae2e16231c5c71219df520baeb157f737e05c3409381a900",
+    "cycle80": "704a850300f0111afe391e985b64e8075093a35d7cc248bd78d183333e5fed8b",
+    "grid8x8": "becb5da088a8b77cf008d7bbf8ebb51945ffd67bddbc7e117040bea7d0d42f6e",
     "cycle4": "f557b4a2a5ab531fe00e86fb6d257dc127b61e4ce321cd3937048fbd65dc0f93",
     "sun3": "67ee4f6fc60d827f93c78afd5e4dd943ec2e57c4e8cdbcde081fa728bcb35111",
     "t3patch4": "b745eba00be068fc8abbaa6bfb88c2f6fb751200936bf3281db8f4582e63b1c2",
@@ -155,8 +155,8 @@ CHECK_INPUTS = {
     "tree3000": lambda: geometry.random_tree(3000, 1),
     "paths4x4x4": lambda: constructions.strong_product([geometry.path_graph(4)] * 3)[0],
     "cycle80": lambda: geometry.cycle_graph(80),
-    "grid8x8": lambda: geometry.grid_graph(8, 8),  # stuck, 64 vertices: not certified
-    "cycle4": lambda: geometry.cycle_graph(4),  # stuck and certified
+    "grid8x8": lambda: geometry.grid_graph(8, 8),  # stuck on all 64 vertices
+    "cycle4": lambda: geometry.cycle_graph(4),  # stuck on all 4 vertices
     "sun3": geometry.sun3,
     "t3patch4": lambda: geometry.t3_patch(4)[0],  # fails at (1, 6, 7), not the first triangle
 }
@@ -177,7 +177,7 @@ def random_hyper(seed, edges, size):
 
 
 def unit_balls(g):
-    return {"n": g.n, "edges": [[v for v in range(g.n) if g.ball1_mask[c] >> v & 1]
+    return {"n": g.n, "edges": [[v for v in range(g.n) if (g.nbr_mask[c] | 1 << c) >> v & 1]
                                 for c in range(g.n)]}
 
 
@@ -456,6 +456,8 @@ def test_bicombing_pair_out_of_range(graph_file, pair):
     (["hull", "{}"], '{"d": [[0, 1]]}'),  # not square
     (["hull", "{}"], '{"d": [[0, 1], [2, 0]]}'),  # not symmetric
     (["hull", "{}"], '{"d": [[0, 0], [0, 0]]}'),  # distinct points at distance 0
+    (["gen", "random", "8", "150", "7"], None),  # edge probability 1.5
+    (["gen", "random", "8", "-5", "7"], None),
 ])
 def test_malformed_input_is_refused(tmp_path, argv, text):
     if text is not None:

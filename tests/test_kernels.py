@@ -38,6 +38,11 @@ def graphs(draw, max_n=10, min_n=1):
     return Graph(n, edges)
 
 
+def unit_balls(g):
+    """The masks of the unit balls B_1(v) = N(v) | {v}."""
+    return [m | 1 << v for v, m in enumerate(g.nbr_mask)]
+
+
 @st.composite
 def hypergraphs(draw, max_n=10, max_edges=10):
     n = draw(st.integers(1, max_n))
@@ -226,7 +231,7 @@ def plain_gilmore_witness(h):
 
 def plain_one_helly_witness(g):
     """Berge-Duchet on the unit balls, walked over the balls of radius 2."""
-    ball1, full = g.ball1_mask, (1 << g.n) - 1
+    ball1, full = unit_balls(g), (1 << g.n) - 1
 
     def pair_cap(x, y):
         cap = full
@@ -474,7 +479,7 @@ def test_berge_duchet_witnesses_match_plain_triple_walk_on_hypergraphs(h, cells)
 def test_berge_duchet_witnesses_match_plain_triple_walk_on_ball_families(g, cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypergraphs_module, "WM_BLOCK_CELLS", cells)
-        assert berge_duchet(g.n, g.ball1_mask) == plain_one_helly_witness(g)
+        assert berge_duchet(g.n, unit_balls(g)) == plain_one_helly_witness(g)
         assert berge_duchet(g.n, all_balls(g)) == plain_all_balls_witness(g)
 
 
@@ -491,7 +496,7 @@ def one_helly_families():
 def test_one_helly_witnesses_match_plain_triple_walk_across_blocks(monkeypatch, cells):
     monkeypatch.setattr(hypergraphs_module, "WM_BLOCK_CELLS", cells)
     for g in one_helly_families():
-        assert berge_duchet(g.n, g.ball1_mask) == plain_one_helly_witness(g), g
+        assert berge_duchet(g.n, unit_balls(g)) == plain_one_helly_witness(g), g
 
 
 @pytest.mark.parametrize("n, family, witness", [
@@ -531,7 +536,7 @@ def test_gilmore_edge_cases(edges, witness):
 
 def test_grids_leave_the_one_helly_scan_at_the_first_pair():
     for a, b in ((3, 3), (8, 8), (10, 10), (4, 20)):
-        assert berge_duchet(a * b, geometry.grid_graph(a, b).ball1_mask) == (0, 1, b)
+        assert berge_duchet(a * b, unit_balls(geometry.grid_graph(a, b))) == (0, 1, b)
 
 
 def hub_graph(n, cycle):
@@ -563,7 +568,8 @@ def test_berge_duchet_memory_stays_bounded_on_a_star():
 def test_berge_duchet_memory_stays_bounded_past_a_hub():
     # C6 is not 1-Helly, and its least failing triple comes before the hub's
     g = hub_graph(2000, 6)
-    witness, peak = traced_peak(lambda: berge_duchet(g.n, g.ball1_mask))
+    balls = unit_balls(g)
+    witness, peak = traced_peak(lambda: berge_duchet(g.n, balls))
     assert witness == plain_one_helly_witness(hub_graph(12, 6)) == (0, 2, 4)
     assert peak < 4 << 20
 
@@ -797,26 +803,25 @@ def test_far_apart_pairs_match_the_definition_on_uneven_degrees(g):
 def plain_clique_helly_certified(g):
     """The extended-triangle scan: each triangle in lex order, each vertex of
     its extended triangle in order, until one is universal to it."""
+    ball1 = unit_balls(g)
     for u, v, w in recognition.triangles(g):
-        b1u, b1v, b1w = g.ball1_mask[u], g.ball1_mask[v], g.ball1_mask[w]
+        b1u, b1v, b1w = ball1[u], ball1[v], ball1[w]
         ext = (b1u & b1v) | (b1u & b1w) | (b1v & b1w)
-        if not any(ext & ~g.ball1_mask[c] == 0 for c in bits(ext)):
+        if not any(ext & ~ball1[c] == 0 for c in bits(ext)):
             return False, (u, v, w)
     return True, None
 
 
 def plain_dismantling_order(g):
     """Greedy dismantling that rescans every live vertex after each removal;
-    a stuck subgraph of at most 14 vertices is certified, since greedy
-    elimination is confluent."""
-    live = (1 << g.n) - 1
+    it stops at the first live set with no dominated vertex."""
+    live, ball1 = (1 << g.n) - 1, unit_balls(g)
     order, doms = [], []
     while live.bit_count() > 1:
         step = next(((v, y) for v in bits(live) for y in bits(g.nbr_mask[v] & live)
-                     if g.ball1_mask[v] & live & ~g.ball1_mask[y] == 0), None)
+                     if ball1[v] & live & ~ball1[y] == 0), None)
         if step is None:
-            stuck = tuple(bits(live))
-            return recognition.DismantlingFailure(stuck, certified=len(stuck) <= 14)
+            return recognition.DismantlingFailure(tuple(bits(live)))
         v, y = step
         order.append(v)
         doms.append(y)
@@ -865,6 +870,55 @@ def test_clique_helly_matches_the_extended_triangle_scan(g, cells):
 @given(st.one_of(graphs(max_n=12), route_a_graphs(), helly_graphs()))
 def test_dismantling_matches_the_full_rescan(g):
     assert recognition.dismantling_order(g) == plain_dismantling_order(g)
+
+
+def exhaustively_dismantlable(g):
+    """Whether some elimination order dismantles g: a depth-first search, on
+    an explicit stack, over the live sets that removals of dominated
+    vertices reach; n <= 9, so it visits at most 2^9 sets."""
+    assert g.n <= 9
+    ball1, seen, stack = unit_balls(g), set(), [(1 << g.n) - 1]
+    while stack:
+        live = stack.pop()
+        if live.bit_count() == 1:
+            return True
+        for v in bits(live):
+            rest = live & ~(1 << v)
+            if rest not in seen and any(ball1[v] & live & ~ball1[y] == 0
+                                        for y in bits(g.nbr_mask[v] & live)):
+                seen.add(rest)
+                stack.append(rest)
+    return False
+
+
+def check_dismantling_against_the_exhaustive_search(g):
+    """Greedy fails iff no elimination order exists, and a stuck set has at
+    least two vertices, none of them dominated in it; True on a failure."""
+    out = recognition.dismantling_order(g)
+    failed = isinstance(out, recognition.DismantlingFailure)
+    assert failed != exhaustively_dismantlable(g), g
+    if failed:
+        live, ball1 = mask_of(out.stuck_vertices), unit_balls(g)
+        assert len(out.stuck_vertices) >= 2, g
+        assert not any(ball1[v] & live & ~ball1[y] == 0
+                       for v in bits(live) for y in bits(g.nbr_mask[v] & live)), g
+    return failed
+
+
+def test_greedy_dismantling_fails_iff_no_elimination_order_exists():
+    # the greedy verdict needs no search: a stuck set is a retract of g
+    # with no dominated vertex
+    rng = random.Random(27)
+    failed = sum(check_dismantling_against_the_exhaustive_search(
+        geometry.random_connected_graph(rng.randint(1, 9), rng.uniform(0, 0.7), seed))
+        for seed in range(3000))
+    assert 300 <= failed <= 2700, failed
+
+
+@SETTINGS
+@given(graphs(max_n=9))
+def test_greedy_dismantling_agrees_with_the_exhaustive_search(g):
+    check_dismantling_against_the_exhaustive_search(g)
 
 
 def route_a_families():
@@ -1185,7 +1239,7 @@ def test_hull_graph_from_arrays_matches_the_edge_list_constructor(m, cells):
         hg = hull.hellyfication(m)
     plain = plain_hull_graph(hg.forms)
     assert (hg.graph.n, hg.graph.adj, hg.graph.edges()) == (plain.n, plain.adj, plain.edges())
-    assert (hg.graph.nbr_mask, hg.graph.ball1_mask) == (plain.nbr_mask, plain.ball1_mask)
+    assert hg.graph.nbr_mask == plain.nbr_mask
     for built, expected in zip(hg.graph.csr(), plain.csr()):
         assert built.dtype == expected.dtype and np.array_equal(built, expected)
         assert not built.flags.writeable
@@ -1633,7 +1687,7 @@ def test_normal_paths_are_the_normal_geodesics_and_fill_the_levels(g, data):
 
 def plain_is_clique(g, vertices):
     vs = list(vertices)
-    return all(g.ball1_mask[v] & (1 << w) for v in vs for w in vs if w != v)
+    return all(g.nbr_mask[v] & (1 << w) for v in vs for w in vs if w != v)
 
 
 def plain_is_triangle_free_hypergraph(h):
@@ -1690,12 +1744,12 @@ def plain_gsp_product_gilmore(desc):
 
 
 def plain_dominating_clique(g, subset):
-    vs = as_vertex_set(g, subset, "subset")
+    vs, ball1 = as_vertex_set(g, subset, "subset"), unit_balls(g)
 
     def dominates(clique):
         cover = 0
         for c in clique:
-            cover |= g.ball1_mask[c]
+            cover |= ball1[c]
         return all((cover >> u) & 1 for u in vs)
 
     if not any(dominates(c) for c in recognition.maximal_cliques(g)):
@@ -1773,7 +1827,7 @@ def star_hypergraphs(draw):
 def graph_hypergraph(g, kind):
     """The unit balls or the maximal cliques of g, as a hypergraph."""
     if kind == "balls":
-        return Hypergraph.of(g.n, [list(bits(m)) for m in g.ball1_mask])
+        return Hypergraph.of(g.n, [list(bits(m)) for m in unit_balls(g)])
     return Hypergraph.of(g.n, recognition.maximal_cliques(g))
 
 

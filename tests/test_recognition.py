@@ -94,7 +94,7 @@ def test_dismantling_examples():
     assert isinstance(dismantling_order(geometry.random_tree(15, 4)), DismantlingOrder)
     fail = dismantling_order(geometry.cycle_graph(4))
     assert isinstance(fail, DismantlingFailure)
-    assert fail.stuck_vertices == (0, 1, 2, 3) and fail.certified
+    assert fail.stuck_vertices == (0, 1, 2, 3)
     for k in (3, 4, 5):
         assert isinstance(dismantling_order(geometry.king_graph(k, k)), DismantlingOrder)
 

@@ -175,3 +175,30 @@ def test_only_graphs_reads_and_writes_packed_rows():
     found = {f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "helly").glob("*.py"))
              if path.stem != "graphs" for name in format_calls(ast.parse(path.read_text()))}
     assert not found, f"packed-row layout outside graphs: {sorted(found)}"
+
+
+def self_calls(tree):
+    """The functions in `tree` that call their own name: bare, or as an
+    attribute of `self` or `cls` in a method.  A call of the same name on
+    another object, such as `geometry.ncp_figure` inside
+    `claims.ncp_figure`, is not one."""
+    return sorted(f.name for f in ast.walk(tree)
+                  if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for c in calls(f, f.name)
+                  if isinstance(c.func, ast.Name) or (isinstance(c.func.value, ast.Name)
+                                                      and c.func.value.id in {"self", "cls"}))
+
+
+def test_no_function_calls_itself():
+    # no algorithm may be limited by Python's recursion depth
+    found = {f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "helly").glob("*.py"))
+             for name in self_calls(ast.parse(path.read_text()))}
+    assert not found, f"self-recursive functions: {sorted(found)}"
+
+
+def test_the_self_call_pin_sees_recursion_and_only_recursion():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n"
+                     "class C:\n    def g(self):\n        return self.g()\n"
+                     "    @classmethod\n    def h(cls):\n        return cls.h()\n"
+                     "def ncp_figure():\n    return geometry.ncp_figure()\n")
+    assert self_calls(tree) == ["f", "g", "h"]
