@@ -23,8 +23,6 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .errors import HellyPreconditionError, InvariantViolation, ValidationError
 from .graphs import (WM_BLOCK_CELLS, _mask_rows, _meet, _packed, _padded, _reduce_segments,
                      _set_bits, _singletons, as_sequence, as_vertex_set, as_vertices,
@@ -174,32 +172,29 @@ def verify_normal_clique_path(g, path):
     return True
 
 
-def _steps(g, t, s, step=None):
-    """Level masks L_0..L_k of the normal (t, s)-paths, from the t end.
+def _steps(g, t, s):
+    """The step mask of each member of the levels L_1..L_k of the normal
+    (t, s)-paths, as a dict; unchecked input.
 
     L_k = {s} and each lower level is the union of the steps of the level
     above: a member v of L_i steps to its imprint toward t for i >= 2, and
     to {t} for i = 1.  Every level member extends both ways, so the levels
     are exactly the vertices at each position of some normal path.
-    Unchecked input.  The dict `step`, when given, receives the step mask
-    of each member of L_1..L_k.
     """
-    step = {} if step is None else step
-    levels = [1 << s]
+    step, level = {}, 1 << s
     for i in range(g.dist(t, s), 0, -1):
         below = 0
-        for v in bits(levels[-1]):
+        for v in bits(level):
             step[v] = _imprint(g, (t,), 1 << v, i) if i > 1 else 1 << t
             below |= step[v]
-        levels.append(below)
-    return levels[::-1]
+        level = below
+    return step
 
 
 def normal_paths(g, t, s, cap=100000):
     """All normal (t,s)-paths, lexicographically sorted."""
     as_vertices(g, (t, s), "pair")
-    step = {}
-    _steps(g, t, s, step)
+    step = _steps(g, t, s)
     paths = [(s,)]
     for _ in range(g.dist(t, s)):
         if sum(step[p[-1]].bit_count() for p in paths) > cap:
@@ -231,6 +226,7 @@ def is_normal_path(g, seq):
 def _imprints(unit, reach, below):
     """below & the AND of unit[r] over r in reach, row by row; an empty row
     is an empty imprint."""
+    import numpy as np
     out = _meet(unit, reach) & below
     if not out.any(axis=1).all():
         raise HellyPreconditionError("empty imprint; the graph is not Helly")
@@ -239,6 +235,7 @@ def _imprints(unit, reach, below):
 
 def _distinct(rows):
     """The distinct packed rows, and the index of each row among them."""
+    import numpy as np
     order = np.lexsort(rows.T)
     rows = rows[order]
     fresh = np.ones(len(rows), bool)
@@ -279,6 +276,7 @@ def _normal_rows(g, a, b):
     lies in its own reach.  The single-pair route meets the same fact, so
     there, too, an empty imprint is the only exception a path build raises.
     """
+    import numpy as np
     dist = g.distances()
     words = (g.n + 63) // 64
     unit = _mask_rows(g.nbr_mask, words) | _singletons(np.arange(g.n), words)
@@ -378,6 +376,7 @@ def fellow_traveler_check(g, max_tuples=None, seed=0):
     `WM_BLOCK_CELLS` cells each, gather R[A, members of B], reduce it by min
     or max, then take the max over positions.
     """
+    import numpy as np
     if max_tuples is not None and max_tuples < 0:
         raise ValidationError(f"max_tuples must be nonnegative, got {max_tuples}")
     close = [(u, v) for u in range(g.n) for v in bits(g.nbr_mask[u] | 1 << u)]

@@ -194,10 +194,10 @@ def _cmd_hyp(args):
 
 
 def _cmd_coarse(args):
-    from . import hull
+    from . import geometry
     g = _load_graph(args.graph)
-    defect = hull.coarse_helly_defect(g, args.centers, args.radii,
-                                      require_pairwise=not args.no_pairwise_check)
+    defect = geometry.coarse_helly_defect(g, args.centers, args.radii,
+                                          require_pairwise=not args.no_pairwise_check)
     _emit({"defect": defect})
     return 0
 

@@ -1,4 +1,5 @@
-"""Hyperbolicity, named generators, grids, and the unbounded-defect families.
+"""Hyperbolicity, named generators, grids, coarse-Helly defects and the
+unbounded-defect families.
 
 The generator registry doubles as the test corpus: every named graph used
 by the verification suite is produced here, deterministically.
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import InvariantViolation, ValidationError
-from .graphs import WM_BLOCK_CELLS, Graph, _padded
+from .graphs import WM_BLOCK_CELLS, Graph, _padded, as_vertices
 
 
 # -- elementary generators -----------------------------------------------------
@@ -476,6 +477,38 @@ def isometric_embedding_exists(g, pattern):
 # -- verified counterexample families -------------------------------------------
 
 
+def coarse_helly_defect(g, centers, radii, require_pairwise=True):
+    """Minimal uniform radius enlargement giving the ball family a common point.
+
+    defect = min over y of max over i of max(0, d(y, x_i) - r_i).  With
+    `require_pairwise` the family must pairwise intersect
+    (d(x_i, x_j) <= r_i + r_j) or a ValidationError names the violating pair;
+    the flag exists because the classical unbounded-defect grid families are
+    stated with radii below the pairwise-intersection threshold.
+    """
+    centers = as_vertices(g, centers, "centers")
+    radii = list(radii)
+    if len(centers) != len(radii) or not centers:
+        raise ValidationError("need equally many centers and radii, at least one")
+    if any(r < 0 for r in radii):
+        raise ValidationError("radii must be nonnegative")
+    rows = [g.dist_row(c) for c in centers]
+    if require_pairwise:
+        for i, j in combinations(range(len(centers)), 2):
+            if rows[i][centers[j]] > radii[i] + radii[j]:
+                raise ValidationError(
+                    f"balls {i} and {j} do not intersect: "
+                    f"d={rows[i][centers[j]]} > {radii[i]}+{radii[j]}")
+    best = None
+    for y in range(g.n):
+        need = max(max(0, rows[i][y] - radii[i]) for i in range(len(centers)))
+        if best is None or need < best:
+            best = need
+            if best == 0:
+                break
+    return best
+
+
 def z3_counterexample(n):
     """Four balls of radius 2n at the even corners of the box [-4n, 4n]^3.
 
@@ -490,8 +523,7 @@ def z3_counterexample(n):
     centers = [index[(-2 * n, 2 * n, -2 * n)], index[(2 * n, 2 * n, 2 * n)],
                index[(-2 * n, -2 * n, 2 * n)], index[(2 * n, -2 * n, -2 * n)]]
     radii = [2 * n] * 4
-    from . import hull  # only the claims need it, not `gen` or `hyp`
-    defect = hull.coarse_helly_defect(g, centers, radii, require_pairwise=False)
+    defect = coarse_helly_defect(g, centers, radii, require_pairwise=False)
     return {"defect": defect, "graph": g, "centers": centers, "radii": radii}
 
 
@@ -505,8 +537,7 @@ def t3_counterexample(n, radii_scale=3):
         raise ValidationError("deltoid size cap: 1 <= n <= 3")
     g, _, corners = t3_deltoid(6 * n)
     radii = [radii_scale * n] * 3
-    from . import hull
-    defect = hull.coarse_helly_defect(g, corners, radii)
+    defect = coarse_helly_defect(g, corners, radii)
     return {"defect": defect, "graph": g, "centers": corners, "radii": radii}
 
 

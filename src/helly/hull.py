@@ -29,20 +29,22 @@ layer's forms come from numpy blocks of slacks, the only numpy step of the
 search; each search leaf, a bitmask pair, becomes its neighbour vector on
 its bits as soon as its form's search ends.
 
-After the search everything runs on arrays.  The hull edges are read off
-their definition, the pairs at S = 1, on numpy blocks of whole rows of S in
-the smallest signed type that holds it; the S = 1 entries of the blocks,
-in row-major order, are the sorted neighbour lists, so the hull graph is
+After the search everything runs on arrays, and each check is decided
+once.  One generator, `_sup_rows`, yields numpy blocks of whole rows of S
+in the smallest signed type that holds it.  The hull edges are read off
+their definition, the pairs at S = 1: the S = 1 entries of the blocks, in
+row-major order, are the sorted neighbour lists, so the hull graph is
 built from them as its CSR (`graphs._csr_graph`), its adjacency masks
 from the same rows, with no edge tuple and no per-edge Python loop.  As an
 independent cross-check of the search, the pairs between consecutive
 layers must be as many as the upward neighbours it found.  The result is
-checked against the definition on numpy blocks of forms, in the smallest
-signed type that holds the checks; the hull-graph distance is checked to
-be S by a descent certificate, which is equivalent to it: from each form,
-the nearest neighbour to any other form is one step closer to it.  The
-certificate also proves the graph connected, which its array constructor
-does not check.
+checked against the definition on numpy blocks of forms, each verdict and
+its message read off one boolean array, and each point x is checked to be
+embedded at e(x) itself; the hull-graph distance is checked to be S by a
+descent certificate on the same blocks of S, which is equivalent to it:
+from each form, the nearest neighbour to any other form is one step closer
+to it.  The certificate also proves the graph connected, which its array
+constructor does not check.
 """
 
 from __future__ import annotations
@@ -55,12 +57,11 @@ import numpy as np
 
 from .errors import (InvariantViolation, ResourceCapExceeded, ValidationError, cap_from_env,
                      int_lists, object_with)
-from .graphs import (WM_BLOCK_CELLS, Graph, _csr_graph, _reduce_segments, _row_masks,
-                     as_vertices)
+from .graphs import WM_BLOCK_CELLS, Graph, _csr_graph, _reduce_segments, _row_masks
 
 
-# bytes per block of rows or columns of S, for the hull graph (_unit_graph)
-# and the hull-distance certificate (_check_hull_distances); the certificates
+# bytes per block of rows of S (_sup_rows), for the hull graph and the
+# hull-distance certificate (_check_hull_distances); the certificates
 # of C12 and path_graph(200) ran 1.4x slower at 256 KB and no faster at 1-2 MB
 CERTIFICATE_BYTES = 1 << 19
 
@@ -308,10 +309,11 @@ def hellyfication(m, cap=None):
     its CSR and adjacency masks come straight from numpy blocks of rows of
     S); the pairs between consecutive layers must be as many as the upward
     neighbours the search found.  The result is validated before it is
-    returned: every stored form is extremal and 1-Lipschitz, the embedding
-    is isometric, f(x) = sup-distance(f, d(x, .)) for all stored f, x, and
-    the hull-graph distance is the sup-distance (the descent certificate,
-    which also proves the graph connected).
+    returned: every stored form is extremal and 1-Lipschitz, f(x) =
+    sup-distance(f, d(x, .)) for all stored f, x, embed[x] is the index of
+    d(x, .) itself, which with the last check makes the embedding isometric,
+    and the hull-graph distance is the sup-distance (the descent
+    certificate, which also proves the graph connected).
     """
     cap = _form_cap() if cap is None else cap
     if isinstance(m, Graph):
@@ -342,22 +344,17 @@ def hellyfication(m, cap=None):
 
 def _unit_graph(forms, upward):
     """The hull graph on the rows of forms, each >= 0: i and j are adjacent
-    iff S(i, j) = 1.  It is read off blocks of whole rows of S (`_sup_table`,
-    in the smallest signed type that holds S) whose differences take at most
-    CERTIFICATE_BYTES bytes, or of one row where that needs more.  The S = 1
-    entries of a block, in row-major order, are its rows' sorted neighbour
-    lists, so they are laid end to end as the CSR of `_csr_graph`, and
-    the block's rows go to `_row_masks` for the adjacency masks; no edge
+    iff S(i, j) = 1.  It is read off the blocks of rows of S of `_sup_rows`.
+    The S = 1 entries of a block, in row-major order, are its rows' sorted
+    neighbour lists, so they are laid end to end as the CSR of `_csr_graph`,
+    and the block's rows go to `_row_masks` for the adjacency masks; no edge
     tuple is made.  Each pair is met in both orientations, so the pairs
     whose forms have different minima number twice `upward`, the upward
     neighbours the search found, or an InvariantViolation is raised."""
-    count = len(forms)
-    points = np.ascontiguousarray(forms.T, np.min_scalar_type(-int(forms.max(initial=0)) - 1))
-    low = points.min(0, initial=np.iinfo(points.dtype).max)  # an empty metric has no forms
-    step = max(1, CERTIFICATE_BYTES // max(1, points.size * points.itemsize))
+    low = forms.min(1, initial=np.iinfo(np.intp).max)  # an empty metric has no forms
     heads, sizes, masks, across = [], [np.zeros(1, np.intp)], [], 0
-    for lo in range(0, count, step):
-        unit = _sup_table(points[:, lo:lo + step], points) == 1
+    for lo, sup in _sup_rows(forms):
+        unit = sup == 1
         i, j = np.nonzero(unit)
         across += np.count_nonzero(low[i + lo] != low[j])
         heads.append(j)
@@ -370,33 +367,40 @@ def _unit_graph(forms, upward):
                          np.concatenate(sizes).cumsum(), masks)
 
 
-def _sup_table(p, q):
-    """S(p_i, q_j) for the columns p_i of p and q_j of q, a table of
-    len(p[0]) rows and len(q[0]) columns; row x of p and q is coordinate x.
-    With the coordinates first, the differences are n planes of that shape
-    and the max is taken plane by plane, so numpy's inner loops run along
-    the rows of q; with the forms as rows, the max runs one loop of n cells
-    per pair, which is slow when n is small.  Pass the many forms as q."""
-    diff = p[:, :, None] - q[:, None, :]
-    return np.abs(diff, out=diff).max(0)
+def _sup_rows(forms, extra=0):
+    """Yield (lo, block) with block[i, j] = S(forms[lo + i], forms[j]), the
+    sup-distance table S of the rows of forms in blocks of rows.  Shifted to
+    least entry 0, the forms keep S and bound it by their largest entry,
+    whose smallest signed type then holds S and S - 1 >= -1.  A block holds
+    as many rows as fit in CERTIFICATE_BYTES for the differences of every
+    form with its forms and `extra` cells a row more, or one row where that
+    needs more.  The differences are n planes, coordinates first, so the max
+    runs plane by plane, along the rows of S; with the forms as rows it runs
+    one loop of n cells per pair, which is slow when n is small."""
+    forms = forms - forms.min(initial=0)
+    points = np.ascontiguousarray(forms.T, np.min_scalar_type(-int(forms.max(initial=0)) - 1))
+    step = max(1, CERTIFICATE_BYTES // max(1, points.itemsize * (points.size + extra)))
+    for lo in range(0, len(forms), step):
+        diff = points[:, lo:lo + step, None] - points[:, None, :]
+        yield lo, np.abs(diff, out=diff).max(0)
 
 
 def _validate_hull(hg):
     """Check the hull against its definition; a failure is an InvariantViolation.
 
     Every stored form is extremal and 1-Lipschitz with f(x) =
-    sup-distance(f, e(x)), the embedding is isometric, and the hull-graph
-    distance is the sup-distance.  The 1-Lipschitz and f(x) = sup-distance
-    checks follow from extremality (f(y) - f(x) <= d(x, y) through a tight
-    partner of y, and |f(y) - d(x, y)| <= f(x) with equality at y = x), and
-    are kept as independent checks.  The checks run on numpy blocks of at
-    most WM_BLOCK_CELLS cells, or of one form where that needs more, in the
-    smallest signed type that holds their slacks and differences; the first
-    failing form gets the message of the first check it fails.  The
-    embedding is isometric when it maps each x to e(x) = d(x, .) itself,
-    since S(e(x), e(y)) = d(x, y) by the triangle inequality, with equality
-    at y; only an embedding that does not is checked pair by pair.  The
-    hull-graph distance is checked last, by the descent certificate of
+    sup-distance(f, e(x)), each point x is embedded at e(x) = d(x, .), and
+    the hull-graph distance is the sup-distance.  The 1-Lipschitz and f(x)
+    = sup-distance checks follow from extremality (f(y) - f(x) <= d(x, y)
+    through a tight partner of y, and |f(y) - d(x, y)| <= f(x) with
+    equality at y = x), and are kept as independent checks.  They run on
+    numpy blocks of at most WM_BLOCK_CELLS cells, or of one form where that
+    needs more, in the smallest signed type that holds their slacks and
+    differences; the first failing form gets the message of the first check
+    it fails.  The embedding is checked by its definition, forms[embed[x]]
+    = e(x); then f(x) = sup-distance at f = e(y) makes it isometric, as
+    S(e(x), e(y)) = e(y)(x) = d(x, y).
+    The hull-graph distance is checked last, by the descent certificate of
     _check_hull_distances, with no BFS.
     """
     m = hg.metric
@@ -406,27 +410,22 @@ def _validate_hull(hg):
     small = np.min_scalar_type(-big - 1)
     forms, d = np.array(hg.forms, small), np.array(m.d, small)
     step = max(1, WM_BLOCK_CELLS // (n * n))
+    messages = ("stored form {} is not extremal", "form {} is not 1-Lipschitz",
+                "f(x) != sup-distance(f, e(x)) for {}")
     for lo in range(0, len(forms), step):
         f = forms[lo:lo + step]
         # least slack 0 at x: a metric form (f >= 0 at y = x) tight at x
-        extremal = ((f[:, :, None] + f[:, None, :] - d).min(2) == 0).all(1)
-        lipschitz = (f[:, None, :] - f[:, :, None] <= d).all(2)
-        sup = np.abs(f[:, None, :] - d).max(2) == f
-        bad = ~extremal | ~(lipschitz & sup).all(1)
-        if bad.any():
-            i = int(bad.argmax())
-            form = hg.forms[lo + i]
-            if not is_extremal(m, form):  # raises ValidationError on a non-form
-                raise InvariantViolation(f"stored form {form} is not extremal")
-            if not lipschitz[i, (lipschitz[i] & sup[i]).argmin()]:
-                raise InvariantViolation(f"form {form} is not 1-Lipschitz")
-            raise InvariantViolation(f"f(x) != sup-distance(f, e(x)) for {form}")
-    embedded = forms[list(hg.embed)]
-    if (embedded != d).any():
-        for lo in range(0, n, step):
-            sup = np.abs(embedded[lo:lo + step, None, :] - embedded).max(2)
-            if (sup != d[lo:lo + step]).any():
-                raise InvariantViolation("embedding is not isometric")
+        checks = np.stack((((f[:, :, None] + f[:, None, :] - d).min(2) == 0).all(1),
+                           (f[:, None, :] - f[:, :, None] <= d).all((1, 2)),
+                           (np.abs(f[:, None, :] - d).max(2) == f).all(1)))
+        passed = checks.all(0)
+        if not passed.all():
+            i = int(passed.argmin())
+            raise InvariantViolation(messages[checks[:, i].argmin()].format(hg.forms[lo + i]))
+    misplaced = (forms[list(hg.embed)] != d).any(1)
+    if misplaced.any():
+        x = int(misplaced.argmax())
+        raise InvariantViolation(f"point {x} is not embedded at d({x}, .)")
     _check_hull_distances(forms, hg.graph)
 
 
@@ -447,29 +446,21 @@ def _check_hull_distances(forms, graph):
     any other is not.  So a graph that passes is connected, and the check
     needs no connectivity from the graph it is given.
 
-    The check runs on blocks of columns j of S, held as rows i x columns j
-    in the smallest signed integer type that holds S and S - 1 >= -1; as S
-    is symmetric, a block is the transpose of the `_sup_table` of its rows
-    j.  The least over the neighbours of each i is one segmented min, a
-    single reduceat, over the rows of S gathered along the `graph.csr()`
-    lists.  A block holds as many columns as fit in
-    CERTIFICATE_BYTES for the differences of every form with the block's
-    forms and for those rows.  A pair i = j always fails, as its least is
-    >= 0, so a block of w columns passes when exactly w pairs fail.
+    The check runs on the blocks of rows of S of `_sup_rows`, with room for
+    the rows gathered along the `graph.csr()` lists; as S is symmetric, a
+    block of rows j, transposed, is the block of columns j.  The least over
+    the neighbours of each i is one reduceat over those gathered rows.  A
+    pair i = j always fails, as its least is >= 0, so a block of w columns
+    passes when exactly w pairs fail.
     """
-    count = len(forms)
-    if count == 1:
+    if len(forms) == 1:
         return
     heads, offsets = graph.csr()
     if not np.diff(offsets).all():
         raise InvariantViolation("unit-step graph distance != sup-metric")
-    forms = forms - forms.min()  # same S, and S <= forms.max()
-    points = np.ascontiguousarray(forms.T, np.min_scalar_type(-int(forms.max()) - 1))
-    column = points.itemsize * (points.size + len(heads))
-    step = max(1, CERTIFICATE_BYTES // column)
-    for lo in range(0, count, step):
-        sup = _sup_table(points[:, lo:lo + step], points).T  # sup[i, j - lo] = S(i, j)
-        nearest = _reduce_segments(np.minimum, sup, heads, offsets, len(heads) * step)
+    for lo, rows in _sup_rows(forms, len(heads)):
+        sup = rows.T  # sup[i, j - lo] = S(i, j)
+        nearest = _reduce_segments(np.minimum, sup, heads, offsets, len(heads) * sup.shape[1])
         if np.count_nonzero(nearest != sup - 1) != sup.shape[1]:
             raise InvariantViolation("unit-step graph distance != sup-metric")
 
@@ -527,35 +518,3 @@ def dress_distance_identity_check(hg):
         if lhs != rhs:
             return False
     return True
-
-
-def coarse_helly_defect(g, centers, radii, require_pairwise=True):
-    """Minimal uniform radius enlargement giving the ball family a common point.
-
-    defect = min over y of max over i of max(0, d(y, x_i) - r_i).  With
-    `require_pairwise` the family must pairwise intersect
-    (d(x_i, x_j) <= r_i + r_j) or a ValidationError names the violating pair;
-    the flag exists because the classical unbounded-defect grid families are
-    stated with radii below the pairwise-intersection threshold.
-    """
-    centers = as_vertices(g, centers, "centers")
-    radii = list(radii)
-    if len(centers) != len(radii) or not centers:
-        raise ValidationError("need equally many centers and radii, at least one")
-    if any(r < 0 for r in radii):
-        raise ValidationError("radii must be nonnegative")
-    rows = [g.dist_row(c) for c in centers]
-    if require_pairwise:
-        for i, j in combinations(range(len(centers)), 2):
-            if rows[i][centers[j]] > radii[i] + radii[j]:
-                raise ValidationError(
-                    f"balls {i} and {j} do not intersect: "
-                    f"d={rows[i][centers[j]]} > {radii[i]}+{radii[j]}")
-    best = None
-    for y in range(g.n):
-        need = max(max(0, rows[i][y] - radii[i]) for i in range(len(centers)))
-        if best is None or need < best:
-            best = need
-            if best == 0:
-                break
-    return best

@@ -593,8 +593,13 @@ def run_fresh(argv, code):
     (["repro", "--list"], "helly helly.claims helly.cli helly.errors"),
     # no generator uses numpy, and the graph modules import it only where they use it
     (["gen", "king", "4", "6"], "helly helly.cli helly.errors helly.geometry helly.graphs"),
+    (["coarse", "king.json", "--centers", "0", "8", "--radii", "1", "1"],
+     "helly helly.cli helly.errors helly.geometry helly.graphs"),
+    (["bicombing", "king.json", "--pair", "0", "8"],
+     "helly helly.bicombing helly.cli helly.errors helly.graphs"),
 ])
-def test_the_cli_loads_only_the_modules_a_command_runs(argv, loaded):
+def test_the_cli_loads_only_the_modules_a_command_runs(command_dir, argv, loaded):
+    argv = [str(command_dir / a) if a.endswith(".json") else a for a in argv]
     code = ("import sys, helly.cli\n"
             "if sys.argv[1:]: helly.cli.main(sys.argv[1:])\n"
             "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('helly', 'numpy')))")

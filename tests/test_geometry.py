@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from helly import geometry, hull, recognition
+from helly import geometry, recognition
 from helly.errors import ValidationError
 from helly.geometry import (hyperbolicity, hyperbolicity_oracle,
                             isometric_embedding_exists,
@@ -122,8 +122,8 @@ def test_z3_counterexample():
     assert out2["defect"] == 8
     assert out2["defect"] > out["defect"]  # defect grows with scale
     # sanity: one ball alone has defect 0
-    assert hull.coarse_helly_defect(out["graph"], out["centers"][:1],
-                                    out["radii"][:1]) == 0
+    assert geometry.coarse_helly_defect(out["graph"], out["centers"][:1],
+                                        out["radii"][:1]) == 0
 
 
 def test_t3_counterexample():
@@ -151,7 +151,7 @@ def test_defect_bounded_by_hyperbolicity_on_helly_corpus(small_corpus):
             if any(g.dist(a, b) > ra + rb
                    for (a, ra), (b, rb) in combinations(zip(centers, radii), 2)):
                 continue
-            assert hull.coarse_helly_defect(g, centers, radii) <= two_delta, name
+            assert geometry.coarse_helly_defect(g, centers, radii) <= two_delta, name
 
 
 def test_grid_freeness_proxy(corpus):

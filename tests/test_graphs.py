@@ -10,7 +10,7 @@ from helly.errors import ValidationError
 from helly.graphs import (Graph, ball_star_mask, bits, is_convex, is_gated,
                           is_isometric_embedding, is_pseudo_modular, mask_of,
                           quasi_median, weak_modularity)
-from helly.hull import coarse_helly_defect
+from helly.geometry import coarse_helly_defect
 from helly.recognition import dominating_clique
 
 from conftest import random_graphs

@@ -10,10 +10,10 @@ import pytest
 from helly import geometry, recognition
 from helly.errors import InvariantViolation, ValidationError
 from helly.graphs import Graph
-from helly.hull import (FiniteMetric, _validate_hull, coarse_helly_defect,
-                        dress_distance_identity_check, enumerate_extremal_forms,
-                        hellyfication, hull_distance_profile, is_extremal,
-                        sup_distance)
+from helly.geometry import coarse_helly_defect
+from helly.hull import (FiniteMetric, _validate_hull, dress_distance_identity_check,
+                        enumerate_extremal_forms, hellyfication, hull_distance_profile,
+                        is_extremal, sup_distance)
 
 from conftest import random_graphs
 
@@ -84,6 +84,7 @@ def test_hull_validation_invariants(small_corpus):
 def test_hull_validation_reports_each_corruption():
     hg = hellyfication(geometry.cycle_graph(6))
     raised = tuple(v + 1 for v in hg.forms[3])
+    lowered = tuple(v - 1 for v in hg.forms[3])  # (0, 0, 1, 1, 1, 0), not a metric form
     e0, e1 = hg.embed[:2]
     # the hull of C6 has cycles, so it stays connected without its first edge
     cut = Graph(hg.graph.n, hg.graph.edges()[1:])
@@ -93,7 +94,11 @@ def test_hull_validation_reports_each_corruption():
     for bad, message in [
             (replace(hg, forms=hg.forms[:3] + (raised,) + hg.forms[4:]),
              f"stored form {raised} is not extremal"),
-            (replace(hg, embed=(e1, e0) + hg.embed[2:]), "embedding is not isometric"),
+            (replace(hg, forms=hg.forms[:3] + (lowered,) + hg.forms[4:]),
+             "stored form (0, 0, 1, 1, 1, 0) is not extremal"),
+            (replace(hg, embed=(e1, e0) + hg.embed[2:]), "point 0 is not embedded at d(0, .)"),
+            # isometric, as a rotation of C6 is, but not x -> d(x, .)
+            (replace(hg, embed=hg.embed[1:] + hg.embed[:1]), "point 0 is not embedded at d(0, .)"),
             (replace(hg, graph=cut), "unit-step graph distance != sup-metric"),
             (replace(hg, graph=extra), "unit-step graph distance != sup-metric")]:
         with pytest.raises(InvariantViolation) as err:

@@ -1580,6 +1580,15 @@ def test_padded_segments_repeat_their_last_entry(segments):
     assert table.T.tolist() == [s + s[-1:] * (wide - len(s)) for s in segments]
 
 
+def step_levels(g, t, s):
+    """The level masks L_0..L_k of the normal (t, s)-paths, from the t end:
+    L_k = {s}, and each lower level the union of the steps of the level above."""
+    step, levels = _steps(g, t, s), [1 << s]
+    for _ in range(g.dist(t, s)):
+        levels.append(reduce(int.__or__, map(step.get, bits(levels[-1]))))
+    return levels[::-1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(helly_graphs(), st.sampled_from([1, 97, graphs_module.WM_BLOCK_CELLS]),
        st.integers(0, 99))
@@ -1597,7 +1606,7 @@ def test_batched_paths_match_the_single_pair_route(g, cells, seed):
     for r, (s, t) in enumerate(pairs):
         k = g.dist(s, t)
         held = [min(j, k) for j in range(len(clique_ids))]  # past the end, the last set
-        path, steps = bicombing._clique_path(g, (s,), (t,), k), _steps(g, s, t)
+        path, steps = bicombing._clique_path(g, (s,), (t,), k), step_levels(g, s, t)
         assert [sets[i] for i in clique_ids[:, r]] == [path[j] for j in held]
         assert [sets[i] for i in level_ids[:, r]] == [steps[j] for j in held]
 
@@ -1678,7 +1687,7 @@ def test_normal_paths_are_the_normal_geodesics_and_fill_the_levels(g, data):
     paths = normal_paths(g, t, s)
     assert paths == sorted(p for p in geodesics(g, t, s) if is_normal_path(g, p))
     levels = plain_level_sets(g, t, s)
-    assert [tuple(bits(m)) for m in _steps(g, t, s)] == levels
+    assert [tuple(bits(m)) for m in step_levels(g, t, s)] == levels
     assert [tuple(sorted({p[i] for p in paths})) for i in range(len(levels))] == levels
 
 
